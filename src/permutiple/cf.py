@@ -26,7 +26,7 @@ class ContinuedFraction:
         if not self.digits:
             raise ValueError("a continued fraction needs at least one digit")
         for a in self.digits:
-            if not isinstance(a, int) or a < 1:
+            if isinstance(a, bool) or not isinstance(a, int) or a < 1:
                 raise ValueError(f"invalid digit {a!r}: digits are integers >= 1")
 
     @classmethod
@@ -76,13 +76,19 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def continuant(xs: Iterable[int]) -> int:
-    """Continuant K(x0, ..., x_{m-1}): K() = 1, K(x0) = x0, and each new
-    entry x extends via K -> x*K + K_previous."""
+def _continuant(xs: Iterable[int]) -> int:
+    """The scalar continuant loop behind ``continuant``; hot loops call it
+    directly, past any wrapper installed on the public name."""
     prev, cur = 0, 1
     for x in xs:
         prev, cur = cur, x * cur + prev
     return cur
+
+
+def continuant(xs: Iterable[int]) -> int:
+    """Continuant K(x0, ..., x_{m-1}): K() = 1, K(x0) = x0, and each new
+    entry x extends via K -> x*K + K_previous."""
+    return _continuant(xs)
 
 
 def convergents(cf: ContinuedFraction) -> tuple[tuple[int, int], ...]:
@@ -103,12 +109,7 @@ def convergents(cf: ContinuedFraction) -> tuple[tuple[int, int], ...]:
 
 def evaluate(cf: ContinuedFraction) -> Fraction:
     """Exact value of the digit string, evaluated as written (canonical or not)."""
-    p_prev, p = 0, 1
-    q_prev, q = 1, 0
-    for a in cf.digits:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return Fraction(p, q)
+    return Fraction(*convergents(cf)[-1])
 
 
 def gauss_step(x: Fraction) -> Fraction:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cf import ContinuedFraction, continuant, evaluate
+from .cf import ContinuedFraction, _continuant, convergents
 
 FLAG_ORDER = (
     "continuant_preserving",
@@ -169,15 +169,23 @@ def permute_digits(cf: ContinuedFraction, sigma: Permutation) -> ContinuedFracti
     return ContinuedFraction(tuple(cf.digits[i] for i in sigma.images))
 
 
-def permutiple_multiplier(cf: ContinuedFraction, sigma: Permutation) -> int | None:
-    """The integer k >= 2 with value(cf) == k * value(permuted), if any.
+# ((p_n, q_n), (p_{n-1}, q_{n-1})): every value-level flag reads these two pairs
+_Tip = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _tip(cf: ContinuedFraction) -> _Tip:
+    """One walk of the string; the seed (1, 0) stands in for
+    (p_{n-1}, q_{n-1}) when there is a single digit."""
+    pairs = convergents(cf)
+    return pairs[-1], pairs[-2] if len(pairs) > 1 else (1, 0)
+
+
+def _multiplier(p: int, q: int, pp: int, qp: int) -> int | None:
+    """Integer k >= 2 with p/q == k * pp/qp, if any.
 
     Both values are reduced fractions, so the ratio (p*q')/(p'*q) is
     checked by exact integer divisibility; k == 1 is excluded.
     """
-    _check_lengths(cf, sigma)
-    p, q = evaluate(cf).as_integer_ratio()
-    pp, qp = evaluate(permute_digits(cf, sigma)).as_integer_ratio()
     num, den = p * qp, pp * q
     if num % den:
         return None
@@ -185,10 +193,30 @@ def permutiple_multiplier(cf: ContinuedFraction, sigma: Permutation) -> int | No
     return k if k >= 2 else None
 
 
+def _preserving(base: _Tip, perm: _Tip) -> bool:
+    return base[0][0] == perm[0][0]
+
+
+def _landess(base: _Tip, perm: _Tip, k: int) -> bool:
+    (p1, q1), (pp1, qp1) = base[1], perm[1]
+    return _preserving(base, perm) and p1 == k * pp1 and q1 == qp1
+
+
+def _reverse_multiple(base: _Tip, k: int) -> bool:
+    # mirror formula: value(reversed) = p_n / p_{n-1}, so
+    # p_n / q_n == k * value(reversed) exactly when p_{n-1} == k * q_n
+    (_, q), (p1, _) = base
+    return p1 == k * q
+
+
+def permutiple_multiplier(cf: ContinuedFraction, sigma: Permutation) -> int | None:
+    """The integer k >= 2 with value(cf) == k * value(permuted), if any."""
+    return _multiplier(*convergents(cf)[-1], *convergents(permute_digits(cf, sigma))[-1])
+
+
 def is_continuant_preserving(cf: ContinuedFraction, sigma: Permutation) -> bool:
     """True when the base and permuted strings have the same top continuant."""
-    _check_lengths(cf, sigma)
-    return continuant(cf.digits) == continuant(cf.digits[i] for i in sigma.images)
+    return _preserving(_tip(cf), _tip(permute_digits(cf, sigma)))
 
 
 def is_perfect(cf: ContinuedFraction, sigma: Permutation, k: int) -> bool:
@@ -217,21 +245,14 @@ def is_symmetric(cf: ContinuedFraction, sigma: Permutation) -> bool:
 def is_landess(cf: ContinuedFraction, sigma: Permutation, k: int) -> bool:
     """Continuant preservation plus the second-to-last convergent relations
     p_{n-1} == k*p'_{n-1} and q_{n-1} == q'_{n-1}."""
-    _check_lengths(cf, sigma)
-    ds = cf.digits
-    ps = tuple(ds[i] for i in sigma.images)
-    return (
-        continuant(ds) == continuant(ps)
-        and continuant(ds[:-1]) == k * continuant(ps[:-1])
-        and continuant(ds[1:-1]) == continuant(ps[1:-1])
-    )
+    return _landess(_tip(cf), _tip(permute_digits(cf, sigma)), k)
 
 
 def is_reverse_multiple(cf: ContinuedFraction, k: int) -> bool:
     """Value-level check against the reversed digit string.  Independent of
     any particular sigma: with repeated digits several permutations realize
     the reversed string."""
-    return evaluate(cf) == k * evaluate(cf.reverse())
+    return _reverse_multiple(_tip(cf), k)
 
 
 def classify(
@@ -247,33 +268,32 @@ def classify(
     base unless ``allow_noncanonical`` is set.  The permuted side is always
     evaluated as written.
     """
-    _check_lengths(cf, sigma)
+    permuted = permute_digits(cf, sigma)
     if not cf.is_canonical and not allow_noncanonical:
         raise ValueError(
             f"base string {cf} is not canonical; pass allow_noncanonical=True to accept it"
         )
-    found = permutiple_multiplier(cf, sigma)
+    base, perm = _tip(cf), _tip(permuted)
+    found = _multiplier(*base[0], *perm[0])
     if found is None:
-        raise NotAPermutipleError(
-            f"{cf} is not an integer multiple (k >= 2) of {permute_digits(cf, sigma)}"
-        )
+        raise NotAPermutipleError(f"{cf} is not an integer multiple (k >= 2) of {permuted}")
     if k is not None and k != found:
         raise NotAPermutipleError(f"multiplier of {cf} under {sigma} is {found}, not {k}")
     k = found
     flags = ClassificationFlags(
         is_permutiple=True,
-        continuant_preserving=is_continuant_preserving(cf, sigma),
+        continuant_preserving=_preserving(base, perm),
         perfect=is_perfect(cf, sigma, k),
         symmetric=is_symmetric(cf, sigma),
-        landess=is_landess(cf, sigma, k),
-        reverse_multiple=is_reverse_multiple(cf, k),
+        landess=_landess(base, perm, k),
+        reverse_multiple=_reverse_multiple(base, k),
     )
     return Witness(
         cf=cf,
         sigma=sigma,
         k=k,
-        value=evaluate(cf),
-        permuted_value=evaluate(permute_digits(cf, sigma)),
+        value=Fraction(*base[0]),
+        permuted_value=Fraction(*perm[0]),
         flags=flags,
     )
 
@@ -320,21 +340,21 @@ def find_witnesses(
     if not cf.is_canonical and not allow_noncanonical:
         raise ValueError(f"base string {cf} is not canonical")
     base = cf.digits
-    out: list[Witness] = []
+    p, q = convergents(cf)[-1]
     if all_sigmas:
-        hits = []
-        for images in itertools.permutations(range(len(base))):
-            permuted = tuple(base[i] for i in images)
-            if permuted == base:
-                continue
-            hits.append((permuted, images))
-        for permuted, images in sorted(hits):
-            sigma = Permutation(images)
-            if permutiple_multiplier(cf, sigma) is not None:
-                out.append(classify(cf, sigma, allow_noncanonical=allow_noncanonical))
-        return out
-    for permuted in sorted(set(itertools.permutations(base)) - {base}):
-        sigma = canonical_sigma(base, permuted)
-        if permutiple_multiplier(cf, sigma) is not None:
-            out.append(classify(cf, sigma, allow_noncanonical=allow_noncanonical))
+        orderings = sorted(
+            (tuple(base[i] for i in images), images)
+            for images in itertools.permutations(range(len(base)))
+        )
+    else:
+        orderings = [(permuted, None) for permuted in sorted(set(itertools.permutations(base)))]
+    out: list[Witness] = []
+    for permuted, images in orderings:
+        if permuted == base:
+            continue
+        k = _multiplier(p, q, _continuant(permuted), _continuant(permuted[1:]))
+        if k is None:
+            continue
+        sigma = canonical_sigma(base, permuted) if images is None else Permutation(images)
+        out.append(classify(cf, sigma, k, allow_noncanonical=allow_noncanonical))
     return out

@@ -78,10 +78,6 @@ def _emit_witness(w: Witness, as_json: bool) -> None:
         print(_witness_line(w))
 
 
-def _default_jobs() -> int:
-    return int(os.environ.get("PERMUTIPLE_JOBS", "1"))
-
-
 def _cmd_eval(args) -> int:
     if args.rational:
         cf = from_rational(parse_rational(args.rational))
@@ -382,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-digit", type=int, required=True)
     p.add_argument("--k-min", type=int)
     p.add_argument("--k-max", type=int)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=os.environ.get("PERMUTIPLE_JOBS", "1"))
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--all-sigmas", action="store_true", help="one witness per permutation")
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-digit", type=int)
     p.add_argument("--k-min", type=int)
     p.add_argument("--k-max", type=int)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=os.environ.get("PERMUTIPLE_JOBS", "1"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_conjecture)
 

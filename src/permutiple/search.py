@@ -18,9 +18,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .cf import ContinuedFraction, format_cf
+from .cf import ContinuedFraction, _continuant, format_cf
 from .classify import (
     FLAG_ORDER,
     Permutation,
@@ -50,8 +50,10 @@ class SearchConfig:
     dedupe: bool = True
 
     def __post_init__(self) -> None:
-        low = min(self.lengths())
-        if low < 2:
+        lengths = self.lengths()
+        if not lengths:
+            raise ValueError(f"empty length range {self.length!r}: low exceeds high")
+        if lengths[0] < 2:
             raise ValueError("searched lengths must be >= 2")
         if self.max_digit < 2:
             raise ValueError("max_digit must be >= 2")
@@ -81,22 +83,6 @@ def _perm_buckets(m: int) -> dict[int, list[tuple[int, ...]]]:
     return buckets
 
 
-def _top_continuant(t: tuple[int, ...]) -> int:
-    prev, cur = 0, 1
-    for x in t:
-        prev, cur = cur, x * cur + prev
-    return cur
-
-
-def _value_pair(t: tuple[int, ...]) -> tuple[int, int]:
-    p_prev, p = 0, 1
-    q_prev, q = 1, 0
-    for a in t:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return p, q
-
-
 def _hits_for_tuple(
     t: tuple[int, ...], config: SearchConfig
 ) -> list[tuple[tuple[int, ...], tuple[int, ...] | None, int]]:
@@ -107,7 +93,7 @@ def _hits_for_tuple(
     permuted leading digit.
     """
     m = len(t)
-    p, q = _value_pair(t)
+    p, q = _continuant(t), _continuant(t[1:])
     a0 = t[0]
     distinct = len(set(t)) == m
     seen: set[tuple[int, ...]] | None = None if (distinct or not config.dedupe) else {t}
@@ -123,10 +109,10 @@ def _hits_for_tuple(
                 seen.add(tp)
             elif not config.dedupe and tp == t:
                 continue
-            pp = _top_continuant(tp)
+            pp = _continuant(tp)
             if p % pp:
                 continue
-            qp = _top_continuant(tp[1:])
+            qp = _continuant(tp[1:])
             num, den = p * qp, pp * q
             if num % den:
                 continue
@@ -176,26 +162,24 @@ def exhaustive_search(config: SearchConfig) -> Iterator[Witness]:
             yield from block
 
 
-CONJECTURE_IDS = ("c1", "c2", "c3", "c4")
-
-_CONJECTURE_TEXT = {
-    "c1": "every 4-digit permutiple is symmetric",
-    "c2": "every permutiple is continuant-preserving",
-    "c3": "every symmetric permutiple is a landess permutiple",
-    "c4": "every 4-digit permutiple is perfect or a reverse multiple",
+# conjecture id -> (statement, predicate every witness must satisfy)
+_CONJECTURES: dict[str, tuple[str, Callable[[Witness], bool]]] = {
+    "c1": (
+        "every 4-digit permutiple is symmetric",
+        lambda w: len(w.cf) != 4 or w.flags.symmetric,
+    ),
+    "c2": ("every permutiple is continuant-preserving", lambda w: w.flags.continuant_preserving),
+    "c3": (
+        "every symmetric permutiple is a landess permutiple",
+        lambda w: not w.flags.symmetric or w.flags.landess,
+    ),
+    "c4": (
+        "every 4-digit permutiple is perfect or a reverse multiple",
+        lambda w: len(w.cf) != 4 or w.flags.perfect or w.flags.reverse_multiple,
+    ),
 }
 
-
-def _holds(conjecture: str, w: Witness) -> bool:
-    if conjecture == "c1":
-        return len(w.cf) != 4 or w.flags.symmetric
-    if conjecture == "c2":
-        return w.flags.continuant_preserving
-    if conjecture == "c3":
-        return (not w.flags.symmetric) or w.flags.landess
-    if conjecture == "c4":
-        return len(w.cf) != 4 or w.flags.perfect or w.flags.reverse_multiple
-    raise ValueError(f"unknown conjecture id {conjecture!r}")
+CONJECTURE_IDS = tuple(_CONJECTURES)
 
 
 @dataclass
@@ -223,7 +207,7 @@ class ConjectureReport:
             else f"{len(self.counterexamples)} COUNTEREXAMPLES"
         )
         return (
-            f"conjecture {self.conjecture} ({_CONJECTURE_TEXT[self.conjecture]}): "
+            f"conjecture {self.conjecture} ({_CONJECTURES[self.conjecture][0]}): "
             f"{status} among {self.examined} witnesses"
             f" [{self.bounds}] in {self.wall_time:.2f}s"
         )
@@ -235,14 +219,14 @@ def check_conjectures(
     """Evaluate the requested conjecture predicates over one witness stream."""
     ids = list(which)
     for conjecture in ids:
-        if conjecture not in CONJECTURE_IDS:
+        if conjecture not in _CONJECTURES:
             raise ValueError(f"unknown conjecture id {conjecture!r}")
     reports = {c: ConjectureReport(conjecture=c, bounds=bounds) for c in ids}
     start = time.perf_counter()
     for w in stream:
         for c in ids:
             reports[c].examined += 1
-            if not _holds(c, w):
+            if not _CONJECTURES[c][1](w):
                 reports[c].counterexamples.append(w)
     elapsed = time.perf_counter() - start
     for c in ids:

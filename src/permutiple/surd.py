@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
-from .cf import ContinuedFraction
+from .cf import ContinuedFraction, convergents
 
 
 def _is_square(n: int) -> bool:
@@ -267,16 +267,9 @@ def infinite_perfect_stream(k: int, params) -> DigitStream:
 def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...]:
     """|top continuant difference| between the stream and its permuted
     stream at truncation lengths 2..limit+1 (one entry per n = 1..limit)."""
-    base = stream.prefix(limit + 1)
-    permuted = stream.permuted_prefix(limit + 1)
-    gaps = []
-    b_prev, b_cur = 1, base[0]
-    p_prev, p_cur = 1, permuted[0]
-    for n in range(1, limit + 1):
-        b_prev, b_cur = b_cur, base[n] * b_cur + b_prev
-        p_prev, p_cur = p_cur, permuted[n] * p_cur + p_prev
-        gaps.append(abs(b_cur - p_cur))
-    return tuple(gaps)
+    base = convergents(ContinuedFraction(stream.prefix(limit + 1)))
+    permuted = convergents(ContinuedFraction(stream.permuted_prefix(limit + 1)))
+    return tuple(abs(b[0] - p[0]) for b, p in zip(base[1:], permuted[1:]))
 
 
 def truncation(stream: DigitStream, length: int) -> ContinuedFraction:

@@ -41,6 +41,8 @@ class TestContinuedFractionType:
             CF((3, 0, 2))
         with pytest.raises(ValueError):
             CF((-1,))
+        with pytest.raises(ValueError):
+            CF((True, 2))
 
     def test_canonical_flag(self):
         assert CF((7, 1, 3)).is_canonical

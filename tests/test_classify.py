@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import brute_force_witnesses
+from conftest import brute_force_witnesses, matrix_continuant, nested_eval
 
 from permutiple import (
     ClassificationFlags,
@@ -123,11 +124,41 @@ class TestPredicates:
         assert continuant(cf.digits[1:-1]) == 7
         assert not is_landess(CF((11, 1, 10, 2, 3)), P((1, 4, 0, 2, 3)), 9)
         assert is_landess(CF((7, 1, 3)), REVERSAL_3, 2)
+        # p_n and p_{n-1} relations hold; only q_{n-1} == q'_{n-1} fails
+        cf = CF((3, 6, 2, 1, 1))
+        assert not is_landess(cf, canonical_sigma(cf.digits, (3, 1, 2, 1, 6)), 4)
 
     def test_reverse_multiple(self):
         assert is_reverse_multiple(CF((7, 1, 3)), 2)
         assert is_reverse_multiple(CF((7, 2, 1, 3)), 2)
         assert not is_reverse_multiple(CF((7, 1, 14, 2)), 7)
+
+    def test_against_definitions_exhaustive_small(self):
+        # every string of 1..4 digits <= 4, canonical or not, every sigma and
+        # k = 1..4, against nested evaluation and matrix continuants; pins the
+        # mirror formula (reverse multiples) and the single-digit seed
+        K = matrix_continuant
+        for m in range(1, 5):
+            for ds in itertools.product(range(1, 5), repeat=m):
+                cf = CF(ds)
+                value = nested_eval(ds)
+                for k in range(1, 5):
+                    assert is_reverse_multiple(cf, k) == (value == k * nested_eval(ds[::-1]))
+                for images in itertools.permutations(range(m)):
+                    sigma = P(images)
+                    ps = tuple(ds[i] for i in images)
+                    ratio = value / nested_eval(ps)
+                    k_def = ratio.numerator if ratio.denominator == 1 and ratio >= 2 else None
+                    assert permutiple_multiplier(cf, sigma) == k_def
+                    preserving = K(ds) == K(ps)
+                    assert is_continuant_preserving(cf, sigma) == preserving
+                    for k in range(1, 5):
+                        landess = (
+                            preserving
+                            and K(ds[:-1]) == k * K(ps[:-1])
+                            and K(ds[1:-1]) == K(ps[1:-1])
+                        )
+                        assert is_landess(cf, sigma, k) == landess
 
 
 class TestClassify:

@@ -249,3 +249,12 @@ class TestUsageErrors:
         monkeypatch.setenv("PERMUTIPLE_JOBS", "3")
         args = build_parser().parse_args(["search", "--len", "2", "--max-digit", "4"])
         assert args.jobs == 3
+
+    def test_non_integer_jobs_environment_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("PERMUTIPLE_JOBS", "x")
+        for argv in (["search", "--len", "2", "--max-digit", "4"], ["conjecture", "c2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        code, out, _ = run(["eval", "--cf", "7;1,3"], capsys)
+        assert code == 0 and out.strip() == "31/4"

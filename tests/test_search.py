@@ -38,6 +38,8 @@ class TestSearchConfig:
             SearchConfig(length=2, max_digit=5, k_min=1)
         with pytest.raises(ValueError):
             SearchConfig(length=2, max_digit=5, workers=0)
+        with pytest.raises(ValueError, match="empty length range"):
+            SearchConfig(length=(5, 3), max_digit=5)
 
 
 class TestExhaustiveSearch:
