@@ -325,6 +325,52 @@ def witness_from_permuted(
     return classify(cf, canonical_sigma(cf.digits, permuted), k, allow_noncanonical)
 
 
+# Longest digit string the brute-force loop accepts: 10! is about 3.6M
+# arrangements, and each further digit multiplies the work and the set of
+# arrangements held in memory by its own count.
+MAX_BRUTE_FORCE_DIGITS = 10
+
+
+def _witnesses(
+    digits: tuple[int, ...], all_sigmas: bool, allow_noncanonical: bool
+) -> list[Witness]:
+    """Every witness of one digit string, by brute force over its distinct
+    arrangements: the one candidate loop behind ``find_witnesses`` and the
+    exhaustive search.
+
+    Hits are ordered by permuted string.  Each carries the canonical sigma,
+    or with ``all_sigmas`` becomes one Witness per realizing image list, in
+    lexicographic order.
+    """
+    p, q = _continuant(digits), _continuant(digits[1:])
+    a0 = digits[0]
+    hits = []
+    for permuted in set(itertools.permutations(digits)):
+        # The value is at most a0 + 1 ([a0; 1] reaches it) and a permuted
+        # value exceeds its leading digit, so k >= 2 forces that digit below
+        # (a0 + 1) / 2 <= a0.  This also drops the unpermuted string.
+        if permuted[0] >= a0:
+            continue
+        pp = _continuant(permuted)
+        if p % pp:  # p/q == k * p'/q' in lowest terms needs p' | p
+            continue
+        k = _multiplier(p, q, pp, _continuant(permuted[1:]))
+        if k is not None:
+            hits.append((permuted, k))
+    if not hits:
+        return []
+    hits.sort()
+    cf = ContinuedFraction(digits)
+    if all_sigmas:
+        realizing = defaultdict(list)
+        for images in itertools.permutations(range(len(digits))):  # lexicographic
+            realizing[tuple(digits[i] for i in images)].append(images)
+        pairs = [(Permutation(im), k) for permuted, k in hits for im in realizing[permuted]]
+    else:
+        pairs = [(canonical_sigma(digits, permuted), k) for permuted, k in hits]
+    return [classify(cf, sigma, k, allow_noncanonical) for sigma, k in pairs]
+
+
 def find_witnesses(
     cf: ContinuedFraction,
     allow_noncanonical: bool = False,
@@ -335,26 +381,13 @@ def find_witnesses(
     By default the result holds one Witness per distinct permuted digit
     string (ordered by that string), carrying the canonical sigma.  With
     ``all_sigmas`` every realizing permutation gets its own Witness,
-    ordered by permuted string then image list.
+    ordered by permuted string then image list.  Strings longer than
+    ``MAX_BRUTE_FORCE_DIGITS`` are refused with ValueError.
     """
     if not cf.is_canonical and not allow_noncanonical:
         raise ValueError(f"base string {cf} is not canonical")
-    base = cf.digits
-    p, q = convergents(cf)[-1]
-    if all_sigmas:
-        orderings = sorted(
-            (tuple(base[i] for i in images), images)
-            for images in itertools.permutations(range(len(base)))
+    if len(cf) > MAX_BRUTE_FORCE_DIGITS:
+        raise ValueError(
+            f"{len(cf)} digits is over the brute-force limit of {MAX_BRUTE_FORCE_DIGITS}"
         )
-    else:
-        orderings = [(permuted, None) for permuted in sorted(set(itertools.permutations(base)))]
-    out: list[Witness] = []
-    for permuted, images in orderings:
-        if permuted == base:
-            continue
-        k = _multiplier(p, q, _continuant(permuted), _continuant(permuted[1:]))
-        if k is None:
-            continue
-        sigma = canonical_sigma(base, permuted) if images is None else Permutation(images)
-        out.append(classify(cf, sigma, k, allow_noncanonical=allow_noncanonical))
-    return out
+    return _witnesses(cf.digits, all_sigmas, allow_noncanonical)

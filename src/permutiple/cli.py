@@ -152,9 +152,8 @@ def _cmd_search(args) -> int:
         workers=args.jobs,
         dedupe=not args.all_sigmas,
     )
-    witnesses = list(exhaustive_search(config))
-    export(witnesses, args.format, args.out)
-    print(f"{len(witnesses)} witnesses", file=sys.stderr)
+    count = export(exhaustive_search(config), args.format, args.out)
+    print(f"{count} witnesses", file=sys.stderr)
     return 0
 
 

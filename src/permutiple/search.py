@@ -1,10 +1,12 @@
 """Exhaustive permutiple search over bounded digit tuples.
 
 Digit tuples are enumerated in lexicographic order (shorter lengths first
-when a range is searched); for each tuple the distinct permuted strings are
-tested by exact integer divisibility.  Work is partitioned across worker
-processes by leading-digit blocks and merged back in enumeration order, so
-the output stream is identical for any worker count.
+when a range is searched).  Each tuple goes through the same brute-force
+loop as ``classify.find_witnesses``, which tests its distinct rearrangements
+by exact integer divisibility, and the k bounds filter what it finds; lengths
+above ``classify.MAX_BRUTE_FORCE_DIGITS`` are refused.  Work is partitioned
+across worker processes by leading-digit blocks and merged back in
+enumeration order, so the output stream is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,15 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cf import ContinuedFraction, _continuant, format_cf
-from .classify import (
-    FLAG_ORDER,
-    Permutation,
-    Witness,
-    classify,
-    canonical_sigma,
-    format_permutation,
-)
+from .cf import format_cf
+from .classify import FLAG_ORDER, MAX_BRUTE_FORCE_DIGITS, Witness, _witnesses, format_permutation
 
 
 @dataclass(frozen=True)
@@ -50,11 +45,13 @@ class SearchConfig:
     dedupe: bool = True
 
     def __post_init__(self) -> None:
-        lengths = self.lengths()
-        if not lengths:
+        low, high = self._bounds()  # checked before lengths() builds the range
+        if low > high:
             raise ValueError(f"empty length range {self.length!r}: low exceeds high")
-        if lengths[0] < 2:
+        if low < 2:
             raise ValueError("searched lengths must be >= 2")
+        if high > MAX_BRUTE_FORCE_DIGITS:
+            raise ValueError(f"searched lengths must be <= {MAX_BRUTE_FORCE_DIGITS}")
         if self.max_digit < 2:
             raise ValueError("max_digit must be >= 2")
         if self.k_min is not None and self.k_min < 2:
@@ -62,85 +59,31 @@ class SearchConfig:
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
 
+    def _bounds(self) -> tuple[int, int]:
+        return (self.length, self.length) if isinstance(self.length, int) else self.length
+
     def lengths(self) -> tuple[int, ...]:
-        if isinstance(self.length, int):
-            return (self.length,)
-        low, high = self.length
+        low, high = self._bounds()
         return tuple(range(low, high + 1))
-
-
-# permutations of 0..m-1 grouped by first image, cached per length
-_BUCKET_CACHE: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-
-
-def _perm_buckets(m: int) -> dict[int, list[tuple[int, ...]]]:
-    buckets = _BUCKET_CACHE.get(m)
-    if buckets is None:
-        buckets = {i: [] for i in range(m)}
-        for perm in itertools.permutations(range(m)):
-            buckets[perm[0]].append(perm)
-        _BUCKET_CACHE[m] = buckets
-    return buckets
-
-
-def _hits_for_tuple(
-    t: tuple[int, ...], config: SearchConfig
-) -> list[tuple[tuple[int, ...], tuple[int, ...] | None, int]]:
-    """(permuted, sigma-images-or-None, k) for every witness on tuple t.
-
-    Candidates whose first digit is not below a_0 are pruned: a permutiple
-    value is at least twice the permuted value, which forces a_0 above the
-    permuted leading digit.
-    """
-    m = len(t)
-    p, q = _continuant(t), _continuant(t[1:])
-    a0 = t[0]
-    distinct = len(set(t)) == m
-    seen: set[tuple[int, ...]] | None = None if (distinct or not config.dedupe) else {t}
-    hits = []
-    for i, perms in _perm_buckets(m).items():
-        if t[i] >= a0:
-            continue
-        for perm in perms:
-            tp = tuple(t[j] for j in perm)
-            if seen is not None:
-                if tp in seen:
-                    continue
-                seen.add(tp)
-            elif not config.dedupe and tp == t:
-                continue
-            pp = _continuant(tp)
-            if p % pp:
-                continue
-            qp = _continuant(tp[1:])
-            num, den = p * qp, pp * q
-            if num % den:
-                continue
-            k = num // den
-            if k < 2:
-                continue
-            if config.k_min is not None and k < config.k_min:
-                continue
-            if config.k_max is not None and k > config.k_max:
-                continue
-            hits.append((tp, None if config.dedupe else perm, k))
-    hits.sort(key=lambda h: (h[0], h[1] or ()))
-    return hits
 
 
 def _scan_args(args: tuple[SearchConfig, int, int]) -> list[Witness]:
     config, m, first = args
     out: list[Witness] = []
-    rest = m - 1
-    span = range(1, config.max_digit + 1)
-    for tail in itertools.product(span, repeat=rest):
-        t = (first,) + tail
-        if config.canonical_only and m > 1 and t[-1] < 2:
+    for tail in itertools.product(range(1, config.max_digit + 1), repeat=m - 1):
+        if config.canonical_only and tail[-1] < 2:
             continue
-        for tp, perm, k in _hits_for_tuple(t, config):
-            cf = ContinuedFraction(t)
-            sigma = Permutation(perm) if perm is not None else canonical_sigma(t, tp)
-            out.append(classify(cf, sigma, k, allow_noncanonical=not config.canonical_only))
+        found = _witnesses(
+            (first,) + tail,
+            all_sigmas=not config.dedupe,
+            allow_noncanonical=not config.canonical_only,
+        )
+        out.extend(
+            w
+            for w in found
+            if (config.k_min is None or w.k >= config.k_min)
+            and (config.k_max is None or w.k <= config.k_max)
+        )
     return out
 
 
@@ -246,15 +189,18 @@ def witness_record(w: Witness) -> dict:
     }
 
 
-def _write_jsonl(witnesses: Iterable[Witness], handle: io.TextIOBase) -> None:
-    for w in witnesses:
+def _write_jsonl(witnesses: Iterable[Witness], handle: io.TextIOBase) -> int:
+    count = 0
+    for count, w in enumerate(witnesses, 1):
         handle.write(json.dumps(witness_record(w), separators=(",", ":")) + "\n")
+    return count
 
 
-def _write_csv(witnesses: Iterable[Witness], handle: io.TextIOBase) -> None:
+def _write_csv(witnesses: Iterable[Witness], handle: io.TextIOBase) -> int:
     writer = csv.writer(handle)
     writer.writerow(["digits", "sigma", "k", "p", "q", "flags"])
-    for w in witnesses:
+    count = 0
+    for count, w in enumerate(witnesses, 1):
         writer.writerow(
             [
                 format_cf(w.cf),
@@ -265,10 +211,12 @@ def _write_csv(witnesses: Iterable[Witness], handle: io.TextIOBase) -> None:
                 "|".join(w.flags.true_names()),
             ]
         )
+    return count
 
 
-def export(witnesses: Iterable[Witness], fmt: str = "jsonl", destination="-") -> None:
-    """Write witnesses to a path, an open handle, or '-' for stdout.
+def export(witnesses: Iterable[Witness], fmt: str = "jsonl", destination="-") -> int:
+    """Write witnesses to a path, an open handle, or '-' for stdout, and
+    return how many were written.
 
     Every witness is re-verified on the way out (the Witness constructor
     enforces value == k * permuted_value, so a corrupted record cannot be
@@ -284,9 +232,8 @@ def export(witnesses: Iterable[Witness], fmt: str = "jsonl", destination="-") ->
     else:
         raise ValueError(f"unknown export format {fmt!r}")
     if hasattr(destination, "write"):
-        writer(checked, destination)
-    elif destination == "-":
-        writer(checked, sys.stdout)
-    else:
-        with open(Path(destination), "w", newline="") as handle:
-            writer(checked, handle)
+        return writer(checked, destination)
+    if destination == "-":
+        return writer(checked, sys.stdout)
+    with open(Path(destination), "w", newline="") as handle:
+        return writer(checked, handle)

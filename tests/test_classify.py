@@ -231,14 +231,28 @@ class TestFindWitnesses:
 
     def test_matches_brute_oracle(self):
         rng = random.Random(15)
+        cases = []
         for _ in range(80):
             ds = [rng.randint(1, 9) for _ in range(rng.randint(2, 4))]
             if len(ds) > 1 and ds[-1] == 1:
                 ds[-1] = 2
-            ds = tuple(ds)
+            cases.append(tuple(ds))
+        # non-canonical strings (all but the last have witnesses) and a0 = 1
+        cases += [(5, 3, 1), (2, 1, 2, 1), (4, 1, 1, 1), (6, 3, 2, 1), (9, 1, 3, 1)]
+        cases += [(1, 4, 2), (1, 3, 1, 2)]
+        for ds in cases:
             oracle = brute_force_witnesses(ds)
-            found = find_witnesses(CF(ds))
+            found = find_witnesses(CF(ds), allow_noncanonical=True)
             assert {w.permuted.digits: w.k for w in found} == oracle
+            expanded = find_witnesses(CF(ds), allow_noncanonical=True, all_sigmas=True)
+            realizing = [
+                (permuted, images, oracle[permuted])
+                for images in itertools.permutations(range(len(ds)))
+                if (permuted := tuple(ds[i] for i in images)) in oracle
+            ]
+            assert [(w.permuted.digits, w.sigma.images, w.k) for w in expanded] == sorted(
+                realizing
+            )
 
     def test_dedupe_picks_smallest_sigma(self):
         found = find_witnesses(CF((6, 2, 6, 2)))
@@ -260,6 +274,10 @@ class TestFindWitnesses:
                 ds[-1] = 2
             for w in find_witnesses(CF(tuple(ds))):
                 assert w.cf.digits[0] > w.permuted.digits[0]
+
+    def test_refuses_strings_over_the_brute_force_limit(self):
+        with pytest.raises(ValueError, match="brute-force limit"):
+            find_witnesses(CF((7,) + (1,) * 9 + (3,)))
 
     def test_no_witness_is_palindromic_under_sigma(self):
         rng = random.Random(27)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,33 @@ class TestSearch:
         assert code == 0
         digits = [json.loads(line)["digits"] for line in out.strip().splitlines()]
         assert digits == ["4;2", "6;2", "6;3", "5;1,2"]
+
+    @pytest.mark.parametrize(
+        "argv, count, sha256",
+        [
+            (
+                ["--len-min", "2", "--len-max", "3", "--max-digit", "20", "--jobs", jobs],
+                67,
+                "a647ded9ad8617a046a201a48747d5243cb477b622177cf7e778a150ee3623ff",
+            )
+            for jobs in ("1", "2")
+        ]
+        + [
+            (
+                ["--len", "4", "--max-digit", "8", "--all-sigmas", "--include-noncanonical"]
+                + ["--k-min", "3", "--format", "csv"],
+                77,
+                "338158d7959b892f65ae0602bc07f2863be418ef6efb542ea594970e7d102a44",
+            )
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, count, sha256):
+        # digests recorded from the search before it shared its candidate
+        # loop with `witnesses`; they must not depend on --jobs either
+        code, out, err = run(["search", *argv, "--out", "-"], capsys)
+        assert code == 0
+        assert err == f"{count} witnesses\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_missing_length_is_usage_error(self, capsys):
         code, _, err = run(["search", "--max-digit", "5"], capsys)
@@ -244,6 +272,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_brute_force_limit_is_usage_error(self, capsys):
+        for argv in (
+            ["witnesses", "--cf", "7;1,1,1,1,1,1,1,1,1,3"],
+            ["search", "--len", "11", "--max-digit", "2"],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert err.startswith("error: ") and out == ""
 
     def test_jobs_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("PERMUTIPLE_JOBS", "3")

@@ -40,6 +40,10 @@ class TestSearchConfig:
             SearchConfig(length=2, max_digit=5, workers=0)
         with pytest.raises(ValueError, match="empty length range"):
             SearchConfig(length=(5, 3), max_digit=5)
+        SearchConfig(length=10, max_digit=2)  # at the brute-force limit: accepted
+        for length in ((2, 11), (2, 10**12)):  # refused before the range is built
+            with pytest.raises(ValueError, match="<= 10"):
+                SearchConfig(length=length, max_digit=5)
 
 
 class TestExhaustiveSearch:
@@ -75,6 +79,19 @@ class TestExhaustiveSearch:
                     continue
                 for permuted, k in brute_force_witnesses(ds).items():
                     expected.add((ds, permuted, k))
+        assert found == expected
+        # every string, and one witness per realizing image list, in output order
+        config = SearchConfig(length=(2, 3), max_digit=6, canonical_only=False, dedupe=False)
+        found = [(w.cf.digits, w.permuted.digits, w.sigma.images, w.k) for w in run(config)]
+        expected = []
+        for n in (2, 3):
+            for ds in itertools.product(range(1, 7), repeat=n):
+                oracle = brute_force_witnesses(ds)
+                expected += sorted(
+                    (ds, permuted, images, oracle[permuted])
+                    for images in itertools.permutations(range(n))
+                    if (permuted := tuple(ds[i] for i in images)) in oracle
+                )
         assert found == expected
 
     def test_order_is_lexicographic_and_by_length(self):
