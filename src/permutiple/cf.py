@@ -69,6 +69,8 @@ def format_cf(cf: ContinuedFraction) -> str:
 def parse_rational(text: str) -> Fraction:
     compact = "".join(text.split())
     num, slash, den = compact.partition("/")
+    if slash and int(den) == 0:
+        raise ValueError(f"rational {text!r} has a zero denominator")
     return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
 

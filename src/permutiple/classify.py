@@ -332,7 +332,10 @@ MAX_BRUTE_FORCE_DIGITS = 10
 
 
 def _witnesses(
-    digits: tuple[int, ...], all_sigmas: bool, allow_noncanonical: bool
+    digits: tuple[int, ...],
+    all_sigmas: bool,
+    allow_noncanonical: bool,
+    k_bounds: tuple[int, float] | None = None,
 ) -> list[Witness]:
     """Every witness of one digit string, by brute force over its distinct
     arrangements: the one candidate loop behind ``find_witnesses`` and the
@@ -340,7 +343,8 @@ def _witnesses(
 
     Hits are ordered by permuted string.  Each carries the canonical sigma,
     or with ``all_sigmas`` becomes one Witness per realizing image list, in
-    lexicographic order.
+    lexicographic order.  With ``k_bounds`` (low, high), hits whose k falls
+    outside them are dropped before any sigma is built or classified.
     """
     p, q = _continuant(digits), _continuant(digits[1:])
     a0 = digits[0]
@@ -357,6 +361,9 @@ def _witnesses(
         k = _multiplier(p, q, pp, _continuant(permuted[1:]))
         if k is not None:
             hits.append((permuted, k))
+    if k_bounds is not None:
+        low, high = k_bounds
+        hits = [hit for hit in hits if low <= hit[1] <= high]
     if not hits:
         return []
     hits.sort()

@@ -79,7 +79,7 @@ def _emit_witness(w: Witness, as_json: bool) -> None:
 
 
 def _cmd_eval(args) -> int:
-    if args.rational:
+    if args.rational is not None:
         cf = from_rational(parse_rational(args.rational))
         print(format_cf(cf))
         return 0
@@ -305,6 +305,7 @@ def _cmd_surd(args) -> int:
         raise ValueError("probe mode needs --a, --b and --c")
     surd = QuadraticSurd(args.a, args.b, args.c)
     k = surd_multiplier(surd)
+    report = verify_surd_permutiple(surd, args.depth) if k is not None else None
     preperiod, period = periodic_expansion(surd)
     if args.json:
         record = {
@@ -314,8 +315,7 @@ def _cmd_surd(args) -> int:
             "preperiod": list(preperiod),
             "period": list(period),
         }
-        if k is not None:
-            report = verify_surd_permutiple(surd, args.depth)
+        if report is not None:
             record["digits"] = list(report.digits)
             record["scaled_digits"] = list(report.scaled_digits)
             record["alignment"] = report.alignment
@@ -331,7 +331,6 @@ def _cmd_surd(args) -> int:
         print("multiplier (b-a^2)/c is not an integer >= 2")
         return 1
     print(f"k {k}")
-    report = verify_surd_permutiple(surd, args.depth)
     print("digits " + ",".join(map(str, report.digits)))
     print("scaled " + ",".join(map(str, report.scaled_digits)))
     agreement = "agree" if report.multiset_agree else "differ"
@@ -347,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a digit string exactly")
-    p.add_argument("--cf", help="digit string a0;a1,...,an")
-    p.add_argument("--rational", help="value p/q to expand into digits")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cf", help="digit string a0;a1,...,an")
+    source.add_argument("--rational", help="value p/q to expand into digits")
     p.add_argument("--convergents", action="store_true")
     p.add_argument("--tails", action="store_true")
     p.add_argument("--canonical", action="store_true", help="print the canonical form")

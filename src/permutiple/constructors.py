@@ -3,6 +3,11 @@
 Every constructor returns a fully classified Witness, verified by exact
 evaluation; outputs whose last digit is 1 are returned as written (the
 witness's string is simply non-canonical), never silently folded.
+
+There is one perfect-permutiple builder, ``perfect_from_parameters``.  The
+2-digit swap family, the perfect reverse multiples and the perfect cyclic
+permutiples are sigma choices for it: the transposition (1, 0), the
+reversal and a rotation, with their own argument checks in front.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ def two_digit(k: int, s: int) -> Witness:
         raise ValueError("multiplier k must be an integer greater than 1")
     if s < 2:
         raise ValueError("parameter s must be an integer greater than 1")
-    cf = ContinuedFraction((k * s, s))
-    return classify(cf, Permutation((1, 0)), k)
+    return perfect_from_parameters(PerfectParameters(Permutation((1, 0)), k, (s,)))
 
 
 def three_digit_reverse(k: int, a0: int) -> Witness | None:
@@ -79,31 +83,14 @@ def enumerate_three_digit_reverse(k: int, a0_max: int) -> list[Witness]:
 def validate_perfect_permutation(sigma: Permutation) -> bool:
     """Whether sigma can carry a perfect permutiple.
 
-    Requires a derangement of even order on an even number of symbols whose
-    every cycle holds equally many even and odd positions; the per-cycle
-    parity balance is exactly the solvability condition for the digit
-    parameters.  The alternating-sign sum over each full power orbit is
-    asserted as well.
+    Requires a nonempty sigma whose every cycle holds equally many even and
+    odd positions; this parity balance is exactly the solvability condition
+    for the digit parameters.  Balanced cycles have even length, so such a
+    sigma is a derangement of even order on an even number of symbols.
     """
-    if len(sigma) % 2:
-        return False
-    if not sigma.is_derangement:
-        return False
-    if sigma.order % 2:
-        return False
-    for cycle in sigma.cycles:
-        evens = sum(1 for j in cycle if j % 2 == 0)
-        if 2 * evens != len(cycle):
-            return False
-    for j in range(len(sigma)):
-        total = 0
-        t = j
-        for _ in range(sigma.order):
-            total += 1 if t % 2 == 0 else -1
-            t = sigma(t)
-        if total:
-            return False
-    return True
+    return len(sigma) > 0 and all(
+        2 * sum(1 for j in cycle if j % 2 == 0) == len(cycle) for cycle in sigma.cycles
+    )
 
 
 @dataclass(frozen=True)
@@ -177,15 +164,11 @@ def perfect_reverse(k: int, half_params: tuple[int, ...]) -> Witness:
         raise ValueError("at least one parameter is required")
     if any(p < 1 for p in half):
         raise ValueError("parameters must be positive integers")
-    size = 2 * len(half)
-    n = size - 1
-    s = [half[j] if j < len(half) else half[n - j] for j in range(size)]
-    digits = tuple(k * s[j] if j % 2 == 0 else s[j] for j in range(size))
-    witness = classify(
-        ContinuedFraction(digits), Permutation.reversal(size), k, allow_noncanonical=True
+    witness = perfect_from_parameters(
+        PerfectParameters(Permutation.reversal(2 * len(half)), k, half)
     )
-    if not witness.flags.perfect or not witness.flags.reverse_multiple:
-        raise AssertionError(f"constructed digits {digits} are not a perfect reverse multiple")
+    if not witness.flags.reverse_multiple:
+        raise AssertionError(f"constructed {witness.cf} is not a reverse multiple")
     return witness
 
 
@@ -211,10 +194,5 @@ def perfect_cyclic(k: int, length: int, ell: int, params: tuple[int, ...]) -> Wi
         raise ValueError(f"need {g} parameters (one per rotation orbit), got {len(orbit_params)}")
     if any(p < 1 for p in orbit_params):
         raise ValueError("parameters must be positive integers")
-    s = [orbit_params[j % g] for j in range(length)]
-    digits = tuple(k * s[j] if j % 2 == 0 else s[j] for j in range(length))
     sigma = Permutation(tuple((j + ell) % length for j in range(length)))
-    witness = classify(ContinuedFraction(digits), sigma, k, allow_noncanonical=True)
-    if not witness.flags.perfect:
-        raise AssertionError(f"constructed digits {digits} are not perfect")
-    return witness
+    return perfect_from_parameters(PerfectParameters(sigma, k, orbit_params))

@@ -3,7 +3,7 @@
 Digit tuples are enumerated in lexicographic order (shorter lengths first
 when a range is searched).  Each tuple goes through the same brute-force
 loop as ``classify.find_witnesses``, which tests its distinct rearrangements
-by exact integer divisibility, and the k bounds filter what it finds; lengths
+by exact integer divisibility and drops hits outside the k bounds; lengths
 above ``classify.MAX_BRUTE_FORCE_DIGITS`` are refused.  Work is partitioned
 across worker processes by leading-digit blocks and merged back in
 enumeration order, so the output stream is identical for any worker count.
@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -69,20 +70,20 @@ class SearchConfig:
 
 def _scan_args(args: tuple[SearchConfig, int, int]) -> list[Witness]:
     config, m, first = args
+    k_bounds = None
+    if config.k_min is not None or config.k_max is not None:
+        k_bounds = (config.k_min or 2, math.inf if config.k_max is None else config.k_max)
     out: list[Witness] = []
     for tail in itertools.product(range(1, config.max_digit + 1), repeat=m - 1):
         if config.canonical_only and tail[-1] < 2:
             continue
-        found = _witnesses(
-            (first,) + tail,
-            all_sigmas=not config.dedupe,
-            allow_noncanonical=not config.canonical_only,
-        )
         out.extend(
-            w
-            for w in found
-            if (config.k_min is None or w.k >= config.k_min)
-            and (config.k_max is None or w.k <= config.k_max)
+            _witnesses(
+                (first,) + tail,
+                all_sigmas=not config.dedupe,
+                allow_noncanonical=not config.canonical_only,
+                k_bounds=k_bounds,
+            )
         )
     return out
 

@@ -168,8 +168,10 @@ def verify_surd_permutiple(s: QuadraticSurd, depth: int = 20) -> SurdProbeReport
 
     Requires surd_multiplier(s) to be an integer >= 2.  Reports whether the
     digit multisets over the matched (even-length) window agree, and the
-    first position alignment found, if any.
+    first position alignment found, if any.  ``depth`` must be at least 1.
     """
+    if depth < 1:
+        raise ValueError(f"probe depth must be a positive integer, got {depth}")
     k = surd_multiplier(s)
     if k is None:
         raise ValueError(f"(b - a^2)/c is not an integer >= 2 for {s}")

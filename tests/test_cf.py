@@ -67,6 +67,9 @@ class TestContinuedFractionType:
     def test_rational_text(self):
         assert parse_rational("31/4") == Fraction(31, 4)
         assert parse_rational("2") == Fraction(2)
+        for text in ("1/0", "0/0"):
+            with pytest.raises(ValueError):
+                parse_rational(text)
         assert format_rational(Fraction(31, 4)) == "31/4"
         assert format_rational(Fraction(2)) == "2/1"
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutiple.cli import build_parser, main
 
@@ -282,6 +284,24 @@ class TestUsageErrors:
             assert code == 2
             assert err.startswith("error: ") and out == ""
 
+    def test_eval_needs_exactly_one_source(self, capsys):
+        for argv in (["eval"], ["eval", "--cf", "7;1,3", "--rational", "3/2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        capsys.readouterr()
+        for text in ("1/0", "0/0"):
+            code, out, err = run(["eval", "--rational", text], capsys)
+            assert code == 2
+            assert err.startswith("error: ") and out == ""
+
+    def test_surd_depth_must_be_positive(self, capsys):
+        for depth in ("0", "-3"):
+            argv = ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", depth]
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert err.startswith("error: ") and out == ""
+
     def test_jobs_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("PERMUTIPLE_JOBS", "3")
         args = build_parser().parse_args(["search", "--len", "2", "--max-digit", "4"])
@@ -295,3 +315,53 @@ class TestUsageErrors:
             assert excinfo.value.code == 2
         code, out, _ = run(["eval", "--cf", "7;1,3"], capsys)
         assert code == 0 and out.strip() == "31/4"
+
+
+# Flags per subcommand, with every family of `enumerate` as its own entry.
+# `--jobs` and `--out` are left out: they start worker processes and write
+# files, and neither reaches code the other flags do not.
+_FLAGS = {
+    ("eval",): ["--cf", "--rational", "--convergents", "--tails", "--canonical", "--json"],
+    ("classify",): ["--cf", "--sigma", "--k", "--allow-noncanonical", "--json"],
+    ("witnesses",): ["--cf", "--all-sigmas", "--allow-noncanonical", "--json"],
+    ("search",): ["--len", "--len-min", "--len-max", "--k-min", "--k-max", "--format",
+                  "--all-sigmas", "--include-noncanonical"],
+    ("conjecture",): ["c1", "c2", "c3", "c4", "c9", "--len", "--len-min", "--len-max",
+                      "--k-min", "--k-max", "--json"],
+    ("enumerate", "two-digit"): ["--k", "--s", "--json"],
+    ("enumerate", "three-digit-reverse"): ["--k", "--a0", "--a0-max", "--json"],
+    ("enumerate", "perfect"): ["--sigma", "--k", "--params", "--json"],
+    ("enumerate", "perfect-reverse"): ["--k", "--params", "--json"],
+    ("enumerate", "perfect-cyclic"): ["--k", "--length", "--ell", "--params", "--json"],
+    ("concat",): ["--cf1", "--sigma1", "--cf2", "--sigma2", "--palindrome", "--k", "--cf",
+                  "--json"],
+    ("surd",): ["--a", "--b", "--c", "--depth", "--k", "--params", "--digits", "--gaps",
+                "--json"],
+}
+
+# Integers stay at 3 or below, so a drawn length or digit bound keeps every
+# scan tiny.
+_TOKENS = ["", "0", "-1", "1", "2", "3", "x", "1/0", "0/0", "3/2", "7;1,3", "5;3,1", "5;5",
+           "2,1,0", "1,0", "1,0,3,2", "0,1", "3,1", "1,1", "pow:0", "pow:2", "const:1",
+           "const:x", "jsonl", "csv"]
+
+_SCANS = {("search",), ("conjecture",)}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    rest = draw(st.lists(st.sampled_from(_FLAGS[command] + _TOKENS), max_size=8))
+    bound = ["--max-digit", "3"] if command in _SCANS else []  # last one wins
+    return [*command, *rest, *bound]
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_argv())
+    def test_exit_codes_hold_for_any_argv(self, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2), argv

@@ -1,5 +1,8 @@
+import hashlib
+import io
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import brute_force_witnesses, nested_eval
@@ -9,6 +12,7 @@ from permutiple import (
     PerfectParameters,
     Permutation,
     enumerate_three_digit_reverse,
+    export,
     perfect_cyclic,
     perfect_from_parameters,
     perfect_reverse,
@@ -110,6 +114,26 @@ class TestThreeDigitReverse:
         assert from_method == from_oracle
 
 
+def _four_condition_rule(sigma: Permutation) -> bool:
+    """The validator's earlier statement, kept as the oracle: a derangement
+    of even order on an even number of symbols, every cycle parity-balanced,
+    and a zero alternating-sign sum over each position's orbit of
+    sigma.order steps."""
+    if len(sigma) % 2 or not sigma.is_derangement or sigma.order % 2:
+        return False
+    for cycle in sigma.cycles:
+        if 2 * sum(1 for j in cycle if j % 2 == 0) != len(cycle):
+            return False
+    for j in range(len(sigma)):
+        total, t = 0, j
+        for _ in range(sigma.order):
+            total += 1 if t % 2 == 0 else -1
+            t = sigma(t)
+        if total:
+            return False
+    return True
+
+
 class TestValidatePerfectPermutation:
     def test_examples(self):
         assert validate_perfect_permutation(P((1, 0, 3, 2)))
@@ -126,6 +150,18 @@ class TestValidatePerfectPermutation:
 
     def test_reversal_on_even_count_accepted(self):
         assert validate_perfect_permutation(P.reversal(6))
+
+    def test_matches_four_condition_rule_on_every_small_permutation(self):
+        checked = accepted = 0
+        for size in range(9):  # 46 234 permutations, the empty one included
+            for images in itertools.permutations(range(size)):
+                sigma = P(images)
+                expected = _four_condition_rule(sigma)
+                assert validate_perfect_permutation(sigma) == expected, images
+                checked += 1
+                accepted += expected
+        assert checked == 46234
+        assert accepted > 0
 
 
 class TestPerfectFromParameters:
@@ -246,3 +282,35 @@ class TestConstructorWitnessesAgreeWithClassifier:
             assert w.flags.perfect
             assert w.flags.landess
             assert w.flags.continuant_preserving
+
+
+def _constructor_grid():
+    """A fixed grid over every perfect family builder."""
+    for k, s in itertools.product(range(2, 7), repeat=2):
+        yield two_digit(k, s)
+    for k in range(2, 5):
+        for m in range(1, 4):
+            for half in itertools.product(range(1, 4), repeat=m):
+                yield perfect_reverse(k, half)
+    for k in (2, 3):
+        for length in range(2, 13, 2):
+            for ell in range(1, length, 2):
+                g = gcd(ell, length)
+                yield perfect_cyclic(k, length, ell, tuple(1 + (j * j + ell) % 4 for j in range(g)))
+    for k in (2, 3):
+        for size in (2, 4, 6):
+            for images in itertools.permutations(range(size)):
+                sigma = P(images)
+                if validate_perfect_permutation(sigma):
+                    params = tuple(range(1, len(sigma.cycles) + 1))
+                    yield perfect_from_parameters(PerfectParameters(sigma, k, params))
+
+
+class TestConstructorGridIsPinned:
+    def test_jsonl_digest(self):
+        # recorded from the family builders that each built and classified
+        # their own digits; one shared builder must give the same bytes
+        out = io.StringIO()
+        assert export(_constructor_grid(), "jsonl", out) == 562
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "ec98c50ac52ffcae1f34e2fcb1c2e01b2cd18a298b039906f8a0b064583f4994"

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import sys
 
 import pytest
 from conftest import brute_force_witnesses
@@ -106,6 +107,20 @@ class TestExhaustiveSearch:
         assert low == {item for item in base if item[1] >= 3}
         assert high == {item for item in base if item[1] == 2}
         assert low | high == base
+
+    def test_k_bounds_drop_hits_before_classify(self, monkeypatch):
+        classify_module = sys.modules["permutiple.classify"]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "classify", counting)
+        loose = dict(length=4, max_digit=8, dedupe=False, canonical_only=False)
+        assert len(run(SearchConfig(**loose))) == len(calls) == 130
+        calls.clear()
+        assert len(run(SearchConfig(**loose, k_min=3))) == len(calls) == 77
 
     def test_worker_counts_agree(self):
         serial = run(SearchConfig(length=3, max_digit=8))

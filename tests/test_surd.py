@@ -155,6 +155,11 @@ class TestVerifyProbe:
         with pytest.raises(ValueError):
             verify_surd_permutiple(QuadraticSurd(1, 2, 1), depth=10)
 
+    def test_depth_must_be_positive(self):
+        for depth in (0, -3):
+            with pytest.raises(ValueError):
+                verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=depth)
+
     def test_grid_scan_records_verdicts(self):
         verdicts = {}
         for a in range(-10, 11):
