@@ -15,7 +15,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import inf, lcm
+from typing import Iterable
 
 from .cf import ContinuedFraction, _continuant, convergents
 
@@ -331,42 +332,43 @@ def witness_from_permuted(
 MAX_BRUTE_FORCE_DIGITS = 10
 
 
-def _witnesses(
-    digits: tuple[int, ...],
-    all_sigmas: bool,
-    allow_noncanonical: bool,
-    k_bounds: tuple[int, float] | None = None,
-) -> list[Witness]:
-    """Every witness of one digit string, by brute force over its distinct
-    arrangements: the one candidate loop behind ``find_witnesses`` and the
-    exhaustive search.
+def _hits(
+    p: int,
+    q: int,
+    candidates: Iterable[tuple[tuple[int, ...], int, int | None]],
+    k_bounds: tuple[int, float] = (2, inf),
+) -> list[tuple[tuple[int, ...], int]]:
+    """The one candidate test: (permuted, k) for every candidate arrangement
+    whose value times an integer k within ``k_bounds`` is the base's p/q.
 
-    Hits are ordered by permuted string.  Each carries the canonical sigma,
-    or with ``all_sigmas`` becomes one Witness per realizing image list, in
-    lexicographic order.  With ``k_bounds`` (low, high), hits whose k falls
-    outside them are dropped before any sigma is built or classified.
+    Each candidate is (permuted, p', q').  The caller has already dropped
+    arrangements that cannot be a multiple's partner (leading digit above
+    a0 // 2, see ``find_witnesses``).
+    A q' of None is evaluated only for candidates past the ``p' | p`` gate.
+    Hits keep the candidates' order.
     """
-    p, q = _continuant(digits), _continuant(digits[1:])
-    a0 = digits[0]
+    low, high = k_bounds
     hits = []
-    for permuted in set(itertools.permutations(digits)):
-        # The value is at most a0 + 1 ([a0; 1] reaches it) and a permuted
-        # value exceeds its leading digit, so k >= 2 forces that digit below
-        # (a0 + 1) / 2 <= a0.  This also drops the unpermuted string.
-        if permuted[0] >= a0:
-            continue
-        pp = _continuant(permuted)
+    for permuted, pp, qp in candidates:
         if p % pp:  # p/q == k * p'/q' in lowest terms needs p' | p
             continue
-        k = _multiplier(p, q, pp, _continuant(permuted[1:]))
-        if k is not None:
+        k = _multiplier(p, q, pp, _continuant(permuted[1:]) if qp is None else qp)
+        if k is not None and low <= k <= high:
             hits.append((permuted, k))
-    if k_bounds is not None:
-        low, high = k_bounds
-        hits = [hit for hit in hits if low <= hit[1] <= high]
+    return hits
+
+
+def _witness_list(
+    digits: tuple[int, ...],
+    hits: list[tuple[tuple[int, ...], int]],
+    all_sigmas: bool,
+    allow_noncanonical: bool,
+) -> list[Witness]:
+    """Classified witnesses for hits ordered by permuted string.  Each carries
+    the canonical sigma, or with ``all_sigmas`` becomes one Witness per
+    realizing image list, in lexicographic order."""
     if not hits:
         return []
-    hits.sort()
     cf = ContinuedFraction(digits)
     if all_sigmas:
         realizing = defaultdict(list)
@@ -397,4 +399,15 @@ def find_witnesses(
         raise ValueError(
             f"{len(cf)} digits is over the brute-force limit of {MAX_BRUTE_FORCE_DIGITS}"
         )
-    return _witnesses(cf.digits, all_sigmas, allow_noncanonical)
+    digits = cf.digits
+    a0 = digits[0]
+    # The value is at most a0 + 1 ([a0; 1] reaches it) and a permuted value
+    # exceeds its leading digit b0, so k >= 2 forces 2 * b0 < a0 + 1, that
+    # is b0 <= a0 // 2.  This also drops the unpermuted string.
+    candidates = (
+        (permuted, _continuant(permuted), None)
+        for permuted in set(itertools.permutations(digits))
+        if permuted[0] <= a0 // 2
+    )
+    hits = sorted(_hits(_continuant(digits), _continuant(digits[1:]), candidates))
+    return _witness_list(digits, hits, all_sigmas, allow_noncanonical)

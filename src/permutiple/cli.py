@@ -80,6 +80,9 @@ def _emit_witness(w: Witness, as_json: bool) -> None:
 
 def _cmd_eval(args) -> int:
     if args.rational is not None:
+        for flag in ("json", "convergents", "tails", "canonical"):
+            if getattr(args, flag):
+                raise ValueError(f"--rational does not combine with --{flag}")
         cf = from_rational(parse_rational(args.rational))
         print(format_cf(cf))
         return 0

@@ -1,16 +1,21 @@
-"""Exhaustive permutiple search over bounded digit tuples.
+"""Exhaustive permutiple search over bounded digit strings.
 
-Digit tuples are enumerated in lexicographic order (shorter lengths first
-when a range is searched).  Each tuple goes through the same brute-force
-loop as ``classify.find_witnesses``, which tests its distinct rearrangements
-by exact integer divisibility and drops hits outside the k bounds; lengths
-above ``classify.MAX_BRUTE_FORCE_DIGITS`` are refused.  Work is partitioned
-across worker processes by leading-digit blocks and merged back in
-enumeration order, so the output stream is identical for any worker count.
+Each length's digit multisets are enumerated once, lazily.  A multiset
+gets one table of its distinct arrangements, sorted lexicographically, with
+the two continuants of each arrangement evaluated once.  Every arrangement
+that may be a base (a0 >= 2, last digit >= 2 unless non-canonical bases are
+searched) is tested against the table prefix led by digits <= a0 // 2, its
+only possible partners, with the same exact candidate test as
+``classify.find_witnesses``.  Lengths above ``classify.MAX_BRUTE_FORCE_DIGITS``
+are refused.  Worker processes take strided parts of each length's
+multisets; the parts' hits are sorted by base per length before they are
+classified, so the output stream is in (length, digits, permuted) order and
+identical for any worker count.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -23,8 +28,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cf import format_cf
-from .classify import FLAG_ORDER, MAX_BRUTE_FORCE_DIGITS, Witness, _witnesses, format_permutation
+from .cf import _continuant, format_cf
+from .classify import (
+    FLAG_ORDER,
+    MAX_BRUTE_FORCE_DIGITS,
+    Witness,
+    _hits,
+    _witness_list,
+    format_permutation,
+)
 
 
 @dataclass(frozen=True)
@@ -68,24 +80,40 @@ class SearchConfig:
         return tuple(range(low, high + 1))
 
 
-def _scan_args(args: tuple[SearchConfig, int, int]) -> list[Witness]:
-    config, m, first = args
-    k_bounds = None
-    if config.k_min is not None or config.k_max is not None:
-        k_bounds = (config.k_min or 2, math.inf if config.k_max is None else config.k_max)
-    out: list[Witness] = []
-    for tail in itertools.product(range(1, config.max_digit + 1), repeat=m - 1):
-        if config.canonical_only and tail[-1] < 2:
-            continue
-        out.extend(
-            _witnesses(
-                (first,) + tail,
-                all_sigmas=not config.dedupe,
-                allow_noncanonical=not config.canonical_only,
-                k_bounds=k_bounds,
-            )
-        )
+# (base digits, its (permuted, k) hits ordered by permuted string)
+_Hits = tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
+
+
+def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
+    """Hits of every base in one strided part of the length-m multisets."""
+    config, m, part = args
+    k_bounds = (config.k_min or 2, math.inf if config.k_max is None else config.k_max)
+    multisets = itertools.combinations_with_replacement(range(1, config.max_digit + 1), m)
+    out: list[_Hits] = []
+    for multiset in itertools.islice(multisets, part, None, config.workers):
+        table = [
+            (arrangement, _continuant(arrangement), _continuant(arrangement[1:]))
+            for arrangement in sorted(set(itertools.permutations(multiset)))
+        ]
+        leads = [arrangement[0] for arrangement, _, _ in table]
+        for base, p, q in table:
+            # table[:end] holds exactly the arrangements led by a digit <= a0 // 2,
+            # the only possible partners (see classify.find_witnesses)
+            end = bisect.bisect_right(leads, base[0] // 2)
+            if end == 0 or (config.canonical_only and base[-1] < 2):
+                continue
+            hits = _hits(p, q, table[:end], k_bounds)
+            if hits:
+                out.append((base, hits))
     return out
+
+
+def _by_length(config: SearchConfig, parts: Iterator[list[_Hits]]) -> Iterator[Witness]:
+    """Merge each length's parts by base, then classify the hits in that order."""
+    for _ in config.lengths():
+        found = itertools.chain.from_iterable(itertools.islice(parts, config.workers))
+        for base, hits in sorted(found):
+            yield from _witness_list(base, hits, not config.dedupe, not config.canonical_only)
 
 
 def exhaustive_search(config: SearchConfig) -> Iterator[Witness]:
@@ -95,15 +123,12 @@ def exhaustive_search(config: SearchConfig) -> Iterator[Witness]:
     with the image list as a final tie-break when dedupe is off; the order
     does not depend on the worker count.
     """
-    first_digits = range(2, config.max_digit + 1)  # a_0 >= 2: a_0 > a_sigma(0) >= 1
-    tasks = [(config, m, first) for m in config.lengths() for first in first_digits]
+    tasks = [(config, m, part) for m in config.lengths() for part in range(config.workers)]
     if config.workers == 1:
-        for task in tasks:
-            yield from _scan_args(task)
+        yield from _by_length(config, map(_scan_part, tasks))
         return
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        for block in pool.map(_scan_args, tasks):
-            yield from block
+        yield from _by_length(config, pool.map(_scan_part, tasks))
 
 
 # conjecture id -> (statement, predicate every witness must satisfy)

@@ -295,6 +295,13 @@ class TestUsageErrors:
             assert code == 2
             assert err.startswith("error: ") and out == ""
 
+    def test_rational_rejects_the_flags_it_would_ignore(self, capsys):
+        for flags in (["--json"], ["--convergents"], ["--tails"], ["--canonical"],
+                      ["--json", "--convergents"]):
+            code, out, err = run(["eval", "--rational", "31/4", *flags], capsys)
+            assert code == 2
+            assert err.startswith("error: ") and out == ""
+
     def test_surd_depth_must_be_positive(self, capsys):
         for depth in ("0", "-3"):
             argv = ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", depth]

@@ -1,6 +1,9 @@
+import functools
+import hashlib
 import io
 import itertools
 import json
+import math
 import sys
 
 import pytest
@@ -23,6 +26,34 @@ CF = ContinuedFraction
 
 def run(config):
     return list(exhaustive_search(config))
+
+
+def stream(config):
+    return [(w.cf.digits, w.permuted.digits, w.sigma.images, w.k) for w in run(config)]
+
+
+oracle_hits = functools.lru_cache(maxsize=None)(brute_force_witnesses)
+
+
+def oracle_stream(lengths, max_digit, dedupe, canonical_only, k_min=2, k_max=math.inf):
+    """The ordered (digits, permuted, images, k) stream a search must give,
+    from the unpruned Fraction oracle over every digit tuple."""
+    out = []
+    for n in lengths:
+        for ds in itertools.product(range(1, max_digit + 1), repeat=n):
+            if canonical_only and ds[-1] == 1:
+                continue
+            oracle = oracle_hits(ds)
+            found = sorted(
+                (ds, permuted, images, k)
+                for images in itertools.permutations(range(n))
+                if (permuted := tuple(ds[i] for i in images)) in oracle
+                and k_min <= (k := oracle[permuted]) <= k_max
+            )
+            if dedupe:  # the smallest image list of each permuted string
+                found = [min(g) for _, g in itertools.groupby(found, key=lambda t: t[1])]
+            out += found
+    return out
 
 
 class TestSearchConfig:
@@ -83,17 +114,51 @@ class TestExhaustiveSearch:
         assert found == expected
         # every string, and one witness per realizing image list, in output order
         config = SearchConfig(length=(2, 3), max_digit=6, canonical_only=False, dedupe=False)
-        found = [(w.cf.digits, w.permuted.digits, w.sigma.images, w.k) for w in run(config)]
-        expected = []
-        for n in (2, 3):
-            for ds in itertools.product(range(1, 7), repeat=n):
-                oracle = brute_force_witnesses(ds)
-                expected += sorted(
-                    (ds, permuted, images, oracle[permuted])
-                    for images in itertools.permutations(range(n))
-                    if (permuted := tuple(ds[i] for i in images)) in oracle
-                )
-        assert found == expected
+        assert stream(config) == oracle_stream((2, 3), 6, dedupe=False, canonical_only=False)
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    @pytest.mark.parametrize("canonical_only", [True, False])
+    @pytest.mark.parametrize(
+        "k_min, k_max, workers", [(None, None, 1), (3, None, 2), (None, 2, 1), (None, None, 2)]
+    )
+    def test_matches_oracle_on_repeated_digit_multisets(
+        self, dedupe, canonical_only, k_min, k_max, workers
+    ):
+        # with digits <= 4, every 5-digit string and all but 24 of the 256
+        # 4-digit ones repeat a digit, so most multisets have fewer than m!
+        # distinct arrangements
+        config = SearchConfig(
+            length=(4, 5),
+            max_digit=4,
+            k_min=k_min,
+            k_max=k_max,
+            canonical_only=canonical_only,
+            workers=workers,
+            dedupe=dedupe,
+        )
+        expected = oracle_stream(
+            (4, 5), 4, dedupe, canonical_only, k_min or 2, k_max or math.inf
+        )
+        # every canonical base at these bounds has k = 2, so k_min = 3 leaves none
+        assert bool(expected) != (canonical_only and k_min == 3)
+        assert stream(config) == expected
+
+    @pytest.mark.parametrize(
+        "length, max_digit, count, sha256",
+        [
+            (3, 40, 152, "720c2111a791d554faeb09ec23dea47e8ed82af6c5ea3298edae99a794b16cd6"),
+            (4, 14, 144, "9af69bfdd42cac4e77b8f30a65d79c2aca4275560ce293e53d53b65cefb52379"),
+            (5, 8, 50, "6bf89b8d188e8c85df1fcdcdbeedeed8aa3dd75d2f02c133f09fd0b3bcbea99a"),
+            (6, 6, 98, "d911740b2f5e2cd45d8782759f714f7b7becdcec87358a1b53ccf46557208afb"),
+        ],
+    )
+    def test_baseline_bounds_are_pinned(self, length, max_digit, count, sha256):
+        # the ROADMAP's four baseline scans, recorded from the per-tuple loop
+        # that tested every tuple's own arrangements
+        buffer = io.StringIO()
+        config = SearchConfig(length=length, max_digit=max_digit)
+        assert export(exhaustive_search(config), "jsonl", buffer) == count
+        assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == sha256
 
     def test_order_is_lexicographic_and_by_length(self):
         ws = run(SearchConfig(length=(2, 3), max_digit=6))
