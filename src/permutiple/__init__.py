@@ -4,7 +4,6 @@ concatenation closure, exhaustive search, and the quadratic-surd case."""
 
 from .cf import (
     ContinuedFraction,
-    Rational,
     canonicalize,
     continuant,
     convergents,

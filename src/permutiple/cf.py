@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class ContinuedFraction:

@@ -112,7 +112,6 @@ def format_permutation(sigma: Permutation) -> str:
 
 @dataclass(frozen=True)
 class ClassificationFlags:
-    is_permutiple: bool
     continuant_preserving: bool
     perfect: bool
     symmetric: bool
@@ -135,26 +134,52 @@ class ClassificationFlags:
 
 @dataclass(frozen=True)
 class Witness:
-    """A verified permutiple triple plus its classification."""
+    """A permutiple (cf, sigma, k), proven when built; values and flags derive from its digits."""
 
     cf: ContinuedFraction
     sigma: Permutation
     k: int
-    value: Fraction
-    permuted_value: Fraction
-    flags: ClassificationFlags
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("multiplier must be an integer >= 2")
-        if len(self.sigma) != len(self.cf):
-            raise ValueError("permutation length does not match digit count")
-        if self.value != self.k * self.permuted_value:
-            raise ValueError("witness does not satisfy value == k * permuted_value")
+        self.verify()
 
     @cached_property
     def permuted(self) -> ContinuedFraction:
         return permute_digits(self.cf, self.sigma)
+
+    @cached_property
+    def _tips(self) -> tuple[_Tip, _Tip]:
+        return _tip(self.cf), _tip(self.permuted)
+
+    def verify(self) -> Witness:
+        """Return self if value(cf) == k * value(permuted), else raise NotAPermutipleError."""
+        found = _multiplier(*self._tips[0][0], *self._tips[1][0])
+        if found is None or found != self.k:
+            raise NotAPermutipleError(
+                f"{self.cf} is not an integer multiple (k >= 2) of {self.permuted}"
+                if found is None
+                else f"multiplier of {self.cf} under {self.sigma} is {found}, not {self.k}"
+            )
+        return self
+
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(*self._tips[0][0])
+
+    @cached_property
+    def permuted_value(self) -> Fraction:
+        return Fraction(*self._tips[1][0])
+
+    @cached_property
+    def flags(self) -> ClassificationFlags:
+        base, perm = self._tips
+        return ClassificationFlags(
+            continuant_preserving=_preserving(base, perm),
+            perfect=is_perfect(self.cf, self.sigma, self.k),
+            symmetric=is_symmetric(self.cf, self.sigma),
+            landess=_landess(base, perm, self.k),
+            reverse_multiple=_reverse_multiple(base, self.k),
+        )
 
 
 def _check_lengths(cf: ContinuedFraction, sigma: Permutation) -> None:
@@ -262,41 +287,19 @@ def classify(
     k: int | None = None,
     allow_noncanonical: bool = False,
 ) -> Witness:
-    """Verify the triple and bundle all classification flags into a Witness.
+    """The checked Witness of the triple, inferring k when it is None.
 
     Raises NotAPermutipleError when the multiplier check fails (including
-    ratio 1 and non-integer ratios), and ValueError for a non-canonical
-    base unless ``allow_noncanonical`` is set.  The permuted side is always
-    evaluated as written.
+    ratio 1, non-integer ratios and a wrong k), and ValueError for a
+    non-canonical base unless ``allow_noncanonical`` is set.  The permuted
+    side is always evaluated as written.
     """
-    permuted = permute_digits(cf, sigma)
+    _check_lengths(cf, sigma)  # a sigma that does not fit is reported first
     if not cf.is_canonical and not allow_noncanonical:
         raise ValueError(
             f"base string {cf} is not canonical; pass allow_noncanonical=True to accept it"
         )
-    base, perm = _tip(cf), _tip(permuted)
-    found = _multiplier(*base[0], *perm[0])
-    if found is None:
-        raise NotAPermutipleError(f"{cf} is not an integer multiple (k >= 2) of {permuted}")
-    if k is not None and k != found:
-        raise NotAPermutipleError(f"multiplier of {cf} under {sigma} is {found}, not {k}")
-    k = found
-    flags = ClassificationFlags(
-        is_permutiple=True,
-        continuant_preserving=_preserving(base, perm),
-        perfect=is_perfect(cf, sigma, k),
-        symmetric=is_symmetric(cf, sigma),
-        landess=_landess(base, perm, k),
-        reverse_multiple=_reverse_multiple(base, k),
-    )
-    return Witness(
-        cf=cf,
-        sigma=sigma,
-        k=k,
-        value=Fraction(*base[0]),
-        permuted_value=Fraction(*perm[0]),
-        flags=flags,
-    )
+    return Witness(cf, sigma, permutiple_multiplier(cf, sigma) if k is None else k)
 
 
 def canonical_sigma(base: tuple[int, ...], permuted: tuple[int, ...]) -> Permutation:

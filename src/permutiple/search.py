@@ -38,6 +38,12 @@ from .classify import (
     format_permutation,
 )
 
+# Worker processes a scan may start: the pool forks them all at once.
+MAX_WORKERS = 64
+# Digit multisets of the longest searched length, C(max_digit + m - 1, m),
+# that a config may ask for; past this a scan would not finish.
+MAX_MULTISETS = 10**8
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -67,10 +73,16 @@ class SearchConfig:
             raise ValueError(f"searched lengths must be <= {MAX_BRUTE_FORCE_DIGITS}")
         if self.max_digit < 2:
             raise ValueError("max_digit must be >= 2")
+        if math.comb(self.max_digit + high - 1, high) > MAX_MULTISETS:
+            raise ValueError(
+                f"length {high} with digits <= {self.max_digit} is over {MAX_MULTISETS} multisets"
+            )
         if self.k_min is not None and self.k_min < 2:
             raise ValueError("k_min must be >= 2 when given")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be <= {MAX_WORKERS}")
 
     def _bounds(self) -> tuple[int, int]:
         return (self.length, self.length) if isinstance(self.length, int) else self.length
@@ -244,13 +256,10 @@ def export(witnesses: Iterable[Witness], fmt: str = "jsonl", destination="-") ->
     """Write witnesses to a path, an open handle, or '-' for stdout, and
     return how many were written.
 
-    Every witness is re-verified on the way out (the Witness constructor
-    enforces value == k * permuted_value, so a corrupted record cannot be
-    serialized silently).
+    Each witness is checked again on the way out (``Witness.verify`` on the
+    continuants it walked when built), so a k altered since is refused.
     """
-    checked = (
-        Witness(w.cf, w.sigma, w.k, w.value, w.permuted_value, w.flags) for w in witnesses
-    )
+    checked = (w.verify() for w in witnesses)
     if fmt == "jsonl":
         writer = _write_jsonl
     elif fmt == "csv":

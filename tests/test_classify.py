@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -166,7 +167,6 @@ class TestClassify:
         w = classify(CF((3, 1, 9, 1, 3, 3)), P((3, 0, 4, 5, 1, 2)), 3)
         assert w.value == Fraction(547, 140)
         assert w.value == 3 * w.permuted_value
-        assert w.flags.is_permutiple
         assert w.flags.continuant_preserving
         assert w.flags.perfect
         assert w.flags.symmetric
@@ -196,6 +196,14 @@ class TestClassify:
         with pytest.raises(NotAPermutipleError):
             classify(CF((7, 1, 3)), REVERSAL_3, k=3)
 
+    def test_witness_is_checked_against_its_digits(self):
+        w = classify(CF((7, 1, 3)), REVERSAL_3)
+        with pytest.raises(NotAPermutipleError):  # 9;1,3 is not 2 * 3;1,9
+            dataclasses.replace(w, cf=CF((9, 1, 3)))
+        with pytest.raises(NotAPermutipleError, match="is 2, not 3"):
+            dataclasses.replace(w, k=3)
+        assert dataclasses.replace(w) == w
+
     def test_rejects_noncanonical_base_by_default(self):
         with pytest.raises(ValueError, match="canonical"):
             classify(CF((5, 3, 1)), REVERSAL_3, 4)
@@ -206,11 +214,11 @@ class TestClassify:
 
     def test_flag_lattice_enforced(self):
         with pytest.raises(ValueError):
-            ClassificationFlags(True, False, True, True, True, False)
+            ClassificationFlags(False, True, True, True, False)
         with pytest.raises(ValueError):
-            ClassificationFlags(True, True, True, False, True, False)
+            ClassificationFlags(True, True, False, True, False)
         with pytest.raises(ValueError):
-            ClassificationFlags(True, False, False, False, True, False)
+            ClassificationFlags(False, False, False, True, False)
 
 
 class TestFindWitnesses:

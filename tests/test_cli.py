@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutiple.cli import build_parser, main
+from permutiple.search import MAX_WORKERS
 
 
 def run(argv, capsys):
@@ -325,8 +328,8 @@ class TestUsageErrors:
 
 
 # Flags per subcommand, with every family of `enumerate` as its own entry.
-# `--jobs` and `--out` are left out: they start worker processes and write
-# files, and neither reaches code the other flags do not.
+# `--jobs` and `--out` are drawn apart from the tokens below (see _JOBS and
+# _OUTS), so a drawn token can never become a worker count.
 _FLAGS = {
     ("eval",): ["--cf", "--rational", "--convergents", "--tails", "--canonical", "--json"],
     ("classify",): ["--cf", "--sigma", "--k", "--allow-noncanonical", "--json"],
@@ -352,23 +355,50 @@ _TOKENS = ["", "0", "-1", "1", "2", "3", "x", "1/0", "0/0", "3/2", "7;1,3", "5;3
            "2,1,0", "1,0", "1,0,3,2", "0,1", "3,1", "1,1", "pow:0", "pow:2", "const:1",
            "const:x", "jsonl", "csv"]
 
-_SCANS = {("search",), ("conjecture",)}
+# A valid head a scan may start with, so that drawn jobs and outputs also
+# reach runs that succeed.
+_SCANS = {("search",): ["--len", "2"], ("conjecture",): ["c2"]}
+
+# Worker counts for `--jobs` and PERMUTIPLE_JOBS: each is refused before a
+# pool exists or is at most 2, so no draw starts a large pool.
+_JOBS = ["-1", "0", "1", "2", "x", "", str(MAX_WORKERS + 1)]
+
+# `--out` targets, resolved in the test's temporary directory; "missing/"
+# names a directory that does not exist (OSError, exit 2).
+_OUTS = ["-", "out.jsonl", "missing/out.jsonl"]
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     rest = draw(st.lists(st.sampled_from(_FLAGS[command] + _TOKENS), max_size=8))
-    bound = ["--max-digit", "3"] if command in _SCANS else []  # last one wins
-    return [*command, *rest, *bound]
+    if command in _SCANS:
+        rest = (_SCANS[command] if draw(st.booleans()) else []) + rest
+        jobs = draw(st.sampled_from([None, *_JOBS]))
+        rest += [] if jobs is None else ["--jobs", jobs]
+        rest += ["--max-digit", "3"]  # last one wins
+    if command == ("search",):
+        out = draw(st.sampled_from([None, *_OUTS]))
+        rest += [] if out is None else ["--out", out]
+    return [*command, *rest]
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 class TestFuzz:
     @settings(max_examples=400, deadline=None)
-    @given(_argv())
-    def test_exit_codes_hold_for_any_argv(self, argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    @given(_argv(), st.sampled_from([None, *_JOBS]))
+    def test_exit_codes_hold_for_any_argv(self, out_dir, argv, env_jobs):
+        argv = [str(out_dir / a) if a in _OUTS[1:] else a for a in argv]
+        with mock.patch.dict(os.environ):
+            os.environ.pop("PERMUTIPLE_JOBS", None)
+            if env_jobs is not None:
+                os.environ["PERMUTIPLE_JOBS"] = env_jobs
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
         assert code in (0, 1, 2), argv

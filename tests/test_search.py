@@ -20,6 +20,7 @@ from permutiple import (
     export,
     witness_record,
 )
+from permutiple.search import MAX_MULTISETS, MAX_WORKERS
 
 CF = ContinuedFraction
 
@@ -76,6 +77,17 @@ class TestSearchConfig:
         for length in ((2, 11), (2, 10**12)):  # refused before the range is built
             with pytest.raises(ValueError, match="<= 10"):
                 SearchConfig(length=length, max_digit=5)
+
+    def test_refuses_work_that_cannot_finish(self):
+        SearchConfig(length=2, max_digit=3, workers=MAX_WORKERS)
+        with pytest.raises(ValueError, match=f"<= {MAX_WORKERS}"):  # before any pool exists
+            SearchConfig(length=2, max_digit=3, workers=10**5)
+        # C(14142, 2) = 99 991 011 multisets is under MAX_MULTISETS, C(14143, 2) is over
+        assert math.comb(14142, 2) <= MAX_MULTISETS < math.comb(14143, 2)
+        SearchConfig(length=2, max_digit=14141)
+        for length, max_digit in ((2, 14142), (2, 10**9), ((2, 10), 10**6)):
+            with pytest.raises(ValueError, match="multisets"):
+                SearchConfig(length=length, max_digit=max_digit)
 
 
 class TestExhaustiveSearch:
