@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cf import ContinuedFraction, _continuant, convergents
 
@@ -361,6 +361,22 @@ def _hits(
     return hits
 
 
+def _realizing(
+    base: tuple[int, ...], permuted: tuple[int, ...], used: frozenset[int] = frozenset()
+) -> Iterator[tuple[int, ...]]:
+    """Every image list realizing ``permuted`` from ``base``, in lexicographic
+    order: the next position takes each unused source index holding its
+    digit, smallest first."""
+    j = len(used)
+    if j == len(permuted):
+        yield ()
+        return
+    for i, d in enumerate(base):
+        if d == permuted[j] and i not in used:
+            for rest in _realizing(base, permuted, used | {i}):
+                yield (i, *rest)
+
+
 def _witness_list(
     digits: tuple[int, ...],
     hits: list[tuple[tuple[int, ...], int]],
@@ -374,10 +390,9 @@ def _witness_list(
         return []
     cf = ContinuedFraction(digits)
     if all_sigmas:
-        realizing = defaultdict(list)
-        for images in itertools.permutations(range(len(digits))):  # lexicographic
-            realizing[tuple(digits[i] for i in images)].append(images)
-        pairs = [(Permutation(im), k) for permuted, k in hits for im in realizing[permuted]]
+        pairs = [
+            (Permutation(im), k) for permuted, k in hits for im in _realizing(digits, permuted)
+        ]
     else:
         pairs = [(canonical_sigma(digits, permuted), k) for permuted, k in hits]
     return [classify(cf, sigma, k, allow_noncanonical) for sigma, k in pairs]

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cf import ContinuedFraction, continuant
-from .classify import Permutation, Witness, classify
+from .cf import ContinuedFraction
+from .classify import Permutation, Witness, _tip, classify
 
 
 class _EmptyWord:
@@ -44,13 +44,10 @@ class BracketViews:
 
 
 def bracket_views(cf: ContinuedFraction) -> BracketViews:
-    ds = cf.digits
-    return BracketViews(
-        full=continuant(ds),
-        drop_first=continuant(ds[1:]),
-        drop_last=continuant(ds[:-1]),
-        drop_both=continuant(ds[1:-1]) if len(ds) >= 2 else 0,
-    )
+    """The last two convergent pairs: p_n, q_n, p_{n-1}, q_{n-1}.  A single
+    digit reads the seed (1, 0) for the dropped ends."""
+    (full, drop_first), (drop_last, drop_both) = _tip(cf)
+    return BracketViews(full, drop_first, drop_last, drop_both)
 
 
 def concat(c1, c2):

@@ -119,33 +119,29 @@ class PerfectParameters:
 def perfect_from_parameters(params: PerfectParameters) -> Witness:
     """Perfect permutiple built from one free parameter per cycle of sigma.
 
-    The parameter relation ties s_j to s_sigma(j) by a factor k**e(j) with
-    e(j) = ((-1)**j + (-1)**sigma(j)) / 2, so walking each cycle fixes all
-    exponents up to a common shift; the shift is normalized so the smallest
-    exponent is 0, making the cycle parameter the smallest s in its cycle
-    and every digit an integer for any positive parameter.  Digits are then
-    a_j = k*s_j at even j and a_j = s_j at odd j.
+    Perfection reads a_sigma(j) = a_j / k at even j and a_j * k at odd j, so
+    along each cycle the digit's power of k steps -1 at even j and +1 at
+    odd j.  A cycle holds as many even as odd positions, so the steps sum
+    to 0 and the powers close.  With s_j = a_j / k at even j and s_j = a_j
+    at odd j, the powers are shifted so the cycle parameter is the smallest
+    s_j in its cycle, making every digit an integer for any positive
+    parameter.
     """
     sigma, k = params.sigma, params.k
-    size = len(sigma)
-    s = [0] * size
+    digits = [0] * len(sigma)
     for cycle, param in zip(sigma.cycles, params.orbit_params):
-        exponents = {cycle[0]: 0}
-        j = cycle[0]
-        for _ in range(len(cycle) - 1):
-            e = ((-1) ** j + (-1) ** sigma(j)) // 2
-            exponents[sigma(j)] = exponents[j] - e
-            j = sigma(j)
-        e = ((-1) ** j + (-1) ** sigma(j)) // 2
-        if exponents[j] - e != exponents[cycle[0]]:  # parity balance guarantees closure
-            raise AssertionError("parameter exponents do not close around the cycle")
-        shift = -min(exponents.values())
-        for position in cycle:
-            s[position] = param * k ** (exponents[position] + shift)
-    digits = tuple(k * s[j] if j % 2 == 0 else s[j] for j in range(size))
-    witness = classify(ContinuedFraction(digits), sigma, k, allow_noncanonical=True)
+        powers, power = [], 0
+        for j in cycle:
+            powers.append(power)
+            power += 1 if j % 2 else -1
+        if power:  # parity balance guarantees closure
+            raise AssertionError("digit exponent steps do not sum to 0 around the cycle")
+        shift = min(e + j % 2 - 1 for j, e in zip(cycle, powers))  # power of s_j
+        for j, e in zip(cycle, powers):
+            digits[j] = param * k ** (e - shift)
+    witness = classify(ContinuedFraction(tuple(digits)), sigma, k, allow_noncanonical=True)
     if not witness.flags.perfect:  # construction guarantees the ratio pattern
-        raise AssertionError(f"constructed digits {digits} are not perfect")
+        raise AssertionError(f"constructed digits {witness.cf} are not perfect")
     return witness
 
 

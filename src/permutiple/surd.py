@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count, islice
 from math import isqrt
-from typing import Callable
+from typing import Iterator
 
 from .cf import ContinuedFraction, convergents
 
@@ -78,59 +79,52 @@ def _floor_quad(P: int, D: int, Q: int) -> int:
     return (P + s) // Q if Q > 0 else (P + s + 1) // Q
 
 
-def periodic_expansion(
-    s: QuadraticSurd, max_states: int = 10_000
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(preperiod, period) of the digit expansion of a quadratic surd.
+def _expansion(s: QuadraticSurd) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Digits of s, each with the (P, Q) state it is read from.
 
-    Runs the integer state recurrence P' = a*Q - P, Q' = (D - P'*P')/Q with
-    cycle detection on (P, Q) states.  The state is normalized first so Q
-    divides D - P*P.  Reduced surds come back with an empty preperiod.
-    Every expansion is eventually periodic, so exceeding ``max_states``
-    indicates a bug or a malformed input and raises.
+    Runs the integer state recurrence P' = a*Q - P, Q' = (D - P'*P')/Q.
+    The state is normalized first so Q divides D - P*P.
     """
     P, D, Q = s.a, s.b, s.c
     if (D - P * P) % Q:
         scale = abs(Q)
         P, D, Q = P * scale, D * scale * scale, Q * scale
+    while True:
+        a = _floor_quad(P, D, Q)
+        yield a, (P, Q)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
+def periodic_expansion(
+    s: QuadraticSurd, max_states: int = 10_000
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period) of the digit expansion of a quadratic surd.
+
+    Cycle detection on the (P, Q) states of the expansion.  Reduced surds
+    come back with an empty preperiod.  Every expansion is eventually
+    periodic, but a period that does not close within ``max_states``
+    states is refused with ValueError.
+    """
     digits: list[int] = []
     seen: dict[tuple[int, int], int] = {}
-    for index in range(max_states):
-        state = (P, Q)
+    for a, state in islice(_expansion(s), max_states):
         if state in seen:
             start = seen[state]
             return tuple(digits[:start]), tuple(digits[start:])
-        seen[state] = index
-        a = _floor_quad(P, D, Q)
+        seen[state] = len(digits)
         digits.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    raise RuntimeError(f"no cycle within {max_states} states for {s}")
+    raise ValueError(f"no cycle within {max_states} states for {s}")
 
 
 def expansion_digits(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
-    """First ``depth`` digits of the expansion, unrolling the period."""
-    preperiod, period = periodic_expansion(s)
-    digits = list(preperiod)
-    while len(digits) < depth:
-        digits.extend(period)
-    return tuple(digits[:depth])
-
-
-def _adjacent_swap_matches(base: tuple[int, ...], scaled: tuple[int, ...]) -> bool:
-    d = len(base)
-    for j in range(d):
-        jj = j + 1 if j % 2 == 0 else j - 1
-        if jj >= d:
-            continue
-        if scaled[j] != base[jj]:
-            return False
-    return True
+    """First ``depth`` digits of the expansion."""
+    return tuple(a for a, _ in islice(_expansion(s), depth))
 
 
 def _find_alignment(base: tuple[int, ...], scaled: tuple[int, ...]) -> str | None:
     d = len(base)
-    if d >= 2 and _adjacent_swap_matches(base, scaled):
+    if d >= 2 and all(scaled[j] == base[j ^ 1] for j in range(d // 2 * 2)):
         return "adjacent-swap"
     for t in range(1, d // 2 + 1):
         for shift in (t, -t):
@@ -194,76 +188,51 @@ def verify_surd_permutiple(s: QuadraticSurd, depth: int = 20) -> SurdProbeReport
 
 
 class DigitStream:
-    """Lazily produced infinite digit sequence with a position-indexed
-    permutation family.  Single consumer; the digit cache is not locked."""
+    """The perfect digit stream k*s0, s0, k*s1, s1, ... under the
+    adjacent-pair swap j -> j ^ 1.
 
-    def __init__(
-        self,
-        digit_fn: Callable[[int], int],
-        sigma_fn: Callable[[int], int],
-        k: int | None = None,
-    ):
-        self._digit_fn = digit_fn
-        self._sigma_fn = sigma_fn
-        self._cache: list[int] = []
+    ``params`` supplies s0, s1, ...: either a callable on indices, called
+    once per index in order, or a sequence/iterable (finite ones raise once
+    exhausted).  Single consumer; the parameter cache is not locked.
+    """
+
+    def __init__(self, k: int, params):
+        if k < 2:
+            raise ValueError("multiplier k must be an integer greater than 1")
         self.k = k
+        self._params = map(params, count()) if callable(params) else iter(params)
+        self._cache: list[int] = []
+
+    def _param(self, i: int) -> int:
+        while len(self._cache) <= i:
+            index = len(self._cache)
+            try:
+                s = int(next(self._params))
+            except StopIteration:
+                raise ValueError(f"parameter stream exhausted at index {index}") from None
+            if s < 1:
+                raise ValueError(f"parameter s_{index} = {s} is not >= 1")
+            self._cache.append(s)
+        return self._cache[i]
 
     def digit(self, j: int) -> int:
-        while len(self._cache) <= j:
-            value = int(self._digit_fn(len(self._cache)))
-            if value < 1:
-                raise ValueError(f"stream digit {value} at index {len(self._cache)} is not >= 1")
-            self._cache.append(value)
-        return self._cache[j]
+        s = self._param(j // 2)
+        return s if j % 2 else self.k * s
 
     def sigma(self, j: int) -> int:
-        image = self._sigma_fn(j)
-        if image < 0:
-            raise ValueError(f"permutation image {image} at index {j} is negative")
-        return image
+        return j ^ 1
 
     def prefix(self, n: int) -> tuple[int, ...]:
         return tuple(self.digit(j) for j in range(n))
 
     def permuted_prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.digit(self.sigma(j)) for j in range(n))
+        return tuple(self.digit(j ^ 1) for j in range(n))
 
 
 def infinite_perfect_stream(k: int, params) -> DigitStream:
-    """Stream with digit pattern k*s0, s0, k*s1, s1, ... under the
-    adjacent-pair-swap permutation j -> j + (-1)**j.
-
-    ``params`` supplies s0, s1, ...: either a callable on indices, or a
-    sequence/iterable (finite ones raise once exhausted).  Every truncation
-    to even length is a perfect k-permutiple.
-    """
-    if k < 2:
-        raise ValueError("multiplier k must be an integer greater than 1")
-    if callable(params):
-        source = params
-    else:
-        buffer: list[int] = []
-        iterator = iter(params)
-
-        def source(i: int) -> int:
-            while len(buffer) <= i:
-                try:
-                    buffer.append(next(iterator))
-                except StopIteration:
-                    raise ValueError(f"parameter stream exhausted at index {i}") from None
-            return buffer[i]
-
-    def digit_fn(j: int) -> int:
-        i, odd = divmod(j, 2)
-        s = int(source(i))
-        if s < 1:
-            raise ValueError(f"parameter s_{i} = {s} is not >= 1")
-        return s if odd else k * s
-
-    def sigma_fn(j: int) -> int:
-        return j - 1 if j % 2 else j + 1
-
-    return DigitStream(digit_fn, sigma_fn, k=k)
+    """The perfect stream of k and s0, s1, ... (see ``DigitStream``): every
+    truncation to even length is a perfect k-permutiple."""
+    return DigitStream(k, params)
 
 
 def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...]:

@@ -248,6 +248,7 @@ class TestFindWitnesses:
         # non-canonical strings (all but the last have witnesses) and a0 = 1
         cases += [(5, 3, 1), (2, 1, 2, 1), (4, 1, 1, 1), (6, 3, 2, 1), (9, 1, 3, 1)]
         cases += [(1, 4, 2), (1, 3, 1, 2)]
+        cases += [(4, 3, 6, 2, 4, 3, 6, 2)]  # 16 realizing image lists
         for ds in cases:
             oracle = brute_force_witnesses(ds)
             found = find_witnesses(CF(ds), allow_noncanonical=True)

@@ -312,6 +312,13 @@ class TestUsageErrors:
             assert code == 2
             assert err.startswith("error: ") and out == ""
 
+    def test_surd_period_over_the_state_limit_is_refused(self, capsys):
+        for flags in ([], ["--json"]):
+            argv = ["surd", "--a", "0", "--b", "1000000007", "--c", "1", *flags]
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert err.startswith("error: ") and out == ""
+
     def test_jobs_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("PERMUTIPLE_JOBS", "3")
         args = build_parser().parse_args(["search", "--len", "2", "--max-digit", "4"])

@@ -6,6 +6,7 @@ import pytest
 
 from permutiple import (
     EMPTY,
+    BracketViews,
     ContinuedFraction,
     PerfectParameters,
     Permutation,
@@ -68,6 +69,18 @@ class TestBracketViews:
             assert views.full == value.numerator
             assert views.drop_first == value.denominator
             assert views.drop_last == continuant(ds[:-1])
+
+    def test_match_separate_continuants(self):
+        rng = random.Random(9)
+        for length in range(1, 13):
+            for _ in range(20):
+                ds = tuple(rng.randint(1, 40) for _ in range(length))
+                assert bracket_views(CF(ds)) == BracketViews(
+                    full=continuant(ds),
+                    drop_first=continuant(ds[1:]),
+                    drop_last=continuant(ds[:-1]),
+                    drop_both=continuant(ds[1:-1]) if length >= 2 else 0,
+                )
 
     def test_concatenation_identity_exhaustive_short(self):
         for n1, n2 in itertools.product((1, 2, 3), repeat=2):

@@ -128,8 +128,28 @@ class TestPeriodicExpansion:
             assert expansion_digits(s, 25) == decimal_expansion(s, 25)
 
     def test_state_limit_raises(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError):
             periodic_expansion(QuadraticSurd(0, 2, 1), max_states=1)
+
+    def test_long_period_is_refused(self):
+        with pytest.raises(ValueError, match="no cycle within 10000 states"):
+            periodic_expansion(QuadraticSurd(0, 1000000007, 1))
+
+    def test_digits_do_not_need_the_period(self):
+        s = QuadraticSurd(0, 1000000007, 1)
+        assert expansion_digits(s, 20) == decimal_expansion(s, 20)
+
+    def test_digits_unroll_the_period(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            b = rng.randint(2, 300)
+            if isqrt(b) ** 2 == b:
+                continue
+            s = QuadraticSurd(rng.randint(-9, 9), b, rng.choice([-3, -1, 1, 2, 5]))
+            preperiod, period = periodic_expansion(s)
+            depth = len(preperiod) + 3 * len(period) + 1
+            unrolled = preperiod + period * 4
+            assert expansion_digits(s, depth) == unrolled[:depth]
 
 
 class TestVerifyProbe:
@@ -150,6 +170,13 @@ class TestVerifyProbe:
         assert report.alignment is None
         assert not report.multiset_agree
         assert report.verdict == "inconsistent at depth 20"
+
+    def test_long_period_surd_is_probed(self):
+        s = QuadraticSurd(0, 1000000007, 1)
+        report = verify_surd_permutiple(s, depth=20)
+        assert report.k == 1000000007
+        assert report.digits == decimal_expansion(s, 20)
+        assert len(report.scaled_digits) == 20
 
     def test_requires_integer_multiplier(self):
         with pytest.raises(ValueError):
@@ -199,6 +226,13 @@ class TestPerfectStream:
             infinite_perfect_stream(1, (1,))
         with pytest.raises(ValueError):
             infinite_perfect_stream(2, (0,)).digit(0)
+
+    def test_callable_parameters_are_drawn_once_in_order(self):
+        calls = []
+        stream = infinite_perfect_stream(3, lambda i: calls.append(i) or i + 1)
+        assert stream.permuted_prefix(7) == (1, 3, 2, 6, 3, 9, 4)
+        assert stream.prefix(8) == (3, 1, 6, 2, 9, 3, 12, 4)
+        assert calls == [0, 1, 2, 3]
 
     def test_even_truncations_are_exact_multiples(self):
         stream = infinite_perfect_stream(3, lambda i: i + 1)
