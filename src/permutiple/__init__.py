@@ -66,6 +66,7 @@ from .surd import (
     QuadraticSurd,
     SurdProbeReport,
     asymptotic_continuant_gap,
+    continuant_gaps,
     expansion_digits,
     infinite_perfect_stream,
     is_reduced,

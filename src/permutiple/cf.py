@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,33 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _continuant(xs: Iterable[int]) -> int:
-    """The scalar continuant loop behind ``continuant``; hot loops call it
-    directly, past any wrapper installed on the public name."""
+def _continuant_pair(xs: tuple[int, ...]) -> tuple[int, int]:
+    """(K(x0, ..., x_{m-1}), K(x1, ..., x_{m-1})) from one backward walk:
+    the value of the string as a reduced fraction."""
+    p, q = 1, 0
+    for x in reversed(xs):
+        p, q = x * p + q, p
+    return p, q
+
+
+def continuant(xs: Iterable[int]) -> int:
+    """Continuant K(x0, ..., x_{m-1}): K() = 1, K(x0) = x0, and each new
+    entry x extends via K -> x*K + K_previous."""
     prev, cur = 0, 1
     for x in xs:
         prev, cur = cur, x * cur + prev
     return cur
 
 
-def continuant(xs: Iterable[int]) -> int:
-    """Continuant K(x0, ..., x_{m-1}): K() = 1, K(x0) = x0, and each new
-    entry x extends via K -> x*K + K_previous."""
-    return _continuant(xs)
+def _convergents(digits: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The convergent pairs of a digit sequence, one per digit as it is read,
+    so a lazy sequence is walked only as far as the caller goes."""
+    p_prev, p = 0, 1
+    q_prev, q = 1, 0
+    for a in digits:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        yield p, q
 
 
 def convergents(cf: ContinuedFraction) -> tuple[tuple[int, int], ...]:
@@ -97,14 +111,7 @@ def convergents(cf: ContinuedFraction) -> tuple[tuple[int, int], ...]:
     Seeds: p(-1)=1, p(-2)=0, q(-1)=0, q(-2)=1.  Each pair is already in
     lowest terms (p_j q_{j-1} - p_{j-1} q_j = +-1).
     """
-    p_prev, p = 0, 1
-    q_prev, q = 1, 0
-    out = []
-    for a in cf.digits:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        out.append((p, q))
-    return tuple(out)
+    return tuple(_convergents(cf.digits))
 
 
 def evaluate(cf: ContinuedFraction) -> Fraction:
@@ -151,14 +158,16 @@ def canonicalize(cf: ContinuedFraction) -> ContinuedFraction:
     return cf
 
 
+def _euclid(num: int, den: int) -> Iterator[int]:
+    """Digits of the canonical expansion of num/den (den > 0), by Euclid's algorithm."""
+    while den:
+        a, rem = divmod(num, den)
+        yield a
+        num, den = den, rem
+
+
 def from_rational(value: Fraction) -> ContinuedFraction:
     """Canonical digit string of a rational value >= 1 (Euclidean expansion)."""
     if value < 1:
         raise ValueError(f"{value} < 1 has no all-positive digit string")
-    num, den = value.numerator, value.denominator
-    digits = []
-    while den:
-        a, rem = divmod(num, den)
-        digits.append(a)
-        num, den = den, rem
-    return ContinuedFraction(tuple(digits))
+    return ContinuedFraction(tuple(_euclid(value.numerator, value.denominator)))

@@ -10,15 +10,14 @@ multiple) for a verified triple.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Iterator
 
-from .cf import ContinuedFraction, _continuant, convergents
+from .cf import ContinuedFraction, _continuant_pair, _euclid, convergents
 
 FLAG_ORDER = (
     "continuant_preserving",
@@ -134,13 +133,19 @@ class ClassificationFlags:
 
 @dataclass(frozen=True)
 class Witness:
-    """A permutiple (cf, sigma, k), proven when built; values and flags derive from its digits."""
+    """A permutiple (cf, sigma, k), proven when built; values and flags derive from its digits.
+
+    A k left as None is read off the same walk of the two strings that
+    proves the identity, so once built ``k`` is always an int.
+    """
 
     cf: ContinuedFraction
     sigma: Permutation
-    k: int
+    k: int | None = None
 
     def __post_init__(self) -> None:
+        if self.k is None:
+            object.__setattr__(self, "k", _multiplier(*self._tips[0][0], *self._tips[1][0]))
         self.verify()
 
     @cached_property
@@ -299,7 +304,7 @@ def classify(
         raise ValueError(
             f"base string {cf} is not canonical; pass allow_noncanonical=True to accept it"
         )
-    return Witness(cf, sigma, permutiple_multiplier(cf, sigma) if k is None else k)
+    return Witness(cf, sigma, k)
 
 
 def canonical_sigma(base: tuple[int, ...], permuted: tuple[int, ...]) -> Permutation:
@@ -329,16 +334,28 @@ def witness_from_permuted(
     return classify(cf, canonical_sigma(cf.digits, permuted), k, allow_noncanonical)
 
 
-# Longest digit string the brute-force loop accepts: 10! is about 3.6M
-# arrangements, and each further digit multiplies the work and the set of
-# arrangements held in memory by its own count.
-MAX_BRUTE_FORCE_DIGITS = 10
+# Most multipliers k that ``find_witnesses`` tries for one string.  The
+# count is about a0 / 2 when the string holds a 1, so a huge leading digit
+# would otherwise never finish.
+MAX_K_CANDIDATES = 10**6
+
+
+def _k_range(p: int, q: int, top: int, smallest: int, k_bounds: tuple[int, float]) -> range:
+    """The multipliers within ``k_bounds`` that can take the value p/q to a
+    partner led by a digit in [smallest, top].
+
+    The partner's value lies in (smallest, top + 1], so p/q <= k * (top + 1)
+    and k * smallest < p/q.  Passing a0/1 covers every value in (a0, a0 + 1]
+    too: k * smallest < a0 + 1 is k <= a0 // smallest.
+    """
+    low, high = k_bounds
+    return range(max(low, -(-p // (q * (top + 1)))), min(high, p // (q * smallest)) + 1)
 
 
 def _hits(
     p: int,
     q: int,
-    candidates: Iterable[tuple[tuple[int, ...], int, int | None]],
+    candidates: Iterable[tuple[tuple[int, ...], int, int]],
     k_bounds: tuple[int, float] = (2, inf),
 ) -> list[tuple[tuple[int, ...], int]]:
     """The one candidate test: (permuted, k) for every candidate arrangement
@@ -346,16 +363,14 @@ def _hits(
 
     Each candidate is (permuted, p', q').  The caller has already dropped
     arrangements that cannot be a multiple's partner (leading digit above
-    a0 // 2, see ``find_witnesses``).
-    A q' of None is evaluated only for candidates past the ``p' | p`` gate.
-    Hits keep the candidates' order.
+    a0 // 2, see ``find_witnesses``).  Hits keep the candidates' order.
     """
     low, high = k_bounds
     hits = []
     for permuted, pp, qp in candidates:
         if p % pp:  # p/q == k * p'/q' in lowest terms needs p' | p
             continue
-        k = _multiplier(p, q, pp, _continuant(permuted[1:]) if qp is None else qp)
+        k = _multiplier(p, q, pp, qp)
         if k is not None and low <= k <= high:
             hits.append((permuted, k))
     return hits
@@ -403,29 +418,53 @@ def find_witnesses(
     allow_noncanonical: bool = False,
     all_sigmas: bool = False,
 ) -> list[Witness]:
-    """All (sigma, k) witnesses for a digit string, by brute force.
+    """All (sigma, k) witnesses for a digit string, by inverting value / k.
 
     By default the result holds one Witness per distinct permuted digit
     string (ordered by that string), carrying the canonical sigma.  With
     ``all_sigmas`` every realizing permutation gets its own Witness,
-    ordered by permuted string then image list.  Strings longer than
-    ``MAX_BRUTE_FORCE_DIGITS`` are refused with ValueError.
+    ordered by permuted string then image list.
+
+    With p/q the string's value in lowest terms, each k has one possible
+    partner value, p / (k*q) reduced by gcd(p, k), and at one length that
+    value has one digit string: its Euclid expansion, or that expansion with
+    the last digit split off as a trailing 1.  A candidate is kept when it
+    rearranges the digits, then put through the candidate test that
+    ``search`` uses.  Strings with more than ``MAX_K_CANDIDATES`` multipliers
+    to try are refused with ValueError.
     """
     if not cf.is_canonical and not allow_noncanonical:
         raise ValueError(f"base string {cf} is not canonical")
-    if len(cf) > MAX_BRUTE_FORCE_DIGITS:
-        raise ValueError(
-            f"{len(cf)} digits is over the brute-force limit of {MAX_BRUTE_FORCE_DIGITS}"
-        )
     digits = cf.digits
-    a0 = digits[0]
+    m = len(digits)
+    multiset = sorted(digits)
     # The value is at most a0 + 1 ([a0; 1] reaches it) and a permuted value
     # exceeds its leading digit b0, so k >= 2 forces 2 * b0 < a0 + 1, that
     # is b0 <= a0 // 2.  This also drops the unpermuted string.
-    candidates = (
-        (permuted, _continuant(permuted), None)
-        for permuted in set(itertools.permutations(digits))
-        if permuted[0] <= a0 // 2
-    )
-    hits = sorted(_hits(_continuant(digits), _continuant(digits[1:]), candidates))
+    leads = [d for d in multiset if d <= digits[0] // 2]
+    if not leads:
+        return []
+    p, q = _continuant_pair(digits)
+    ks = _k_range(p, q, leads[-1], multiset[0], (2, inf))
+    if len(ks) > MAX_K_CANDIDATES:
+        raise ValueError(
+            f"{cf} needs {len(ks)} multipliers tried, over the limit of {MAX_K_CANDIDATES}"
+        )
+    present = set(digits)
+    candidates = []
+    for k in ks:
+        g = gcd(p, k)
+        pp, qp = p // g, k * q // g
+        expansion = []
+        for a in _euclid(pp, qp):
+            # over m digits, or a digit that neither is one of ours nor splits into one
+            if len(expansion) == m or (a not in present and a - 1 not in present):
+                break
+            expansion.append(a)
+        else:
+            if len(expansion) == m - 1 and expansion[-1] >= 2:  # the trailing-1 form
+                expansion[-1:] = [expansion[-1] - 1, 1]
+            if sorted(expansion) == multiset:
+                candidates.append((tuple(expansion), pp, qp))
+    hits = _hits(p, q, sorted(candidates))
     return _witness_list(digits, hits, all_sigmas, allow_noncanonical)

@@ -50,7 +50,7 @@ from .search import (
 )
 from .surd import (
     QuadraticSurd,
-    asymptotic_continuant_gap,
+    continuant_gaps,
     infinite_perfect_stream,
     is_reduced,
     periodic_expansion,
@@ -277,6 +277,22 @@ def _parse_stream_params(expr: str):
     return _parse_int_list(expr)
 
 
+def _gap_strings(stream, limit: int) -> list[str]:
+    """The continuant gaps for n = 1..limit in decimal, all computed before
+    anything is printed.  The walk stops at the first gap with more digits
+    than Python prints (``sys.get_int_max_str_digits``), so such a limit is
+    refused before any later, larger gap is computed."""
+    out = []
+    for n, gap in enumerate(continuant_gaps(stream, limit), 1):
+        try:
+            out.append(str(gap))
+        except ValueError:
+            raise ValueError(
+                f"--gaps {limit}: the gap at n = {n} has too many digits to print"
+            ) from None
+    return out
+
+
 def _cmd_surd(args) -> int:
     stream_mode = args.k is not None or args.params is not None
     probe_mode = args.a is not None or args.b is not None or args.c is not None
@@ -286,23 +302,19 @@ def _cmd_surd(args) -> int:
         if args.k is None or args.params is None:
             raise ValueError("stream mode needs both --k and --params")
         stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
-        digits = stream.prefix(args.digits)
-        permuted = stream.permuted_prefix(args.digits)
+        digits = format_cf(ContinuedFraction(stream.prefix(args.digits)))
+        permuted = format_cf(ContinuedFraction(stream.permuted_prefix(args.digits)))
+        gaps = _gap_strings(stream, args.gaps) if args.gaps else None
         if args.json:
-            record = {
-                "k": args.k,
-                "digits": format_cf(ContinuedFraction(digits)),
-                "permuted": format_cf(ContinuedFraction(permuted)),
-            }
-            if args.gaps:
-                record["gaps"] = [str(g) for g in asymptotic_continuant_gap(stream, args.gaps)]
+            record = {"k": args.k, "digits": digits, "permuted": permuted}
+            if gaps is not None:
+                record["gaps"] = gaps
             print(json.dumps(record, separators=(",", ":")))
         else:
-            print(f"digits {format_cf(ContinuedFraction(digits))}")
-            print(f"permuted {format_cf(ContinuedFraction(permuted))}")
-            if args.gaps:
-                gaps = asymptotic_continuant_gap(stream, args.gaps)
-                print("gaps " + ",".join(str(g) for g in gaps))
+            print(f"digits {digits}")
+            print(f"permuted {permuted}")
+            if gaps is not None:
+                print("gaps " + ",".join(gaps))
         return 0
     if args.a is None or args.b is None or args.c is None:
         raise ValueError("probe mode needs --a, --b and --c")

@@ -1,13 +1,18 @@
 """Exhaustive permutiple search over bounded digit strings.
 
-Each length's digit multisets are enumerated once, lazily.  A multiset
-gets one table of its distinct arrangements, sorted lexicographically, with
-the two continuants of each arrangement evaluated once.  Every arrangement
-that may be a base (a0 >= 2, last digit >= 2 unless non-canonical bases are
-searched) is tested against the table prefix led by digits <= a0 // 2, its
-only possible partners, with the same exact candidate test as
-``classify.find_witnesses``.  Lengths above ``classify.MAX_BRUTE_FORCE_DIGITS``
-are refused.  Worker processes take strided parts of each length's
+Each length's digit multisets are enumerated once, lazily; a multiset in
+which no digit is at most half another is skipped, as none of its bases
+can have a partner.  A multiset gets one table of its distinct
+arrangements in lexicographic order, each with its value p/q from one
+backward continuant walk.  A base (a0 >= 2, last digit >= 2 unless
+non-canonical bases are searched) can only have partners led by digits
+<= a0 // 2, a prefix of the table.  It scans that prefix, or, in a table
+big enough to pay for a (p, q) index, looks up the one partner value
+p / (k*q) of each multiplier k its lead allows, whichever tests fewer
+rows.  Either way the candidates go through the exact test that
+``classify.find_witnesses`` uses too.  Lengths above
+``MAX_BRUTE_FORCE_DIGITS`` are refused, as each table still walks all m!
+orderings.  Worker processes take strided parts of each length's
 multisets; the parts' hits are sorted by base per length before they are
 classified, so the output stream is in (length, digits, permuted) order and
 identical for any worker count.
@@ -15,7 +20,6 @@ identical for any worker count.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import itertools
@@ -28,16 +32,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cf import _continuant, format_cf
+from .cf import _continuant_pair, format_cf
 from .classify import (
     FLAG_ORDER,
-    MAX_BRUTE_FORCE_DIGITS,
     Witness,
     _hits,
+    _k_range,
     _witness_list,
     format_permutation,
 )
 
+# Longest searched length: each multiset's table walks all m! orderings of
+# its digits, and each further digit multiplies that walk by its own count.
+MAX_BRUTE_FORCE_DIGITS = 10
 # Worker processes a scan may start: the pool forks them all at once.
 MAX_WORKERS = 64
 # Digit multisets of the longest searched length, C(max_digit + m - 1, m),
@@ -103,20 +110,76 @@ def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
     multisets = itertools.combinations_with_replacement(range(1, config.max_digit + 1), m)
     out: list[_Hits] = []
     for multiset in itertools.islice(multisets, part, None, config.workers):
-        table = [
-            (arrangement, _continuant(arrangement), _continuant(arrangement[1:]))
-            for arrangement in sorted(set(itertools.permutations(multiset)))
-        ]
-        leads = [arrangement[0] for arrangement, _, _ in table]
-        for base, p, q in table:
-            # table[:end] holds exactly the arrangements led by a digit <= a0 // 2,
-            # the only possible partners (see classify.find_witnesses)
-            end = bisect.bisect_right(leads, base[0] // 2)
-            if end == 0 or (config.canonical_only and base[-1] < 2):
-                continue
+        # a partner is led by a digit <= a0 // 2, so some digit must be <= half another
+        if 2 * multiset[0] <= multiset[-1]:
+            out += _multiset_hits(multiset, config.canonical_only, k_bounds)
+    return out
+
+
+def _arrangement_table(multiset: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]:
+    """(arrangement, p, q) for each distinct arrangement of a sorted multiset,
+    in lexicographic order, with p/q its value in lowest terms.
+
+    ``permutations`` of a sorted tuple come in lexicographic order, and
+    ``dict.fromkeys`` keeps the first of each repeat, so no sort is needed.
+    """
+    return [
+        (arrangement, *_continuant_pair(arrangement))
+        for arrangement in dict.fromkeys(itertools.permutations(multiset))
+    ]
+
+
+def _multiset_hits(
+    multiset: tuple[int, ...], canonical_only: bool, k_bounds: tuple[int, float]
+) -> list[_Hits]:
+    """Hits of every base arranged from one sorted digit multiset.
+
+    A base's partners are the arrangements led by a digit <= a0 // 2: the
+    table prefix ``table[:end]``, tested row by row.  The other way is one
+    (p, q) index lookup per multiplier in the lead's ``_k_range``, after
+    one insert per row to build the index.  So the k count of a lead group
+    is measured only once the prefix scans have tested as many rows as the
+    table holds, and the index is built only when the rows left would save
+    that many again.  From then on a group takes the lookups whenever they
+    are fewer than its prefix rows.  Small tables never get that far.
+    """
+    smallest = multiset[0]
+    table = _arrangement_table(multiset)
+    size = len(table)
+    index = None
+    out: list[_Hits] = []
+    spent = lead = end = 0
+    for i, (base, p, q) in enumerate(table):
+        if base[0] != lead:
+            lead = base[0]
+            while table[end][0][0] <= lead // 2:
+                end += 1
+            invert, due = False, size
+        if end == 0 or (canonical_only and base[-1] < 2):
+            continue
+        if spent >= due:
+            due = math.inf  # decided once per lead group
+            # a base saves at most `end` rows, so this bound needs no k count
+            if index is not None or (size - i) * end >= size:
+                ks = _k_range(lead, 1, table[end - 1][0][0], smallest, k_bounds)
+                saving = end - len(ks)
+                invert = saving > 0 and (index is not None or (size - i) * saving >= size)
+                if invert and index is None:
+                    index = {(row[1], row[2]): row for row in table}
+        if invert:
+            found = []
+            for k in ks:
+                # p/q == k * p'/q' in lowest terms: p'/q' is (p/g) / (k*q/g), g = gcd(p, k)
+                g = math.gcd(p, k)
+                row = index.get((p // g, k * q // g))
+                if row is not None:
+                    found.append(row)
+            hits = _hits(p, q, sorted(found), k_bounds)
+        else:
+            spent += end
             hits = _hits(p, q, table[:end], k_bounds)
-            if hits:
-                out.append((base, hits))
+        if hits:
+            out.append((base, hits))
     return out
 
 

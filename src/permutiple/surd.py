@@ -12,7 +12,7 @@ from itertools import count, islice
 from math import isqrt
 from typing import Iterator
 
-from .cf import ContinuedFraction, convergents
+from .cf import ContinuedFraction, _convergents
 
 
 def _is_square(n: int) -> bool:
@@ -235,12 +235,23 @@ def infinite_perfect_stream(k: int, params) -> DigitStream:
     return DigitStream(k, params)
 
 
-def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...]:
+def continuant_gaps(stream: DigitStream, limit: int) -> Iterator[int]:
     """|top continuant difference| between the stream and its permuted
-    stream at truncation lengths 2..limit+1 (one entry per n = 1..limit)."""
-    base = convergents(ContinuedFraction(stream.prefix(limit + 1)))
-    permuted = convergents(ContinuedFraction(stream.permuted_prefix(limit + 1)))
-    return tuple(abs(b[0] - p[0]) for b, p in zip(base[1:], permuted[1:]))
+    stream at truncation lengths 2..limit+1 (one entry per n = 1..limit),
+    each computed only when it is asked for."""
+    if limit < 0:
+        raise ValueError(f"gap limit {limit} is negative")
+    indices = range(limit + 1)
+    base = _convergents(stream.digit(j) for j in indices)
+    permuted = _convergents(stream.digit(j ^ 1) for j in indices)
+    next(base), next(permuted)  # length 1 has no gap entry
+    for (b, _), (p, _) in zip(base, permuted):
+        yield abs(b - p)
+
+
+def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...]:
+    """All of ``continuant_gaps(stream, limit)``."""
+    return tuple(continuant_gaps(stream, limit))
 
 
 def truncation(stream: DigitStream, length: int) -> ContinuedFraction:

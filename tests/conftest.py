@@ -2,12 +2,13 @@
 
 These deliberately avoid the library's code paths: evaluation nests the
 fraction directly, continuants come from 2x2 matrix products, and the
-witness oracle tries every permutation with Fraction arithmetic and no
-pruning.
+witness oracle tries every permutation against exact Fraction values with
+no pruning.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -28,18 +29,33 @@ def matrix_continuant(xs) -> int:
     return a
 
 
+@functools.lru_cache(maxsize=1 << 17)
+def _string_value(digits: tuple[int, ...]) -> Fraction:
+    """``nested_eval`` of a digit tuple, kept: every string of one digit
+    multiset tries the same rearrangements."""
+    return nested_eval(digits)
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _rearrangements(multiset: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    return frozenset(itertools.permutations(multiset))
+
+
 def brute_force_witnesses(digits, k_min=2, k_max=None) -> dict[tuple[int, ...], int]:
     """Unpruned oracle: permuted string -> k over every distinct rearrangement."""
     digits = tuple(digits)
-    base_value = nested_eval(digits)
+    base_value = _string_value(digits)
     out: dict[tuple[int, ...], int] = {}
-    for perm in set(itertools.permutations(digits)):
+    for perm in _rearrangements(tuple(sorted(digits))):
         if perm == digits:
             continue
-        ratio = base_value / nested_eval(perm)
-        if ratio.denominator != 1:
+        value = _string_value(perm)
+        # base_value / value, an integer exactly when the cross product divides
+        k, rest = divmod(
+            base_value.numerator * value.denominator, base_value.denominator * value.numerator
+        )
+        if rest:
             continue
-        k = ratio.numerator
         if k >= k_min and (k_max is None or k <= k_max):
             out[perm] = k
     return out

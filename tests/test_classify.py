@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from permutiple import (
     canonical_sigma,
     classify,
     continuant,
+    convergents,
     find_witnesses,
     is_continuant_preserving,
     is_landess,
@@ -21,9 +23,12 @@ from permutiple import (
     is_reverse_multiple,
     is_symmetric,
     permute_digits,
+    perfect_reverse,
     permutiple_multiplier,
     witness_from_permuted,
 )
+
+classify_module = sys.modules["permutiple.classify"]
 
 CF = ContinuedFraction
 P = Permutation
@@ -190,6 +195,20 @@ class TestClassify:
         w = classify(CF((7, 1, 3)), REVERSAL_3)
         assert w.k == 2
 
+    def test_k_inferred_from_one_walk_of_each_string(self, monkeypatch):
+        walked = []
+
+        def counting(cf):
+            walked.append(cf.digits)
+            return convergents(cf)
+
+        monkeypatch.setattr(classify_module, "convergents", counting)
+        w = classify(CF((11, 1, 10, 2, 3)), P((1, 4, 0, 2, 3)))
+        assert w.k == 9 and w.flags.continuant_preserving
+        assert walked == [(11, 1, 10, 2, 3), (1, 3, 11, 10, 2)]
+        with pytest.raises(NotAPermutipleError, match="not an integer multiple"):
+            classify(CF((7, 1, 3)), P((1, 0, 2)))
+
     def test_rejects_non_permutiple(self):
         with pytest.raises(NotAPermutipleError):
             classify(CF((7, 1, 3)), P.identity(3))
@@ -249,6 +268,8 @@ class TestFindWitnesses:
         cases += [(5, 3, 1), (2, 1, 2, 1), (4, 1, 1, 1), (6, 3, 2, 1), (9, 1, 3, 1)]
         cases += [(1, 4, 2), (1, 3, 1, 2)]
         cases += [(4, 3, 6, 2, 4, 3, 6, 2)]  # 16 realizing image lists
+        # partners ending in 1: one digit longer than their canonical expansion
+        cases += [(5, 1, 4, 1, 2, 1, 2), (6, 1, 2, 1, 2, 1), (8, 1, 3, 1, 1, 1)]
         for ds in cases:
             oracle = brute_force_witnesses(ds)
             found = find_witnesses(CF(ds), allow_noncanonical=True)
@@ -284,9 +305,42 @@ class TestFindWitnesses:
             for w in find_witnesses(CF(tuple(ds))):
                 assert w.cf.digits[0] > w.permuted.digits[0]
 
-    def test_refuses_strings_over_the_brute_force_limit(self):
-        with pytest.raises(ValueError, match="brute-force limit"):
-            find_witnesses(CF((7,) + (1,) * 9 + (3,)))
+    def test_refuses_strings_over_the_k_candidate_limit(self, monkeypatch):
+        # (10; 1, 2) has value 32/3 and partners led by 1 or 2, so
+        # k runs over ceil(32/9) = 4 .. 32//3 = 10: seven candidates
+        monkeypatch.setattr(classify_module, "MAX_K_CANDIDATES", 7)
+        assert find_witnesses(CF((10, 1, 2))) == []
+        monkeypatch.setattr(classify_module, "MAX_K_CANDIDATES", 6)
+        with pytest.raises(ValueError, match="7 multipliers"):
+            find_witnesses(CF((10, 1, 2)))
+
+    def test_refuses_a_one_beside_a_huge_leading_digit(self):
+        # about two thirds of 10**7 multipliers, refused before any is tried
+        with pytest.raises(ValueError, match="over the limit"):
+            find_witnesses(CF((10**7, 1, 2)))
+
+    def test_long_strings_are_not_refused(self):
+        # 11 digits were over the old 10-digit cap; only k = 2..7 are tried now
+        assert find_witnesses(CF((7,) + (1,) * 9 + (3,))) == []
+
+    def test_finds_a_100_digit_perfect_reverse_witness(self):
+        w = perfect_reverse(2, tuple(range(2, 52)))
+        assert len(w.cf) == 100
+        found = find_witnesses(w.cf)
+        assert (w.permuted.digits, w.k) in {(x.permuted.digits, x.k) for x in found}
+
+    def test_ten_digit_results_are_unchanged(self):
+        # as the walk over all 10! orderings found them
+        assert find_witnesses(CF((9, 8, 7, 6, 5, 4, 3, 2, 2, 2))) == []
+        digits = (6, 1, 4, 1, 4, 2, 2, 2, 2, 3)
+        found = find_witnesses(CF(digits))
+        assert [(w.permuted.digits, w.k) for w in found] == [((3, 2, 2, 2, 2, 4, 1, 4, 1, 6), 2)]
+        expanded = find_witnesses(CF(digits), all_sigmas=True)
+        assert len(expanded) == 96
+        assert [w.sigma.images for w in expanded[:2]] == [
+            (9, 5, 6, 7, 8, 2, 1, 4, 3, 0),
+            (9, 5, 6, 7, 8, 2, 3, 4, 1, 0),
+        ]
 
     def test_no_witness_is_palindromic_under_sigma(self):
         rng = random.Random(27)

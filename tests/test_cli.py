@@ -83,6 +83,12 @@ class TestWitnesses:
         assert code == 1
         assert "no witnesses" in out
 
+    def test_twelve_digit_perfect_string(self, capsys):
+        code, out, _ = run(["witnesses", "--cf", "6;2,3,3,6,5,15,2,9,1,6,2"], capsys)
+        assert code == 0
+        assert out.startswith("6;2,3,3,6,5,15,2,9,1,6,2 = 3 * 2;6,1,9,2,15,5,6,3,3,2,6 |")
+        assert out.count("\n") == 1
+
 
 class TestSearch:
     def test_jsonl_to_stdout(self, capsys):
@@ -267,6 +273,14 @@ class TestSurd:
         code, out, _ = run(["surd", "--k", "7", "--params", "1,2", "--digits", "4"], capsys)
         assert code == 0 and out.splitlines()[0] == "digits 7;1,14,2"
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_unprintable_gaps_are_refused_before_any_output(self, capsys, mode):
+        argv = ["surd", "--k", "2", "--params", "pow:4", "--digits", "2", "--gaps", "800"]
+        code, out, err = run(argv + mode, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --gaps 800: the gap at n = ")
+
     def test_mixed_modes_rejected(self, capsys):
         code, _, err = run(["surd", "--a", "1", "--b", "3", "--c", "1", "--k", "2"], capsys)
         assert code == 2
@@ -280,7 +294,7 @@ class TestUsageErrors:
 
     def test_brute_force_limit_is_usage_error(self, capsys):
         for argv in (
-            ["witnesses", "--cf", "7;1,1,1,1,1,1,1,1,1,3"],
+            ["witnesses", "--cf", "10000000;1,2"],  # over a million k to try
             ["search", "--len", "11", "--max-digit", "2"],
         ):
             code, out, err = run(argv, capsys)

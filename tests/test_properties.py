@@ -1,5 +1,6 @@
 """Generative checks of the core identities with hypothesis."""
 
+import itertools
 from fractions import Fraction
 
 from conftest import matrix_continuant, nested_eval
@@ -21,6 +22,7 @@ from permutiple import (
     permute_digits,
     tails,
 )
+from permutiple.search import _arrangement_table
 
 digit_strings = st.lists(st.integers(1, 40), min_size=1, max_size=9).map(tuple)
 
@@ -112,3 +114,12 @@ def test_convergents_of_permuted_strings_stay_reduced(ds, rng):
     permuted = permute_digits(ContinuedFraction(ds), Permutation(tuple(images)))
     for p, q in convergents(permuted):
         assert gcd(p, q) == 1
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+def test_arrangement_table_is_the_sorted_distinct_arrangements(ds):
+    multiset = tuple(sorted(ds))
+    table = _arrangement_table(multiset)
+    assert [row[0] for row in table] == sorted(set(itertools.permutations(multiset)))
+    for arrangement, p, q in table:
+        assert (p, q) == (continuant(arrangement), continuant(arrangement[1:]))

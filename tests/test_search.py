@@ -45,6 +45,8 @@ def oracle_stream(lengths, max_digit, dedupe, canonical_only, k_min=2, k_max=mat
             if canonical_only and ds[-1] == 1:
                 continue
             oracle = oracle_hits(ds)
+            if not oracle:
+                continue
             found = sorted(
                 (ds, permuted, images, k)
                 for images in itertools.permutations(range(n))
@@ -153,6 +155,31 @@ class TestExhaustiveSearch:
         )
         # every canonical base at these bounds has k = 2, so k_min = 3 leaves none
         assert bool(expected) != (canonical_only and k_min == 3)
+        assert stream(config) == expected
+
+    @pytest.mark.parametrize("length, max_digit", [(6, 4), (7, 3)])
+    @pytest.mark.parametrize("canonical_only", [True, False])
+    @pytest.mark.parametrize("k_min, k_max", [(None, None), (3, None), (None, 2)])
+    def test_long_multisets_match_oracle(self, length, max_digit, canonical_only, k_min, k_max):
+        # Tables of up to 210 arrangements: most bases here get their partners
+        # by (p, q) lookups per k, the rest by scanning the table prefix, and
+        # at 6/<=4 hits come from both.
+        config = SearchConfig(
+            length=length,
+            max_digit=max_digit,
+            k_min=k_min,
+            k_max=k_max,
+            canonical_only=canonical_only,
+        )
+        expected = oracle_stream(
+            (length,), max_digit, True, canonical_only, k_min or 2, k_max or math.inf
+        )
+        assert stream(config) == expected
+
+    def test_long_multisets_every_sigma_matches_oracle(self):
+        config = SearchConfig(length=7, max_digit=3, canonical_only=False, dedupe=False)
+        expected = oracle_stream((7,), 3, dedupe=False, canonical_only=False)
+        assert len(expected) > 13  # 13 permuted strings, some realized by several sigmas
         assert stream(config) == expected
 
     @pytest.mark.parametrize(
