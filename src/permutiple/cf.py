@@ -86,12 +86,9 @@ def _continuant_pair(xs: tuple[int, ...]) -> tuple[int, int]:
 
 
 def continuant(xs: Iterable[int]) -> int:
-    """Continuant K(x0, ..., x_{m-1}): K() = 1, K(x0) = x0, and each new
-    entry x extends via K -> x*K + K_previous."""
-    prev, cur = 0, 1
-    for x in xs:
-        prev, cur = cur, x * cur + prev
-    return cur
+    """Continuant K(x0, ..., x_{m-1}): K() = 1, K(x0) = x0, and
+    K(x0, x1, ...) = x0 * K(x1, ...) + K(x2, ...)."""
+    return _continuant_pair(tuple(xs))[0]
 
 
 def _convergents(digits: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -116,7 +113,7 @@ def convergents(cf: ContinuedFraction) -> tuple[tuple[int, int], ...]:
 
 def evaluate(cf: ContinuedFraction) -> Fraction:
     """Exact value of the digit string, evaluated as written (canonical or not)."""
-    return Fraction(*convergents(cf)[-1])
+    return Fraction(*_continuant_pair(cf.digits))
 
 
 def gauss_step(x: Fraction) -> Fraction:

@@ -88,8 +88,10 @@ def _cmd_eval(args) -> int:
         return 0
     cf = ContinuedFraction.parse(args.cf)
     if args.canonical:
-        cf = canonicalize(cf)
-        print(format_cf(cf))
+        for flag in ("json", "convergents", "tails"):
+            if getattr(args, flag):
+                raise ValueError(f"--canonical does not combine with --{flag}")
+        print(format_cf(canonicalize(cf)))
         return 0
     if args.json:
         value = evaluate(cf)
@@ -133,9 +135,12 @@ def _cmd_witnesses(args) -> int:
 
 
 def _length_from_args(args, default):
+    ranged = args.len_min is not None or args.len_max is not None
     if args.len is not None:
+        if ranged:
+            raise ValueError("give --len or --len-min/--len-max, not both")
         return args.len
-    if args.len_min is not None or args.len_max is not None:
+    if ranged:
         low = args.len_min if args.len_min is not None else 2
         high = args.len_max if args.len_max is not None else low
         return (low, high)
@@ -206,16 +211,14 @@ def _cmd_enumerate(args) -> int:
     if family == "two-digit":
         witnesses = [two_digit(args.k, args.s)]
     elif family == "three-digit-reverse":
-        if args.a0 is not None:
+        if args.a0 is None:
+            witnesses = enumerate_three_digit_reverse(args.k, args.a0_max)
+        else:
             one = three_digit_reverse(args.k, args.a0)
             if one is None:
                 print(f"no 3-digit reverse multiple with k={args.k}, a0={args.a0}")
                 return 1
             witnesses = [one]
-        elif args.a0_max is not None:
-            witnesses = enumerate_three_digit_reverse(args.k, args.a0_max)
-        else:
-            raise ValueError("give --a0 or --a0-max")
     elif family == "perfect":
         params = PerfectParameters(
             sigma=Permutation.parse(args.sigma),
@@ -422,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = fam.add_parser("three-digit-reverse")
     f.add_argument("--k", type=int, required=True)
-    f.add_argument("--a0", type=int)
-    f.add_argument("--a0-max", type=int)
+    lead = f.add_mutually_exclusive_group(required=True)
+    lead.add_argument("--a0", type=int)
+    lead.add_argument("--a0-max", type=int)
     f.add_argument("--json", action="store_true")
     f.set_defaults(func=_cmd_enumerate)
 

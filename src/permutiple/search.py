@@ -6,11 +6,11 @@ can have a partner.  A multiset gets one table of its distinct
 arrangements in lexicographic order, each with its value p/q from one
 backward continuant walk.  A base (a0 >= 2, last digit >= 2 unless
 non-canonical bases are searched) can only have partners led by digits
-<= a0 // 2, a prefix of the table.  It scans that prefix, or, in a table
-big enough to pay for a (p, q) index, looks up the one partner value
-p / (k*q) of each multiplier k its lead allows, whichever tests fewer
-rows.  Either way the candidates go through the exact test that
-``classify.find_witnesses`` uses too.  Lengths above
+<= a0 // 2, a prefix of the table.  It scans that prefix, or looks up the
+one partner value p / (k*q) of each multiplier k its lead allows in a
+(p, q) index of the table; each lead group picks one of the two by its own
+prefix length and multiplier count.  Either way the candidates go through
+the exact test that ``classify.find_witnesses`` uses too.  Lengths above
 ``MAX_BRUTE_FORCE_DIGITS`` are refused, as each table still walks all m!
 orderings.  Worker processes take strided parts of each length's
 multisets; the parts' hits are sorted by base per length before they are
@@ -86,6 +86,8 @@ class SearchConfig:
             )
         if self.k_min is not None and self.k_min < 2:
             raise ValueError("k_min must be >= 2 when given")
+        if self.k_max is not None and self.k_max < (self.k_min or 2):
+            raise ValueError(f"empty multiplier range: k_max {self.k_max} < {self.k_min or 2}")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
         if self.workers > MAX_WORKERS:
@@ -136,36 +138,30 @@ def _multiset_hits(
 
     A base's partners are the arrangements led by a digit <= a0 // 2: the
     table prefix ``table[:end]``, tested row by row.  The other way is one
-    (p, q) index lookup per multiplier in the lead's ``_k_range``, after
-    one insert per row to build the index.  So the k count of a lead group
-    is measured only once the prefix scans have tested as many rows as the
-    table holds, and the index is built only when the rows left would save
-    that many again.  From then on a group takes the lookups whenever they
-    are fewer than its prefix rows.  Small tables never get that far.
+    (p, q) index lookup per multiplier in the lead's ``_k_range``, which
+    costs about m row tests for m digits.  So a lead group inverts when its
+    k count times m is below ``end``.  A prefix of at most m rows costs no
+    more than one lookup, so it is scanned without measuring.  The first
+    group that looks anything up builds the index.
     """
-    smallest = multiset[0]
+    m, smallest = len(multiset), multiset[0]
     table = _arrangement_table(multiset)
-    size = len(table)
     index = None
     out: list[_Hits] = []
-    spent = lead = end = 0
-    for i, (base, p, q) in enumerate(table):
+    lead = end = 0
+    for base, p, q in table:
         if base[0] != lead:
             lead = base[0]
             while table[end][0][0] <= lead // 2:
                 end += 1
-            invert, due = False, size
+            invert = False
+            if end > m:
+                ks = _k_range(lead, 1, table[end - 1][0][0], smallest, k_bounds)
+                invert = len(ks) * m < end
+                if invert and ks and index is None:
+                    index = {(row[1], row[2]): row for row in table}
         if end == 0 or (canonical_only and base[-1] < 2):
             continue
-        if spent >= due:
-            due = math.inf  # decided once per lead group
-            # a base saves at most `end` rows, so this bound needs no k count
-            if index is not None or (size - i) * end >= size:
-                ks = _k_range(lead, 1, table[end - 1][0][0], smallest, k_bounds)
-                saving = end - len(ks)
-                invert = saving > 0 and (index is not None or (size - i) * saving >= size)
-                if invert and index is None:
-                    index = {(row[1], row[2]): row for row in table}
         if invert:
             found = []
             for k in ks:
@@ -176,7 +172,6 @@ def _multiset_hits(
                     found.append(row)
             hits = _hits(p, q, sorted(found), k_bounds)
         else:
-            spent += end
             hits = _hits(p, q, table[:end], k_bounds)
         if hits:
             out.append((base, hits))

@@ -1,7 +1,7 @@
 """Quadratic surds, periodic expansions, and infinite perfect digit streams.
 
-All comparisons against square roots are decided by exact integer sign
-analysis on squared quantities; no floating point enters any decision.
+Every comparison against a square root is decided by one exact floor
+(``math.isqrt``); no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -20,16 +20,6 @@ def _is_square(n: int) -> bool:
         return False
     r = isqrt(n)
     return r * r == n
-
-
-def _sqrt_gt(b: int, t: int) -> bool:
-    """sqrt(b) > t for non-square b (never equal)."""
-    return t < 0 or b > t * t
-
-
-def _sqrt_lt(b: int, t: int) -> bool:
-    """sqrt(b) < t for non-square b."""
-    return t > 0 and b < t * t
 
 
 @dataclass(frozen=True)
@@ -60,17 +50,12 @@ def surd_multiplier(s: QuadraticSurd) -> int | None:
 
 
 def is_reduced(s: QuadraticSurd) -> bool:
-    """Value > 1 with algebraic conjugate (a - sqrt(b))/c in (-1, 0)."""
-    a, b, c = s.a, s.b, s.c
-    if c > 0:
-        value_gt_1 = _sqrt_gt(b, c - a)
-        conj_neg = _sqrt_gt(b, a)
-        conj_gt_minus_1 = _sqrt_lt(b, a + c)
-    else:
-        value_gt_1 = _sqrt_lt(b, c - a)
-        conj_neg = _sqrt_lt(b, a)
-        conj_gt_minus_1 = _sqrt_gt(b, a + c)
-    return value_gt_1 and conj_neg and conj_gt_minus_1
+    """Value > 1 with algebraic conjugate (a - sqrt(b))/c in (-1, 0).
+
+    Neither value is an integer, so each bound is read off its floor; the
+    conjugate is (-a + sqrt(b)) / -c.
+    """
+    return _floor_quad(s.a, s.b, s.c) >= 1 and _floor_quad(-s.a, s.b, -s.c) == -1
 
 
 def _floor_quad(P: int, D: int, Q: int) -> int:

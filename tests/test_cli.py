@@ -148,6 +148,18 @@ class TestSearch:
         assert code == 2
         assert "len" in err
 
+    def test_contradictory_bounds_are_usage_errors(self, capsys):
+        for argv in (
+            ["search", "--len", "2", "--len-max", "3", "--max-digit", "4"],  # not dropped
+            ["search", "--len", "2", "--len-min", "2", "--max-digit", "4"],
+            ["search", "--len", "2", "--max-digit", "5", "--k-min", "5", "--k-max", "3"],
+            ["search", "--len", "2", "--max-digit", "5", "--k-max", "1"],
+            ["conjecture", "c2", "--k-min", "9", "--k-max", "2"],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert err.startswith("error: ") and out == ""
+
 
 class TestEnumerate:
     def test_two_digit(self, capsys):
@@ -171,6 +183,14 @@ class TestEnumerate:
             ["enumerate", "three-digit-reverse", "--k", "2", "--a0-max", "10"], capsys
         )
         assert code == 0 and len(out.strip().splitlines()) == 4
+
+    def test_three_digit_reverse_needs_exactly_one_lead_bound(self, capsys):
+        for flags in ([], ["--a0", "5", "--a0-max", "9"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["enumerate", "three-digit-reverse", "--k", "2", *flags])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error: " in captured.err
 
     def test_perfect(self, capsys):
         code, out, _ = run(
@@ -316,6 +336,11 @@ class TestUsageErrors:
         for flags in (["--json"], ["--convergents"], ["--tails"], ["--canonical"],
                       ["--json", "--convergents"]):
             code, out, err = run(["eval", "--rational", "31/4", *flags], capsys)
+            assert code == 2
+            assert err.startswith("error: ") and out == ""
+        # --canonical prints only the folded digits, so it refuses the same flags
+        for flags in (["--json"], ["--convergents"], ["--tails"], ["--json", "--tails"]):
+            code, out, err = run(["eval", "--cf", "7;1,3,1", "--canonical", *flags], capsys)
             assert code == 2
             assert err.startswith("error: ") and out == ""
 

@@ -73,6 +73,10 @@ class TestSearchConfig:
             SearchConfig(length=2, max_digit=5, k_min=1)
         with pytest.raises(ValueError):
             SearchConfig(length=2, max_digit=5, workers=0)
+        for k_min, k_max in ((5, 3), (None, 1)):
+            with pytest.raises(ValueError, match="empty multiplier range"):
+                SearchConfig(length=2, max_digit=5, k_min=k_min, k_max=k_max)
+        SearchConfig(length=2, max_digit=5, k_min=3, k_max=3)  # one multiplier: accepted
         with pytest.raises(ValueError, match="empty length range"):
             SearchConfig(length=(5, 3), max_digit=5)
         SearchConfig(length=10, max_digit=2)  # at the brute-force limit: accepted
@@ -162,8 +166,10 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("k_min, k_max", [(None, None), (3, None), (None, 2)])
     def test_long_multisets_match_oracle(self, length, max_digit, canonical_only, k_min, k_max):
         # Tables of up to 210 arrangements: most bases here get their partners
-        # by (p, q) lookups per k, the rest by scanning the table prefix, and
-        # at 6/<=4 hits come from both.
+        # by (p, q) lookups per k, the rest by scanning the table prefix.  At
+        # 6/<=4 all 12 canonical hits come from lookups, the non-canonical
+        # scan gets hits both ways, and k_min = 3 leaves lead groups with no
+        # k to look up.
         config = SearchConfig(
             length=length,
             max_digit=max_digit,
