@@ -71,11 +71,14 @@ def _witness_line(w: Witness) -> str:
     return " | ".join(parts)
 
 
-def _emit_witness(w: Witness, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(witness_record(w), separators=(",", ":")))
-    else:
-        print(_witness_line(w))
+def _emit(witnesses, as_json: bool) -> int:
+    """Print each witness as one line or one JSON object; exit code 0."""
+    for w in witnesses:
+        if as_json:
+            print(json.dumps(witness_record(w), separators=(",", ":")))
+        else:
+            print(_witness_line(w))
+    return 0
 
 
 def _cmd_eval(args) -> int:
@@ -117,8 +120,7 @@ def _cmd_classify(args) -> int:
     cf = ContinuedFraction.parse(args.cf)
     sigma = Permutation.parse(args.sigma)
     witness = classify(cf, sigma, args.k, allow_noncanonical=args.allow_noncanonical)
-    _emit_witness(witness, args.json)
-    return 0
+    return _emit([witness], args.json)
 
 
 def _cmd_witnesses(args) -> int:
@@ -126,38 +128,42 @@ def _cmd_witnesses(args) -> int:
     found = find_witnesses(
         cf, allow_noncanonical=args.allow_noncanonical, all_sigmas=args.all_sigmas
     )
-    for w in found:
-        _emit_witness(w, args.json)
     if not found:
         print("no witnesses")
         return 1
-    return 0
+    return _emit(found, args.json)
 
 
-def _length_from_args(args, default):
+def _scan_config(args, default_length, max_digit, **options) -> SearchConfig:
+    """The bounds of a `search` or `conjecture` scan.  Its length is --len, or
+    the --len-min/--len-max range (low defaults to 2, high to low), or else
+    ``default_length``."""
     ranged = args.len_min is not None or args.len_max is not None
-    if args.len is not None:
-        if ranged:
-            raise ValueError("give --len or --len-min/--len-max, not both")
-        return args.len
+    if args.len is not None and ranged:
+        raise ValueError("give --len or --len-min/--len-max, not both")
     if ranged:
-        low = args.len_min if args.len_min is not None else 2
-        high = args.len_max if args.len_max is not None else low
-        return (low, high)
-    return default
+        low = 2 if args.len_min is None else args.len_min
+        length = (low, low if args.len_max is None else args.len_max)
+    else:
+        length = default_length if args.len is None else args.len
+    if length is None:
+        raise ValueError("give --len or --len-min/--len-max")
+    return SearchConfig(
+        length=length,
+        max_digit=max_digit,
+        k_min=args.k_min,
+        k_max=args.k_max,
+        workers=args.jobs,
+        **options,
+    )
 
 
 def _cmd_search(args) -> int:
-    length = _length_from_args(args, None)
-    if length is None:
-        raise ValueError("give --len or --len-min/--len-max")
-    config = SearchConfig(
-        length=length,
-        max_digit=args.max_digit,
-        k_min=args.k_min,
-        k_max=args.k_max,
+    config = _scan_config(
+        args,
+        None,
+        args.max_digit,
         canonical_only=not args.include_noncanonical,
-        workers=args.jobs,
         dedupe=not args.all_sigmas,
     )
     count = export(exhaustive_search(config), args.format, args.out)
@@ -166,19 +172,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    if args.id in ("c1", "c4"):
-        length = _length_from_args(args, 4)
-        max_digit = args.max_digit if args.max_digit is not None else 20
-    else:
-        length = _length_from_args(args, (2, 5))
-        max_digit = args.max_digit if args.max_digit is not None else 12
-    config = SearchConfig(
-        length=length,
-        max_digit=max_digit,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        workers=args.jobs,
-    )
+    length, max_digit = (4, 20) if args.id in ("c1", "c4") else ((2, 5), 12)
+    config = _scan_config(args, length, max_digit if args.max_digit is None else args.max_digit)
     lengths = config.lengths()
     bounds = (
         f"lengths {lengths[0]}..{lengths[-1]}, digits <= {config.max_digit}"
@@ -206,35 +201,20 @@ def _cmd_conjecture(args) -> int:
     return 0 if report.holds_within_bounds else 1
 
 
-def _cmd_enumerate(args) -> int:
-    family = args.family
-    if family == "two-digit":
-        witnesses = [two_digit(args.k, args.s)]
-    elif family == "three-digit-reverse":
-        if args.a0 is None:
-            witnesses = enumerate_three_digit_reverse(args.k, args.a0_max)
-        else:
-            one = three_digit_reverse(args.k, args.a0)
-            if one is None:
-                print(f"no 3-digit reverse multiple with k={args.k}, a0={args.a0}")
-                return 1
-            witnesses = [one]
-    elif family == "perfect":
-        params = PerfectParameters(
-            sigma=Permutation.parse(args.sigma),
-            k=args.k,
-            orbit_params=_parse_int_list(args.params),
-        )
-        witnesses = [perfect_from_parameters(params)]
-    elif family == "perfect-reverse":
-        witnesses = [perfect_reverse(args.k, _parse_int_list(args.params))]
-    elif family == "perfect-cyclic":
-        witnesses = [perfect_cyclic(args.k, args.length, args.ell, _parse_int_list(args.params))]
-    else:  # argparse choices make this unreachable
-        raise ValueError(f"unknown family {family!r}")
-    for w in witnesses:
-        _emit_witness(w, args.json)
-    return 0
+def _cmd_three_digit_reverse(args) -> int:
+    if args.a0 is None:
+        return _emit(enumerate_three_digit_reverse(args.k, args.a0_max), args.json)
+    witness = three_digit_reverse(args.k, args.a0)
+    if witness is None:
+        print(f"no 3-digit reverse multiple with k={args.k}, a0={args.a0}")
+        return 1
+    return _emit([witness], args.json)
+
+
+def _cmd_perfect(args) -> int:
+    sigma = Permutation.parse(args.sigma)
+    params = PerfectParameters(sigma, args.k, _parse_int_list(args.params))
+    return _emit([perfect_from_parameters(params)], args.json)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -266,8 +246,7 @@ def _cmd_concat(args) -> int:
             allow_noncanonical=True,
         )
         witness = concat_witness(w1, w2)
-    _emit_witness(witness, args.json)
-    return 0
+    return _emit([witness], args.json)
 
 
 def _parse_stream_params(expr: str):
@@ -363,6 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    scan = argparse.ArgumentParser(add_help=False)  # the flags of both scan commands
+    scan.add_argument("--len", type=int)
+    scan.add_argument("--len-min", type=int)
+    scan.add_argument("--len-max", type=int)
+    scan.add_argument("--k-min", type=int)
+    scan.add_argument("--k-max", type=int)
+    scan.add_argument("--jobs", type=int, default=os.environ.get("PERMUTIPLE_JOBS", "1"))
+
     p = sub.add_parser("eval", help="evaluate a digit string exactly")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--cf", help="digit string a0;a1,...,an")
@@ -388,29 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_witnesses)
 
-    p = sub.add_parser("search", help="exhaustive search within digit bounds")
-    p.add_argument("--len", type=int)
-    p.add_argument("--len-min", type=int)
-    p.add_argument("--len-max", type=int)
+    p = sub.add_parser("search", parents=[scan], help="exhaustive search within digit bounds")
     p.add_argument("--max-digit", type=int, required=True)
-    p.add_argument("--k-min", type=int)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--jobs", type=int, default=os.environ.get("PERMUTIPLE_JOBS", "1"))
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--all-sigmas", action="store_true", help="one witness per permutation")
     p.add_argument("--include-noncanonical", action="store_true")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("conjecture", help="scan a conjecture, reporting counterexamples")
+    p = sub.add_parser(
+        "conjecture", parents=[scan], help="scan a conjecture, reporting counterexamples"
+    )
     p.add_argument("id", choices=CONJECTURE_IDS)
-    p.add_argument("--len", type=int)
-    p.add_argument("--len-min", type=int)
-    p.add_argument("--len-max", type=int)
     p.add_argument("--max-digit", type=int)
-    p.add_argument("--k-min", type=int)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--jobs", type=int, default=os.environ.get("PERMUTIPLE_JOBS", "1"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_conjecture)
 
@@ -421,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--s", type=int, required=True)
     f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_enumerate)
+    f.set_defaults(func=lambda a: _emit([two_digit(a.k, a.s)], a.json))
 
     f = fam.add_parser("three-digit-reverse")
     f.add_argument("--k", type=int, required=True)
@@ -429,20 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
     lead.add_argument("--a0", type=int)
     lead.add_argument("--a0-max", type=int)
     f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_enumerate)
+    f.set_defaults(func=_cmd_three_digit_reverse)
 
     f = fam.add_parser("perfect")
     f.add_argument("--sigma", required=True)
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--params", required=True, help="one positive integer per cycle")
     f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_enumerate)
+    f.set_defaults(func=_cmd_perfect)
 
     f = fam.add_parser("perfect-reverse")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--params", required=True, help="s0,s1,... for the first half")
     f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_enumerate)
+    f.set_defaults(func=lambda a: _emit([perfect_reverse(a.k, _parse_int_list(a.params))], a.json))
 
     f = fam.add_parser("perfect-cyclic")
     f.add_argument("--k", type=int, required=True)
@@ -450,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--ell", type=int, required=True)
     f.add_argument("--params", required=True, help="one positive integer per rotation orbit")
     f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_enumerate)
+    f.set_defaults(
+        func=lambda a: _emit(
+            [perfect_cyclic(a.k, a.length, a.ell, _parse_int_list(a.params))], a.json
+        )
+    )
 
     p = sub.add_parser("concat", help="concatenate witnesses")
     p.add_argument("--cf1")

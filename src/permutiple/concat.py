@@ -19,13 +19,6 @@ from .classify import Permutation, Witness, _tip, classify
 class _EmptyWord:
     """Identity element for concatenation; never evaluated or emitted."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "EMPTY"
 

@@ -7,7 +7,10 @@ witness's string is simply non-canonical), never silently folded.
 There is one perfect-permutiple builder, ``perfect_from_parameters``.  The
 2-digit swap family, the perfect reverse multiples and the perfect cyclic
 permutiples are sigma choices for it: the transposition (1, 0), the
-reversal and a rotation, with their own argument checks in front.
+reversal and a rotation.  ``PerfectParameters`` checks k >= 2 and the
+parameters (one positive integer per cycle) for all three; in front of it,
+``two_digit`` checks s >= 2, ``perfect_reverse`` a non-empty half, and
+``perfect_cyclic`` an even length, 0 < ell < length and an odd ell.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ def two_digit(k: int, s: int) -> Witness:
     Both parameters must exceed 1; s == 1 would make the string
     non-canonical and k == 1 is not a multiple.
     """
-    if k < 2:
-        raise ValueError("multiplier k must be an integer greater than 1")
     if s < 2:
         raise ValueError("parameter s must be an integer greater than 1")
     return perfect_from_parameters(PerfectParameters(Permutation((1, 0)), k, (s,)))
@@ -153,13 +154,9 @@ def perfect_reverse(k: int, half_params: tuple[int, ...]) -> Witness:
     leading parameter of 1 yields a non-canonical string (flagged via the
     witness, not rejected).
     """
-    if k < 2:
-        raise ValueError("multiplier k must be an integer greater than 1")
     half = tuple(half_params)
     if not half:
         raise ValueError("at least one parameter is required")
-    if any(p < 1 for p in half):
-        raise ValueError("parameters must be positive integers")
     witness = perfect_from_parameters(
         PerfectParameters(Permutation.reversal(2 * len(half)), k, half)
     )
@@ -176,19 +173,11 @@ def perfect_cyclic(k: int, length: int, ell: int, params: tuple[int, ...]) -> Wi
     constant on each rotation orbit; there are gcd(ell, length) orbits,
     which are the residue classes of position mod gcd.
     """
-    if k < 2:
-        raise ValueError("multiplier k must be an integer greater than 1")
     if length < 2 or length % 2:
         raise ValueError("length must be an even integer >= 2")
     if not 0 < ell < length:
         raise ValueError(f"shift ell must satisfy 0 < ell < {length}")
     if ell % 2 == 0:
         raise ValueError("no perfect cyclic permutiple exists for an even shift")
-    g = gcd(ell, length)
-    orbit_params = tuple(params)
-    if len(orbit_params) != g:
-        raise ValueError(f"need {g} parameters (one per rotation orbit), got {len(orbit_params)}")
-    if any(p < 1 for p in orbit_params):
-        raise ValueError("parameters must be positive integers")
     sigma = Permutation(tuple((j + ell) % length for j in range(length)))
-    return perfect_from_parameters(PerfectParameters(sigma, k, orbit_params))
+    return perfect_from_parameters(PerfectParameters(sigma, k, params))

@@ -27,7 +27,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -197,6 +196,8 @@ def exhaustive_search(config: SearchConfig) -> Iterator[Witness]:
     if config.workers == 1:
         yield from _by_length(config, map(_scan_part, tasks))
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a forking scan pays its import
+
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         yield from _by_length(config, pool.map(_scan_part, tasks))
 

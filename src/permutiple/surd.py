@@ -16,8 +16,6 @@ from .cf import ContinuedFraction, _convergents
 
 
 def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
     r = isqrt(n)
     return r * r == n
 

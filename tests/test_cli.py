@@ -1,12 +1,16 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permutiple
 from permutiple.cli import build_parser, main
 from permutiple.search import MAX_WORKERS
 
@@ -42,6 +46,11 @@ class TestEval:
         code, out, _ = run(["eval", "--cf", "7;1,3", "--json"], capsys)
         record = json.loads(out)
         assert record == {"digits": "7;1,3", "value": {"p": "31", "q": "4"}}
+        code, out, _ = run(["eval", "--cf", "7;1,3", "--json", "--convergents", "--tails"], capsys)
+        assert code == 0
+        assert out.endswith(
+            ',"convergents":[["7","1"],["8","1"],["31","4"]],"tails":["3/4","1/3"]}\n'
+        )
 
 
 class TestClassify:
@@ -233,6 +242,8 @@ class TestConcat:
     def test_incomplete_arguments(self, capsys):
         code, _, err = run(["concat", "--cf1", "7;1,3"], capsys)
         assert code == 2 and "error" in err
+        code, _, err = run(["concat", "--palindrome", "--cf", "7;1,3"], capsys)  # no --k
+        assert code == 2 and "error" in err
 
 
 class TestConjecture:
@@ -286,6 +297,12 @@ class TestSurd:
         assert lines[0] == "digits 2;1,8,4,32,16"
         assert lines[1] == "permuted 1;2,4,8,16,32"
         assert lines[2].startswith("gaps 0,")
+        argv = ["surd", "--k", "2", "--params", "pow:4", "--digits", "4", "--json"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out) == {"k": 2, "digits": "2;1,8,4", "permuted": "1;2,4,8"}
+        code, out, _ = run([*argv, "--gaps", "3"], capsys)
+        assert code == 0 and json.loads(out)["gaps"] == ["0", "13", "0"]
 
     def test_stream_const_and_list_params(self, capsys):
         code, out, _ = run(["surd", "--k", "2", "--params", "const:1", "--digits", "4"], capsys)
@@ -300,6 +317,9 @@ class TestSurd:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --gaps 800: the gap at n = ")
+        code, out, err = run(argv[:-1] + ["-1"] + mode, capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
 
     def test_mixed_modes_rejected(self, capsys):
         code, _, err = run(["surd", "--a", "1", "--b", "3", "--c", "1", "--k", "2"], capsys)
@@ -316,6 +336,7 @@ class TestUsageErrors:
         for argv in (
             ["witnesses", "--cf", "10000000;1,2"],  # over a million k to try
             ["search", "--len", "11", "--max-digit", "2"],
+            ["witnesses", "--cf", "7;1,3,1"],  # not canonical: refused, not folded
         ):
             code, out, err = run(argv, capsys)
             assert code == 2
@@ -357,6 +378,14 @@ class TestUsageErrors:
             code, out, err = run(argv, capsys)
             assert code == 2
             assert err.startswith("error: ") and out == ""
+
+    def test_start_up_does_not_import_the_process_pool(self):
+        # only a scan with --jobs above 1 forks, so only it loads multiprocessing
+        src = str(Path(permutiple.__file__).parents[1])
+        code = "import permutiple.cli, sys; permutiple.cli.build_parser(); "
+        code += "sys.exit('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_jobs_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("PERMUTIPLE_JOBS", "3")

@@ -171,6 +171,14 @@ class TestPalindromicConcat:
         b = witness((6, 2), (2, 6), 3)
         with pytest.raises(ValueError):
             palindromic_concat([a, b], 2)
+        with pytest.raises(ValueError, match="at least one"):
+            palindromic_concat([], 2)
+        landess = witness((2, 1, 1, 2, 3, 1, 4, 2), (1, 3, 2, 1, 1, 2, 2, 4))
+        with pytest.raises(ValueError, match="not a reverse multiple"):
+            palindromic_concat([landess], 2)
+        c = witness((7, 2, 1, 3), (3, 1, 2, 7))
+        with pytest.raises(ValueError, match="not palindromic"):
+            palindromic_concat([a, c], 2)
 
     def test_mixed_multiplier_rejected(self):
         a = witness((7, 1, 3), (3, 1, 7))

@@ -20,6 +20,8 @@ from permutiple import (
     export,
     witness_record,
 )
+from permutiple import search
+from permutiple.cli import main
 from permutiple.search import MAX_MULTISETS, MAX_WORKERS
 
 CF = ContinuedFraction
@@ -279,13 +281,26 @@ class TestConjectures:
         with pytest.raises(ValueError):
             check_conjectures([], ["c9"])
 
-    def test_counterexamples_are_collected(self):
-        # feed c3 a symmetric witness whose landess flag is forced off by a
-        # hand-built flags object is impossible (lattice allows it), so check
-        # the predicate wiring with c1 on a non-4-digit stream instead
-        stream = run(SearchConfig(length=3, max_digit=8))
-        report = check_conjectures(stream, ["c1"])["c1"]
-        assert report.holds_within_bounds  # vacuous: no 4-digit witnesses
+    def test_counterexamples_are_collected(self, monkeypatch, capsys):
+        # no stated conjecture fails at tiny bounds, so c2 is swapped for a
+        # predicate that the k = 3 and k = 4 witnesses of length 2 fail
+        statement = "every permutiple doubles"
+        monkeypatch.setitem(search._CONJECTURES, "c2", (statement, lambda w: w.k == 2))
+        stream = run(SearchConfig(length=2, max_digit=8))
+        report = check_conjectures(stream, ["c2"], bounds="tiny")["c2"]
+        assert not report.holds_within_bounds
+        assert [w.cf.digits for w in report.counterexamples] == [(6, 2), (8, 2)]
+        assert f"({statement}): 2 COUNTEREXAMPLES among 5 witnesses [tiny]" in report.summary()
+
+        argv = ["conjecture", "c2", "--len", "2", "--max-digit", "8"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"conjecture c2 ({statement}): 2 COUNTEREXAMPLES among 5 ")
+        assert [line.split(" | ")[0] for line in lines[1:]] == ["6;2 = 3 * 2;6", "8;2 = 4 * 2;8"]
+        assert main([*argv, "--json"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert [w["digits"] for w in record["counterexamples"]] == ["6;2", "8;2"]
+        assert record["examined"] == 5
 
 
 class TestExport:
