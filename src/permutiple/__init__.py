@@ -25,17 +25,11 @@ from .classify import (
     classify,
     find_witnesses,
     format_permutation,
-    is_continuant_preserving,
-    is_landess,
     is_perfect,
-    is_reverse_multiple,
     is_symmetric,
     permute_digits,
-    permutiple_multiplier,
-    witness_from_permuted,
 )
 from .concat import (
-    EMPTY,
     BracketViews,
     bracket_views,
     concat,

@@ -3,29 +3,24 @@
 A digit string r = [a0; a1, ..., an] together with a permutation sigma of
 the positions and an integer k >= 2 is a permutiple when r equals k times
 the string [a_sigma(0); a_sigma(1), ..., a_sigma(n)] evaluated as written.
-This module decides that relation exactly and computes the classification
-flags (continuant-preserving, perfect, symmetric, landess, reverse
-multiple) for a verified triple.
+This module decides that relation exactly.  ``classify`` and
+``find_witnesses`` return a ``Witness``, and its ``k`` and ``flags``
+(continuant-preserving, perfect, symmetric, landess, reverse multiple) are
+the one route to the multiplier and the classification: both are read off
+one walk of each string.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass
+from collections import Counter, defaultdict, deque
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf, lcm
+from itertools import product
+from math import factorial, gcd, inf, prod
 from typing import Iterable, Iterator
 
 from .cf import ContinuedFraction, _continuant_pair, _euclid, convergents
-
-FLAG_ORDER = (
-    "continuant_preserving",
-    "perfect",
-    "symmetric",
-    "landess",
-    "reverse_multiple",
-)
 
 
 class NotAPermutipleError(ValueError):
@@ -83,27 +78,6 @@ class Permutation:
             cycles.append(tuple(cycle))
         return tuple(cycles)
 
-    @cached_property
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles))
-
-    @property
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(img == j for j, img in enumerate(self.images))
-
-    @property
-    def is_reversal(self) -> bool:
-        n = len(self.images) - 1
-        return all(img == n - j for j, img in enumerate(self.images))
-
-    @property
-    def is_derangement(self) -> bool:
-        return all(img != j for j, img in enumerate(self.images))
-
 
 def format_permutation(sigma: Permutation) -> str:
     return ",".join(str(i) for i in sigma.images)
@@ -129,6 +103,9 @@ class ClassificationFlags:
 
     def true_names(self) -> tuple[str, ...]:
         return tuple(name for name in FLAG_ORDER if getattr(self, name))
+
+
+FLAG_ORDER = tuple(f.name for f in fields(ClassificationFlags))
 
 
 @dataclass(frozen=True)
@@ -212,7 +189,8 @@ def _tip(cf: ContinuedFraction) -> _Tip:
 
 
 def _multiplier(p: int, q: int, pp: int, qp: int) -> int | None:
-    """Integer k >= 2 with p/q == k * pp/qp, if any.
+    """The integer k >= 2 with value(cf) == k * value(permuted), if any,
+    from their values p/q and pp/qp.
 
     Both values are reduced fractions, so the ratio (p*q')/(p'*q) is
     checked by exact integer divisibility; k == 1 is excluded.
@@ -225,29 +203,25 @@ def _multiplier(p: int, q: int, pp: int, qp: int) -> int | None:
 
 
 def _preserving(base: _Tip, perm: _Tip) -> bool:
+    """True when the base and permuted strings have the same top continuant."""
     return base[0][0] == perm[0][0]
 
 
 def _landess(base: _Tip, perm: _Tip, k: int) -> bool:
+    """Continuant preservation plus the second-to-last convergent relations
+    p_{n-1} == k*p'_{n-1} and q_{n-1} == q'_{n-1}."""
     (p1, q1), (pp1, qp1) = base[1], perm[1]
     return _preserving(base, perm) and p1 == k * pp1 and q1 == qp1
 
 
 def _reverse_multiple(base: _Tip, k: int) -> bool:
+    """Value-level check against the reversed digit string.  Independent of
+    any particular sigma: with repeated digits several permutations realize
+    the reversed string."""
     # mirror formula: value(reversed) = p_n / p_{n-1}, so
     # p_n / q_n == k * value(reversed) exactly when p_{n-1} == k * q_n
     (_, q), (p1, _) = base
     return p1 == k * q
-
-
-def permutiple_multiplier(cf: ContinuedFraction, sigma: Permutation) -> int | None:
-    """The integer k >= 2 with value(cf) == k * value(permuted), if any."""
-    return _multiplier(*convergents(cf)[-1], *convergents(permute_digits(cf, sigma))[-1])
-
-
-def is_continuant_preserving(cf: ContinuedFraction, sigma: Permutation) -> bool:
-    """True when the base and permuted strings have the same top continuant."""
-    return _preserving(_tip(cf), _tip(permute_digits(cf, sigma)))
 
 
 def is_perfect(cf: ContinuedFraction, sigma: Permutation, k: int) -> bool:
@@ -271,19 +245,6 @@ def is_symmetric(cf: ContinuedFraction, sigma: Permutation) -> bool:
     n = len(ds) - 1
     img = sigma.images
     return all(ds[j] * ds[n - j] == ds[img[j]] * ds[img[n - j]] for j in range(n + 1))
-
-
-def is_landess(cf: ContinuedFraction, sigma: Permutation, k: int) -> bool:
-    """Continuant preservation plus the second-to-last convergent relations
-    p_{n-1} == k*p'_{n-1} and q_{n-1} == q'_{n-1}."""
-    return _landess(_tip(cf), _tip(permute_digits(cf, sigma)), k)
-
-
-def is_reverse_multiple(cf: ContinuedFraction, k: int) -> bool:
-    """Value-level check against the reversed digit string.  Independent of
-    any particular sigma: with repeated digits several permutations realize
-    the reversed string."""
-    return _reverse_multiple(_tip(cf), k)
 
 
 def classify(
@@ -323,21 +284,15 @@ def canonical_sigma(base: tuple[int, ...], permuted: tuple[int, ...]) -> Permuta
     return Permutation(images)
 
 
-def witness_from_permuted(
-    cf: ContinuedFraction,
-    permuted: tuple[int, ...],
-    k: int | None = None,
-    allow_noncanonical: bool = False,
-) -> Witness:
-    """Witness for a permuted digit string, using the canonical representative
-    sigma (smallest image list) for that string."""
-    return classify(cf, canonical_sigma(cf.digits, permuted), k, allow_noncanonical)
-
-
 # Most multipliers k that ``find_witnesses`` tries for one string.  The
 # count is about a0 / 2 when the string holds a 1, so a huge leading digit
 # would otherwise never finish.
 MAX_K_CANDIDATES = 10**6
+# Most witnesses one string yields with ``all_sigmas`` (``find_witnesses``,
+# and ``search`` without dedupe), all held at once.  Each hit has
+# prod(multiplicity!) realizing image lists: 9! * 10! for nine 1s and ten
+# 2s, but at most 14 400 for any string of 10 digits <= 4.
+MAX_SIGMA_LISTS = 10**5
 
 
 def _k_range(p: int, q: int, top: int, smallest: int, k_bounds: tuple[int, float]) -> range:
@@ -376,20 +331,26 @@ def _hits(
     return hits
 
 
-def _realizing(
-    base: tuple[int, ...], permuted: tuple[int, ...], used: frozenset[int] = frozenset()
-) -> Iterator[tuple[int, ...]]:
+def _realizing(base: tuple[int, ...], permuted: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every image list realizing ``permuted`` from ``base``, in lexicographic
-    order: the next position takes each unused source index holding its
-    digit, smallest first."""
-    j = len(used)
-    if j == len(permuted):
-        yield ()
-        return
+    order.
+
+    Position j takes the c_j-th smallest source index still free among
+    those holding its digit.  A smaller c_j gives a smaller index, so the
+    lists come in the lexicographic order of their codes (c_0, c_1, ...),
+    which ``product`` walks without recursion.
+    """
+    sources = defaultdict(list)
     for i, d in enumerate(base):
-        if d == permuted[j] and i not in used:
-            for rest in _realizing(base, permuted, used | {i}):
-                yield (i, *rest)
+        sources[d].append(i)
+    left = {d: len(s) for d, s in sources.items()}
+    choices = []
+    for d in permuted:
+        choices.append(range(left[d]))
+        left[d] -= 1
+    for code in product(*choices):
+        free = {d: list(s) for d, s in sources.items()}
+        yield tuple(free[d].pop(c) for d, c in zip(permuted, code))
 
 
 def _witness_list(
@@ -400,11 +361,18 @@ def _witness_list(
 ) -> list[Witness]:
     """Classified witnesses for hits ordered by permuted string.  Each carries
     the canonical sigma, or with ``all_sigmas`` becomes one Witness per
-    realizing image list, in lexicographic order."""
+    realizing image list, in lexicographic order.  Every hit has
+    prod(multiplicity!) realizing lists; more than ``MAX_SIGMA_LISTS`` in
+    all are refused with ValueError before any is built."""
     if not hits:
         return []
     cf = ContinuedFraction(digits)
     if all_sigmas:
+        lists = len(hits) * prod(factorial(c) for c in Counter(digits).values())
+        if lists > MAX_SIGMA_LISTS:
+            raise ValueError(
+                f"{cf} has {lists} realizing image lists, over the limit of {MAX_SIGMA_LISTS}"
+            )
         pairs = [
             (Permutation(im), k) for permuted, k in hits for im in _realizing(digits, permuted)
         ]

@@ -203,12 +203,14 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_three_digit_reverse(args) -> int:
     if args.a0 is None:
-        return _emit(enumerate_three_digit_reverse(args.k, args.a0_max), args.json)
-    witness = three_digit_reverse(args.k, args.a0)
-    if witness is None:
-        print(f"no 3-digit reverse multiple with k={args.k}, a0={args.a0}")
+        found, lead = enumerate_three_digit_reverse(args.k, args.a0_max), f"a0 <= {args.a0_max}"
+    else:
+        witness = three_digit_reverse(args.k, args.a0)
+        found, lead = [] if witness is None else [witness], f"a0={args.a0}"
+    if not found:
+        print(f"no 3-digit reverse multiple with k={args.k}, {lead}")
         return 1
-    return _emit([witness], args.json)
+    return _emit(found, args.json)
 
 
 def _cmd_perfect(args) -> int:
@@ -469,6 +471,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

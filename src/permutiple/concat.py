@@ -3,8 +3,10 @@
 Concatenating a Landess witness with a continuant-preserving witness of the
 same multiplier yields another continuant-preserving permutiple under the
 block permutation; palindromic lists of reverse multiples concatenate to a
-reverse multiple.  The bracket views expose the four continuants of a digit
-string used by these closure arguments.
+reverse multiple.  Both closures take and return a ``Witness`` and read
+the flags they need off it.  ``concat`` joins two non-empty digit strings;
+there is no empty string.  The bracket views expose the four continuants of
+a digit string used by these closure arguments.
 """
 
 from __future__ import annotations
@@ -14,16 +16,6 @@ from typing import Sequence
 
 from .cf import ContinuedFraction
 from .classify import Permutation, Witness, _tip, classify
-
-
-class _EmptyWord:
-    """Identity element for concatenation; never evaluated or emitted."""
-
-    def __repr__(self) -> str:
-        return "EMPTY"
-
-
-EMPTY = _EmptyWord()
 
 
 @dataclass(frozen=True)
@@ -43,16 +35,12 @@ def bracket_views(cf: ContinuedFraction) -> BracketViews:
     return BracketViews(full, drop_first, drop_last, drop_both)
 
 
-def concat(c1, c2):
-    """Concatenate digit strings; EMPTY acts as the identity.
+def concat(c1: ContinuedFraction, c2: ContinuedFraction) -> ContinuedFraction:
+    """The digit string of c1 followed by the digits of c2.
 
     Interior digits may be anything >= 1, so c1's canonicality is
     irrelevant; the result is canonical exactly when c2 is.
     """
-    if c1 is EMPTY:
-        return c2
-    if c2 is EMPTY:
-        return c1
     return ContinuedFraction(c1.digits + c2.digits)
 
 

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cf import ContinuedFraction
-from .classify import (
-    Permutation,
-    Witness,
-    classify,
-    witness_from_permuted,
-)
+from .classify import Permutation, Witness, canonical_sigma, classify
 
 
 def two_digit(k: int, s: int) -> Witness:
@@ -64,7 +59,7 @@ def three_digit_reverse(k: int, a0: int) -> Witness | None:
     if a0 * a1 + 1 != k * (a1 * a2 + 1):
         return None
     cf = ContinuedFraction((a0, a1, a2))
-    return witness_from_permuted(cf, (a2, a1, a0), k, allow_noncanonical=True)
+    return classify(cf, canonical_sigma(cf.digits, (a2, a1, a0)), k, allow_noncanonical=True)
 
 
 def enumerate_three_digit_reverse(k: int, a0_max: int) -> list[Witness]:

@@ -21,6 +21,7 @@ from permutiple import (
     SearchConfig,
     asymptotic_continuant_gap,
     bracket_views,
+    canonical_sigma,
     check_conjectures,
     classify,
     concat,
@@ -37,7 +38,6 @@ from permutiple import (
     tails,
     two_digit,
     verify_surd_permutiple,
-    witness_from_permuted,
 )
 
 CF = ContinuedFraction
@@ -81,7 +81,7 @@ GALLERY = [
 def test_criterion_1_example_gallery():
     for digits, permuted, k, expected_flags in GALLERY:
         assert nested_eval(digits) == k * nested_eval(permuted)  # independent oracle
-        w = witness_from_permuted(CF(digits), permuted, k)
+        w = classify(CF(digits), canonical_sigma(digits, permuted), k)
         assert w.value == evaluate(CF(digits))
         assert w.value == k * w.permuted_value
         assert w.permuted.digits == permuted

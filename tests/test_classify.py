@@ -17,15 +17,10 @@ from permutiple import (
     continuant,
     convergents,
     find_witnesses,
-    is_continuant_preserving,
-    is_landess,
     is_perfect,
-    is_reverse_multiple,
     is_symmetric,
     permute_digits,
     perfect_reverse,
-    permutiple_multiplier,
-    witness_from_permuted,
 )
 
 classify_module = sys.modules["permutiple.classify"]
@@ -48,19 +43,9 @@ class TestPermutation:
         assert str(REVERSAL_3) == "2,1,0"
 
     def test_derived_attributes(self):
-        sigma = P((3, 0, 4, 5, 1, 2))
-        assert sigma.cycles == ((0, 3, 5, 2, 4, 1),)
-        assert sigma.order == 6
-        assert sigma.cycle_type == (6,)
-        assert sigma.is_derangement
-        assert not sigma.is_reversal and not sigma.is_identity
-        swap_pairs = P((1, 0, 3, 2))
-        assert swap_pairs.cycles == ((0, 1), (2, 3))
-        assert swap_pairs.order == 2
-        assert P.identity(4).is_identity
-        assert P.reversal(4).is_reversal
-        assert P.reversal(4).is_derangement
-        assert not P.reversal(3).is_derangement  # odd size fixes the middle
+        assert P((3, 0, 4, 5, 1, 2)).cycles == ((0, 3, 5, 2, 4, 1),)
+        assert P((1, 0, 3, 2)).cycles == ((0, 1), (2, 3))
+        assert P.identity(4).cycles == ((0,), (1,), (2,), (3,))
         assert P.reversal(3).images == (2, 1, 0)
 
 
@@ -77,12 +62,14 @@ class TestPermuteDigits:
 
 class TestMultiplier:
     def test_examples(self):
-        assert permutiple_multiplier(CF((7, 1, 3)), REVERSAL_3) == 2
-        assert permutiple_multiplier(CF((7, 1, 3)), P.identity(3)) is None
-        assert permutiple_multiplier(CF((11, 1, 10, 2, 3)), P((1, 4, 0, 2, 3))) == 9
+        assert classify(CF((7, 1, 3)), REVERSAL_3).k == 2
+        assert classify(CF((11, 1, 10, 2, 3)), P((1, 4, 0, 2, 3))).k == 9
 
-    def test_non_integer_ratio(self):
-        assert permutiple_multiplier(CF((7, 1, 3)), P((1, 0, 2))) is None
+    def test_ratio_one_or_not_an_integer(self):
+        with pytest.raises(NotAPermutipleError):
+            classify(CF((7, 1, 3)), P.identity(3))
+        with pytest.raises(NotAPermutipleError):
+            classify(CF((7, 1, 3)), P((1, 0, 2)))
 
     def test_agrees_with_brute_oracle(self):
         rng = random.Random(5)
@@ -90,20 +77,21 @@ class TestMultiplier:
             ds = tuple(rng.randint(1, 8) for _ in range(rng.randint(2, 4)))
             oracle = brute_force_witnesses(ds)
             for permuted, k in oracle.items():
-                assert permutiple_multiplier(CF(ds), canonical_sigma(ds, permuted)) == k
+                sigma = canonical_sigma(ds, permuted)
+                assert classify(CF(ds), sigma, allow_noncanonical=True).k == k
 
 
 class TestPredicates:
     def test_continuant_preserving(self):
-        assert is_continuant_preserving(CF((7, 1, 3)), REVERSAL_3)
+        assert classify(CF((7, 1, 3)), REVERSAL_3).flags.continuant_preserving
         cf = CF((11, 1, 10, 2, 3))
         sigma = P((1, 4, 0, 2, 3))
-        assert is_continuant_preserving(cf, sigma)
+        assert classify(cf, sigma).flags.continuant_preserving
         assert continuant(cf.digits) == 953
         assert continuant(permute_digits(cf, sigma).digits) == 953
         cf = CF((9, 3, 2, 8, 2))
         sigma = canonical_sigma(cf.digits, (2, 3, 9, 2, 8))
-        assert is_continuant_preserving(cf, sigma)
+        assert classify(cf, sigma).flags.continuant_preserving
         assert continuant(cf.digits) == 1161
 
     def test_perfect(self):
@@ -125,46 +113,45 @@ class TestPredicates:
         cf = CF((2, 1, 5, 1, 2))
         sigma = canonical_sigma(cf.digits, (1, 2, 2, 1, 5))
         assert sigma.images == (1, 0, 4, 3, 2)
-        assert is_landess(cf, sigma, 2)
+        assert classify(cf, sigma, 2).flags.landess
         assert continuant(cf.digits[:-1]) == 20 == 2 * 10
         assert continuant(cf.digits[1:-1]) == 7
-        assert not is_landess(CF((11, 1, 10, 2, 3)), P((1, 4, 0, 2, 3)), 9)
-        assert is_landess(CF((7, 1, 3)), REVERSAL_3, 2)
-        # p_n and p_{n-1} relations hold; only q_{n-1} == q'_{n-1} fails
-        cf = CF((3, 6, 2, 1, 1))
-        assert not is_landess(cf, canonical_sigma(cf.digits, (3, 1, 2, 1, 6)), 4)
+        assert not classify(CF((11, 1, 10, 2, 3)), P((1, 4, 0, 2, 3)), 9).flags.landess
+        assert classify(CF((7, 1, 3)), REVERSAL_3, 2).flags.landess
 
     def test_reverse_multiple(self):
-        assert is_reverse_multiple(CF((7, 1, 3)), 2)
-        assert is_reverse_multiple(CF((7, 2, 1, 3)), 2)
-        assert not is_reverse_multiple(CF((7, 1, 14, 2)), 7)
+        assert classify(CF((7, 1, 3)), REVERSAL_3, 2).flags.reverse_multiple
+        assert classify(CF((7, 2, 1, 3)), P.reversal(4), 2).flags.reverse_multiple
+        assert not classify(CF((7, 1, 14, 2)), P((1, 0, 3, 2)), 7).flags.reverse_multiple
 
     def test_against_definitions_exhaustive_small(self):
-        # every string of 1..4 digits <= 4, canonical or not, every sigma and
-        # k = 1..4, against nested evaluation and matrix continuants; pins the
-        # mirror formula (reverse multiples) and the single-digit seed
+        # every string of 1..4 digits <= 4, canonical or not, and every sigma,
+        # against nested evaluation and matrix continuants: a pair that is no
+        # permutiple is refused, and a witness's k and value-level flags match
+        # their definitions, which pins the mirror formula (reverse multiples)
         K = matrix_continuant
         for m in range(1, 5):
             for ds in itertools.product(range(1, 5), repeat=m):
                 cf = CF(ds)
                 value = nested_eval(ds)
-                for k in range(1, 5):
-                    assert is_reverse_multiple(cf, k) == (value == k * nested_eval(ds[::-1]))
                 for images in itertools.permutations(range(m)):
                     sigma = P(images)
                     ps = tuple(ds[i] for i in images)
                     ratio = value / nested_eval(ps)
-                    k_def = ratio.numerator if ratio.denominator == 1 and ratio >= 2 else None
-                    assert permutiple_multiplier(cf, sigma) == k_def
+                    if ratio.denominator != 1 or ratio < 2:
+                        with pytest.raises(NotAPermutipleError):
+                            classify(cf, sigma, allow_noncanonical=True)
+                        continue
+                    k = ratio.numerator
+                    w = classify(cf, sigma, allow_noncanonical=True)
+                    assert w.k == k
                     preserving = K(ds) == K(ps)
-                    assert is_continuant_preserving(cf, sigma) == preserving
-                    for k in range(1, 5):
-                        landess = (
-                            preserving
-                            and K(ds[:-1]) == k * K(ps[:-1])
-                            and K(ds[1:-1]) == K(ps[1:-1])
-                        )
-                        assert is_landess(cf, sigma, k) == landess
+                    assert w.flags.continuant_preserving == preserving
+                    assert w.flags.landess == (
+                        preserving and K(ds[:-1]) == k * K(ps[:-1]) and K(ds[1:-1]) == K(ps[1:-1])
+                    )
+                    reverse = value == k * nested_eval(ds[::-1])
+                    assert w.flags.reverse_multiple == reverse
 
 
 class TestClassify:
@@ -314,6 +301,16 @@ class TestFindWitnesses:
         with pytest.raises(ValueError, match="7 multipliers"):
             find_witnesses(CF((10, 1, 2)))
 
+    def test_all_sigmas_refuses_strings_over_the_list_limit(self, monkeypatch):
+        # one hit, and 2!^4 image lists realize it
+        cf = CF((4, 3, 6, 2, 4, 3, 6, 2))
+        monkeypatch.setattr(classify_module, "MAX_SIGMA_LISTS", 16)
+        assert len(find_witnesses(cf, all_sigmas=True)) == 16
+        monkeypatch.setattr(classify_module, "MAX_SIGMA_LISTS", 15)
+        with pytest.raises(ValueError, match="16 realizing image lists"):
+            find_witnesses(cf, all_sigmas=True)
+        assert len(find_witnesses(cf)) == 1  # one witness per permuted string: no walk
+
     def test_refuses_a_one_beside_a_huge_leading_digit(self):
         # about two thirds of 10**7 multipliers, refused before any is tried
         with pytest.raises(ValueError, match="over the limit"):
@@ -380,7 +377,3 @@ class TestCanonicalSigma:
     def test_rejects_non_rearrangement(self):
         with pytest.raises(ValueError):
             canonical_sigma((7, 1, 3), (3, 3, 7))
-
-    def test_witness_from_permuted(self):
-        w = witness_from_permuted(CF((7, 1, 3)), (3, 1, 7))
-        assert w.k == 2 and w.sigma == REVERSAL_3

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 from unittest import mock
 
@@ -98,6 +99,23 @@ class TestWitnesses:
         assert out.startswith("6;2,3,3,6,5,15,2,9,1,6,2 = 3 * 2;6,1,9,2,15,5,6,3,3,2,6 |")
         assert out.count("\n") == 1
 
+    def test_all_sigmas_on_a_1000_digit_witness(self, capsys):
+        # distinct digits: one realizing image list, walked without recursion
+        sigma = permutiple.Permutation(tuple(j ^ 1 for j in range(1000)))
+        params = permutiple.PerfectParameters(sigma, 2, tuple(range(1, 1000, 2)))
+        cf = permutiple.format_cf(permutiple.perfect_from_parameters(params).cf)
+        code, out, _ = run(["witnesses", "--cf", cf, "--all-sigmas"], capsys)
+        assert code == 0
+        assert out.count("\n") == 1 and " | sigma 1,0,3,2," in out
+
+    def test_all_sigmas_over_the_list_limit_is_refused(self, capsys):
+        limit = sys.modules["permutiple.classify"].MAX_SIGMA_LISTS
+        cf = "4;1,2,1,2,1,2,1,2,1,2,1,2,1,2,1,2,1,2,2"  # one hit, nine 1s and ten 2s
+        code, out, err = run(["witnesses", "--cf", cf, "--all-sigmas"], capsys)
+        assert code == 2 and out == ""
+        lists = factorial(9) * factorial(10)
+        assert err == f"error: {cf} has {lists} realizing image lists, over the limit of {limit}\n"
+
 
 class TestSearch:
     def test_jsonl_to_stdout(self, capsys):
@@ -186,6 +204,12 @@ class TestEnumerate:
     def test_three_digit_reverse_no_solution(self, capsys):
         code, out, _ = run(["enumerate", "three-digit-reverse", "--k", "5", "--a0", "8"], capsys)
         assert code == 1 and "no 3-digit reverse multiple" in out
+
+    def test_three_digit_reverse_empty_range_exits_one(self, capsys):
+        code, out, _ = run(
+            ["enumerate", "three-digit-reverse", "--k", "2", "--a0-max", "1"], capsys
+        )
+        assert code == 1 and out == "no 3-digit reverse multiple with k=2, a0 <= 1\n"
 
     def test_three_digit_reverse_range(self, capsys):
         code, out, _ = run(
@@ -341,6 +365,15 @@ class TestUsageErrors:
             code, out, err = run(argv, capsys)
             assert code == 2
             assert err.startswith("error: ") and out == ""
+
+    def test_memory_error_is_a_usage_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(sys.modules["permutiple.cli"], "find_witnesses", exhausted)
+        code, out, err = run(["witnesses", "--cf", "7;1,3"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: out of memory\n"
 
     def test_eval_needs_exactly_one_source(self, capsys):
         for argv in (["eval"], ["eval", "--cf", "7;1,3", "--rational", "3/2"]):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from permutiple import (
-    EMPTY,
     BracketViews,
     ContinuedFraction,
     PerfectParameters,
@@ -41,12 +40,6 @@ class TestConcat:
     def test_canonicality_follows_right_factor(self):
         assert concat(CF((5, 3, 1)), CF((2,))).is_canonical
         assert not concat(CF((7, 1, 3)), CF((5, 3, 1))).is_canonical
-
-    def test_empty_is_identity(self):
-        cf = CF((7, 1, 3))
-        assert concat(EMPTY, cf) == cf
-        assert concat(cf, EMPTY) == cf
-        assert concat(EMPTY, EMPTY) is EMPTY
 
     def test_associative(self):
         rng = random.Random(3)

@@ -2,7 +2,7 @@ import hashlib
 import io
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from conftest import brute_force_witnesses, nested_eval
@@ -118,15 +118,17 @@ def _four_condition_rule(sigma: Permutation) -> bool:
     """The validator's earlier statement, kept as the oracle: a derangement
     of even order on an even number of symbols, every cycle parity-balanced,
     and a zero alternating-sign sum over each position's orbit of
-    sigma.order steps."""
-    if len(sigma) % 2 or not sigma.is_derangement or sigma.order % 2:
+    sigma's order steps."""
+    order = lcm(*(len(cycle) for cycle in sigma.cycles))
+    derangement = all(sigma(j) != j for j in range(len(sigma)))
+    if len(sigma) % 2 or not derangement or order % 2:
         return False
     for cycle in sigma.cycles:
         if 2 * sum(1 for j in cycle if j % 2 == 0) != len(cycle):
             return False
     for j in range(len(sigma)):
         total, t = 0, j
-        for _ in range(sigma.order):
+        for _ in range(order):
             total += 1 if t % 2 == 0 else -1
             t = sigma(t)
         if total:
