@@ -3,19 +3,21 @@
 Each length's digit multisets are enumerated once, lazily; a multiset in
 which no digit is at most half another is skipped, as none of its bases
 can have a partner.  A multiset gets one table of its distinct
-arrangements in lexicographic order, each with its value p/q from one
-backward continuant walk.  A base (a0 >= 2, last digit >= 2 unless
-non-canonical bases are searched) can only have partners led by digits
-<= a0 // 2, a prefix of the table.  It scans that prefix, or looks up the
-one partner value p / (k*q) of each multiplier k its lead allows in a
-(p, q) index of the table; each lead group picks one of the two by its own
-prefix length and multiplier count.  Either way the candidates go through
-the exact test that ``classify.find_witnesses`` uses too.  Lengths above
-``MAX_BRUTE_FORCE_DIGITS`` are refused, as each table still walks all m!
-orderings.  Worker processes take strided parts of each length's
-multisets; the parts' hits are sorted by base per length before they are
-classified, so the output stream is in (length, digits, permuted) order and
-identical for any worker count.
+arrangements in lexicographic order, each with its value p/q: a row is a
+digit in front of a row of the multiset less that digit, whose table is
+built once per scanned part and kept for the longer multisets after it.
+A base (a0 >= 2, last digit >= 2 unless non-canonical bases are searched)
+can only have partners led by digits <= a0 // 2, a prefix of the table.
+It scans that prefix, or looks up the one partner value p / (k*q) of each
+multiplier k its lead allows in a (p, q) index of the table; each lead
+group picks one of the two by its own prefix length and multiplier count.
+Either way the candidates go through the exact test that
+``classify.find_witnesses`` uses too.  A config is refused when its
+longest length has over ``MAX_MULTISETS`` multisets or its shorter tables
+would hold over ``MAX_TABLE_ROWS`` rows.  Worker processes take strided
+parts of each length's multisets; the parts' hits are sorted by base per
+length before they are classified, so the output stream is in (length,
+digits, permuted) order and identical for any worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cf import _continuant_pair, format_cf
+from .cf import format_cf
 from .classify import (
     FLAG_ORDER,
     Witness,
@@ -41,14 +43,15 @@ from .classify import (
     format_permutation,
 )
 
-# Longest searched length: each multiset's table walks all m! orderings of
-# its digits, and each further digit multiplies that walk by its own count.
-MAX_BRUTE_FORCE_DIGITS = 10
 # Worker processes a scan may start: the pool forks them all at once.
 MAX_WORKERS = 64
 # Digit multisets of the longest searched length, C(max_digit + m - 1, m),
 # that a config may ask for; past this a scan would not finish.
 MAX_MULTISETS = 10**8
+# Rows that the tables of one length's shorter multisets may hold: a length-m
+# scan keeps them all, at most max_digit**j rows of each length j < m, in
+# each worker process.
+MAX_TABLE_ROWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -75,14 +78,25 @@ class SearchConfig:
             raise ValueError(f"empty length range {self.length!r}: low exceeds high")
         if low < 2:
             raise ValueError("searched lengths must be >= 2")
-        if high > MAX_BRUTE_FORCE_DIGITS:
-            raise ValueError(f"searched lengths must be <= {MAX_BRUTE_FORCE_DIGITS}")
         if self.max_digit < 2:
             raise ValueError("max_digit must be >= 2")
-        if math.comb(self.max_digit + high - 1, high) > MAX_MULTISETS:
-            raise ValueError(
-                f"length {high} with digits <= {self.max_digit} is over {MAX_MULTISETS} multisets"
-            )
+        # Both counts grow with the length, so walking the lengths up to the
+        # longest and stopping at the first over a bound never computes
+        # either far past it.
+        d = self.max_digit
+        multisets = rows = d  # of length 1
+        for m in range(2, high + 1):
+            multisets = multisets * (d + m - 1) // m  # C(d + m - 1, m)
+            if multisets > MAX_MULTISETS:
+                raise ValueError(
+                    f"length {high} with digits <= {d} is over {MAX_MULTISETS} multisets"
+                )
+            if rows > MAX_TABLE_ROWS:  # d + d**2 + ... + d**(m-1)
+                raise ValueError(
+                    f"length {high} with digits <= {d} is over {MAX_TABLE_ROWS} rows"
+                    " of shorter tables"
+                )
+            rows = rows * d + d
         if self.k_min is not None and self.k_min < 2:
             raise ValueError("k_min must be >= 2 when given")
         if self.k_max is not None and self.k_max < (self.k_min or 2):
@@ -102,6 +116,8 @@ class SearchConfig:
 
 # (base digits, its (permuted, k) hits ordered by permuted string)
 _Hits = tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
+# (arrangement, p, q): an arrangement of a multiset and its value p/q
+_Row = tuple[tuple[int, ...], int, int]
 
 
 def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
@@ -109,32 +125,61 @@ def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
     config, m, part = args
     k_bounds = (config.k_min or 2, math.inf if config.k_max is None else config.k_max)
     multisets = itertools.combinations_with_replacement(range(1, config.max_digit + 1), m)
+    memo: dict[tuple[int, ...], list[_Row]] = {}
     out: list[_Hits] = []
     for multiset in itertools.islice(multisets, part, None, config.workers):
         # a partner is led by a digit <= a0 // 2, so some digit must be <= half another
         if 2 * multiset[0] <= multiset[-1]:
-            out += _multiset_hits(multiset, config.canonical_only, k_bounds)
+            out += _multiset_hits(multiset, config.canonical_only, k_bounds, memo)
     return out
 
 
-def _arrangement_table(multiset: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]:
+def _arrangement_table(
+    multiset: tuple[int, ...], memo: dict[tuple[int, ...], list[_Row]]
+) -> list[_Row]:
     """(arrangement, p, q) for each distinct arrangement of a sorted multiset,
     in lexicographic order, with p/q its value in lowest terms.
 
-    ``permutations`` of a sorted tuple come in lexicographic order, and
-    ``dict.fromkeys`` keeps the first of each repeat, so no sort is needed.
+    Each distinct digit d, ascending, goes in front of every row (tail, p, q)
+    of the table of the multiset less d, in that table's order, with the
+    value (d*p + q) / p.  Continuants are coprime, so no fraction needs
+    reducing, and no permutation or sort is walked.  The tables of the
+    shorter multisets come from ``memo``, or are built and kept there; the
+    table returned is not kept.  A one-digit tail (e,) is e/1, so two-digit
+    rows are built without a lookup; the empty multiset's one row is
+    (), 1, 0, as in ``_continuant_pair``.
     """
-    return [
-        (arrangement, *_continuant_pair(arrangement))
-        for arrangement in dict.fromkeys(itertools.permutations(multiset))
-    ]
+    if not multiset:
+        return [((), 1, 0)]
+    rows: list[_Row] = []
+    previous = None
+    for i, d in enumerate(multiset):
+        if d == previous:
+            continue
+        previous = d
+        rest = multiset[:i] + multiset[i + 1 :]
+        if len(rest) == 1:
+            e = rest[0]
+            rows.append(((d, e), d * e + 1, e))
+            continue
+        tails = memo.get(rest)
+        if tails is None:
+            tails = memo[rest] = _arrangement_table(rest, memo)
+        head = (d,)
+        rows += [(head + tail, d * p + q, p) for tail, p, q in tails]
+    return rows
 
 
 def _multiset_hits(
-    multiset: tuple[int, ...], canonical_only: bool, k_bounds: tuple[int, float]
+    multiset: tuple[int, ...],
+    canonical_only: bool,
+    k_bounds: tuple[int, float],
+    memo: dict[tuple[int, ...], list[_Row]],
 ) -> list[_Hits]:
     """Hits of every base arranged from one sorted digit multiset.
 
+    Its table is built from the shorter tables in ``memo``, the one memo of
+    the part being scanned, and is dropped once its bases are tested.
     A base's partners are the arrangements led by a digit <= a0 // 2: the
     table prefix ``table[:end]``, tested row by row.  The other way is one
     (p, q) index lookup per multiplier in the lead's ``_k_range``, which
@@ -144,7 +189,7 @@ def _multiset_hits(
     group that looks anything up builds the index.
     """
     m, smallest = len(multiset), multiset[0]
-    table = _arrangement_table(multiset)
+    table = _arrangement_table(multiset, memo)
     index = None
     out: list[_Hits] = []
     lead = end = 0

@@ -3,7 +3,7 @@
 These deliberately avoid the library's code paths: evaluation nests the
 fraction directly, continuants come from 2x2 matrix products, and the
 witness oracle tries every permutation against exact Fraction values with
-no pruning.
+no pruning.  Tests marked ``slow`` run only with ``--run-slow``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,25 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+
+import pytest
+
+
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true", help="also run tests marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: a long scan, run only with --run-slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow: run with --run-slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 def nested_eval(digits) -> Fraction:

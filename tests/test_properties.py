@@ -119,7 +119,7 @@ def test_convergents_of_permuted_strings_stay_reduced(ds, rng):
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
 def test_arrangement_table_is_the_sorted_distinct_arrangements(ds):
     multiset = tuple(sorted(ds))
-    table = _arrangement_table(multiset)
+    table = _arrangement_table(multiset, {})
     assert [row[0] for row in table] == sorted(set(itertools.permutations(multiset)))
     for arrangement, p, q in table:
         assert (p, q) == (continuant(arrangement), continuant(arrangement[1:]))

@@ -18,11 +18,13 @@ from permutiple import (
     classify,
     exhaustive_search,
     export,
+    find_witnesses,
     witness_record,
 )
 from permutiple import search
+from permutiple.cf import _continuant_pair
 from permutiple.cli import main
-from permutiple.search import MAX_MULTISETS, MAX_WORKERS
+from permutiple.search import MAX_MULTISETS, MAX_TABLE_ROWS, MAX_WORKERS
 
 CF = ContinuedFraction
 
@@ -81,10 +83,14 @@ class TestSearchConfig:
         SearchConfig(length=2, max_digit=5, k_min=3, k_max=3)  # one multiplier: accepted
         with pytest.raises(ValueError, match="empty length range"):
             SearchConfig(length=(5, 3), max_digit=5)
-        SearchConfig(length=10, max_digit=2)  # at the brute-force limit: accepted
-        for length in ((2, 11), (2, 10**12)):  # refused before the range is built
-            with pytest.raises(ValueError, match="<= 10"):
-                SearchConfig(length=length, max_digit=5)
+        # 4 + 4**2 + ... + 4**9 = 349 524 rows of shorter tables: accepted; to 4**10, refused
+        assert sum(4**j for j in range(1, 10)) <= MAX_TABLE_ROWS < sum(4**j for j in range(1, 11))
+        SearchConfig(length=10, max_digit=4)
+        for length, max_digit in ((11, 4), ((2, 11), 5), ((2, 10**12), 5), ((2, 10**12), 2)):
+            with pytest.raises(ValueError, match=f"over {MAX_TABLE_ROWS} rows"):
+                SearchConfig(length=length, max_digit=max_digit)  # before the range is built
+        with pytest.raises(ValueError, match="multisets"):  # no C(10**12 + 10**6, 10**6) either
+            SearchConfig(length=(2, 10**12), max_digit=10**6)
 
     def test_refuses_work_that_cannot_finish(self):
         SearchConfig(length=2, max_digit=3, workers=MAX_WORKERS)
@@ -191,6 +197,22 @@ class TestExhaustiveSearch:
         assert stream(config) == expected
 
     @pytest.mark.parametrize(
+        "length, max_digit, count", [(8, 4, 54), pytest.param(8, 5, 167, marks=pytest.mark.slow)]
+    )
+    def test_long_lengths_match_per_base_find_witnesses(self, length, max_digit, count):
+        # find_witnesses draws each candidate from the Euclid expansion of
+        # p / (k*q), with no arrangement table; only _hits and _k_range are shared
+        expected = [
+            (ds, w.sigma.images, w.k)
+            for ds in itertools.product(range(1, max_digit + 1), repeat=length)
+            if ds[-1] >= 2
+            for w in find_witnesses(CF(ds))
+        ]
+        config = SearchConfig(length=length, max_digit=max_digit)
+        assert [(w.cf.digits, w.sigma.images, w.k) for w in run(config)] == expected
+        assert len(expected) == count
+
+    @pytest.mark.parametrize(
         "length, max_digit, count, sha256",
         [
             (3, 40, 152, "720c2111a791d554faeb09ec23dea47e8ed82af6c5ea3298edae99a794b16cd6"),
@@ -265,6 +287,24 @@ class TestExhaustiveSearch:
         for w in run(SearchConfig(length=(2, 4), max_digit=5)):
             assert w.value == w.k * w.permuted_value
             assert w.cf.digits[0] > w.permuted.digits[0]
+
+
+class TestArrangementTable:
+    def test_long_multiset_with_repeated_digits(self):
+        multiset = (1, 1, 1, 1, 1, 1, 2, 4)
+        table = search._arrangement_table(multiset, {})
+        arrangements = sorted(set(itertools.permutations(multiset)))
+        assert len(table) == 56  # 8! / 6! distinct rows, against 8! = 40 320 orderings
+        assert table == [(a, *_continuant_pair(a)) for a in arrangements]
+
+    def test_memo_holds_only_shorter_tables(self):
+        memo = {}
+        for multiset in itertools.combinations_with_replacement(range(1, 5), 6):
+            search._multiset_hits(multiset, True, (2, math.inf), memo)
+        # one-digit tails are built inline and top-length tables are dropped
+        assert {len(multiset) for multiset in memo} == {2, 3, 4, 5}
+        for multiset, table in memo.items():
+            assert table == search._arrangement_table(multiset, {})
 
 
 class TestConjectures:
