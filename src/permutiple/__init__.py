@@ -11,7 +11,6 @@ from .cf import (
     format_cf,
     format_rational,
     from_rational,
-    gauss_step,
     parse_rational,
     tails,
 )

@@ -47,9 +47,6 @@ class ContinuedFraction:
         """
         return len(self.digits) == 1 or self.digits[-1] >= 2
 
-    def reverse(self) -> ContinuedFraction:
-        return ContinuedFraction(self.digits[::-1])
-
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -76,21 +73,6 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _continuant_pair(xs: tuple[int, ...]) -> tuple[int, int]:
-    """(K(x0, ..., x_{m-1}), K(x1, ..., x_{m-1})) from one backward walk:
-    the value of the string as a reduced fraction."""
-    p, q = 1, 0
-    for x in reversed(xs):
-        p, q = x * p + q, p
-    return p, q
-
-
-def continuant(xs: Iterable[int]) -> int:
-    """Continuant K(x0, ..., x_{m-1}): K() = 1, K(x0) = x0, and
-    K(x0, x1, ...) = x0 * K(x1, ...) + K(x2, ...)."""
-    return _continuant_pair(tuple(xs))[0]
-
-
 def _convergents(digits: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The convergent pairs of a digit sequence, one per digit as it is read,
     so a lazy sequence is walked only as far as the caller goes."""
@@ -111,19 +93,34 @@ def convergents(cf: ContinuedFraction) -> tuple[tuple[int, int], ...]:
     return tuple(_convergents(cf.digits))
 
 
+# ((p_n, q_n), (p_{n-1}, q_{n-1})): the value of a string, p_n = K(a0, ..., an)
+# over q_n = K(a1, ..., an), and the convergent before it
+_Tip = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _tip(digits: Iterable[int]) -> _Tip:
+    """The last two convergent pairs of one walk of the digits; no other pair
+    is kept.
+
+    The seeds (p_{-2}, q_{-2}) = (0, 1) and (p_{-1}, q_{-1}) = (1, 0) stand
+    in for the pairs a short string lacks: one digit reads (1, 0) as its
+    (p_{n-1}, q_{n-1}), and no digits read (1, 0) as the value, K() = 1.
+    """
+    before, last = (0, 1), (1, 0)
+    for pair in _convergents(digits):
+        before, last = last, pair
+    return last, before
+
+
+def continuant(xs: Iterable[int]) -> int:
+    """Continuant K(x0, ..., x_{m-1}): K() = 1, K(x0) = x0, and
+    K(x0, x1, ...) = x0 * K(x1, ...) + K(x2, ...)."""
+    return _tip(xs)[0][0]
+
+
 def evaluate(cf: ContinuedFraction) -> Fraction:
     """Exact value of the digit string, evaluated as written (canonical or not)."""
-    return Fraction(*_continuant_pair(cf.digits))
-
-
-def gauss_step(x: Fraction) -> Fraction:
-    """One step of the digit left-shift map on [0,1): 0 -> 0, else frac(1/x)."""
-    if not 0 <= x < 1:
-        raise ValueError(f"{x} is outside [0, 1)")
-    if x == 0:
-        return Fraction(0)
-    inv = 1 / x
-    return inv - (inv.numerator // inv.denominator)
+    return Fraction(*_tip(cf.digits)[0])
 
 
 def tails(cf: ContinuedFraction) -> tuple[Fraction, ...]:
@@ -131,9 +128,9 @@ def tails(cf: ContinuedFraction) -> tuple[Fraction, ...]:
     string [0; a_{j+1}, ..., an].
 
     For a canonical string this is exactly the left-shift orbit of the
-    fractional part (each step is ``gauss_step`` and the digits are
-    recovered by a_{j+1} = floor(1/g_j)).  The shift is driven by the
-    stored digits, so the product identity g_0 * ... * g_{n-1} == 1/q_n
+    fractional part (each step is the Gauss map x -> frac(1/x) and the
+    digits are recovered by a_{j+1} = floor(1/g_j)).  The shift is driven
+    by the stored digits, so the product identity g_0 * ... * g_{n-1} == 1/q_n
     also holds for non-canonical strings, where the raw orbit would stray
     from the written digits.
     """

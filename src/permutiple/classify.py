@@ -12,15 +12,15 @@ one walk of each string.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import islice
 from math import factorial, gcd, inf, prod
 from typing import Iterable, Iterator
 
-from .cf import ContinuedFraction, _continuant_pair, _euclid, convergents
+from .cf import ContinuedFraction, _euclid, _Tip, _tip
 
 
 class NotAPermutipleError(ValueError):
@@ -44,15 +44,8 @@ class Permutation:
         return cls(tuple(int(part) for part in compact.split(",")))
 
     @classmethod
-    def identity(cls, size: int) -> Permutation:
-        return cls(tuple(range(size)))
-
-    @classmethod
     def reversal(cls, size: int) -> Permutation:
         return cls(tuple(range(size - 1, -1, -1)))
-
-    def __call__(self, j: int) -> int:
-        return self.images[j]
 
     def __len__(self) -> int:
         return len(self.images)
@@ -131,7 +124,7 @@ class Witness:
 
     @cached_property
     def _tips(self) -> tuple[_Tip, _Tip]:
-        return _tip(self.cf), _tip(self.permuted)
+        return _tip(self.cf.digits), _tip(self.permuted.digits)
 
     def verify(self) -> Witness:
         """Return self if value(cf) == k * value(permuted), else raise NotAPermutipleError."""
@@ -175,17 +168,6 @@ def permute_digits(cf: ContinuedFraction, sigma: Permutation) -> ContinuedFracti
     """Digit string whose j-th digit is a_sigma(j); may be non-canonical."""
     _check_lengths(cf, sigma)
     return ContinuedFraction(tuple(cf.digits[i] for i in sigma.images))
-
-
-# ((p_n, q_n), (p_{n-1}, q_{n-1})): every value-level flag reads these two pairs
-_Tip = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _tip(cf: ContinuedFraction) -> _Tip:
-    """One walk of the string; the seed (1, 0) stands in for
-    (p_{n-1}, q_{n-1}) when there is a single digit."""
-    pairs = convergents(cf)
-    return pairs[-1], pairs[-2] if len(pairs) > 1 else (1, 0)
 
 
 def _multiplier(p: int, q: int, pp: int, qp: int) -> int | None:
@@ -269,19 +251,11 @@ def classify(
 
 
 def canonical_sigma(base: tuple[int, ...], permuted: tuple[int, ...]) -> Permutation:
-    """Lexicographically smallest image list realizing ``permuted`` from ``base``.
-
-    Greedy per digit value: each position takes the smallest unused source
-    index holding the required digit.
-    """
-    positions: dict[int, deque[int]] = defaultdict(deque)
-    for i, d in enumerate(base):
-        positions[d].append(i)
-    try:
-        images = tuple(positions[d].popleft() for d in permuted)
-    except IndexError:
-        raise ValueError(f"{permuted!r} is not a rearrangement of {base!r}") from None
-    return Permutation(images)
+    """Lexicographically smallest image list realizing ``permuted`` from
+    ``base``: the first that ``_realizing`` yields."""
+    if sorted(base) != sorted(permuted):
+        raise ValueError(f"{permuted!r} is not a rearrangement of {base!r}")
+    return Permutation(next(_realizing(base, permuted)))
 
 
 # Most multipliers k that ``find_witnesses`` tries for one string.  The
@@ -333,24 +307,33 @@ def _hits(
 
 def _realizing(base: tuple[int, ...], permuted: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every image list realizing ``permuted`` from ``base``, in lexicographic
-    order.
+    order; ``permuted`` must rearrange ``base``.
 
     Position j takes the c_j-th smallest source index still free among
     those holding its digit.  A smaller c_j gives a smaller index, so the
-    lists come in the lexicographic order of their codes (c_0, c_1, ...),
-    which ``product`` walks without recursion.
+    lists come in the lexicographic order of their codes (c_0, c_1, ...).
+    An odometer walks the codes from all zeros, one code held at a time,
+    so the first list costs time and memory linear in the length.
     """
     sources = defaultdict(list)
-    for i, d in enumerate(base):
-        sources[d].append(i)
+    for i in reversed(range(len(base))):  # descending: the c-th smallest is at ~c
+        sources[base[i]].append(i)
     left = {d: len(s) for d, s in sources.items()}
-    choices = []
+    top = []  # the largest c_j
     for d in permuted:
-        choices.append(range(left[d]))
         left[d] -= 1
-    for code in product(*choices):
+        top.append(left[d])
+    code = [0] * len(permuted)
+    while True:
         free = {d: list(s) for d, s in sources.items()}
-        yield tuple(free[d].pop(c) for d, c in zip(permuted, code))
+        yield tuple(free[d].pop(~c) for d, c in zip(permuted, code))
+        j = len(code) - 1
+        while j >= 0 and code[j] == top[j]:
+            code[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        code[j] += 1
 
 
 def _witness_list(
@@ -360,10 +343,11 @@ def _witness_list(
     allow_noncanonical: bool,
 ) -> list[Witness]:
     """Classified witnesses for hits ordered by permuted string.  Each carries
-    the canonical sigma, or with ``all_sigmas`` becomes one Witness per
-    realizing image list, in lexicographic order.  Every hit has
-    prod(multiplicity!) realizing lists; more than ``MAX_SIGMA_LISTS`` in
-    all are refused with ValueError before any is built."""
+    the canonical sigma, the first realizing image list, or with
+    ``all_sigmas`` becomes one Witness per realizing list, in lexicographic
+    order.  Every hit has prod(multiplicity!) realizing lists; more than
+    ``MAX_SIGMA_LISTS`` in all are refused with ValueError before any is
+    built."""
     if not hits:
         return []
     cf = ContinuedFraction(digits)
@@ -373,12 +357,11 @@ def _witness_list(
             raise ValueError(
                 f"{cf} has {lists} realizing image lists, over the limit of {MAX_SIGMA_LISTS}"
             )
-        pairs = [
-            (Permutation(im), k) for permuted, k in hits for im in _realizing(digits, permuted)
-        ]
-    else:
-        pairs = [(canonical_sigma(digits, permuted), k) for permuted, k in hits]
-    return [classify(cf, sigma, k, allow_noncanonical) for sigma, k in pairs]
+    return [
+        classify(cf, Permutation(images), k, allow_noncanonical)
+        for permuted, k in hits
+        for images in islice(_realizing(digits, permuted), None if all_sigmas else 1)
+    ]
 
 
 def find_witnesses(
@@ -412,7 +395,7 @@ def find_witnesses(
     leads = [d for d in multiset if d <= digits[0] // 2]
     if not leads:
         return []
-    p, q = _continuant_pair(digits)
+    (p, q), _ = _tip(digits)
     ks = _k_range(p, q, leads[-1], multiset[0], (2, inf))
     if len(ks) > MAX_K_CANDIDATES:
         raise ValueError(

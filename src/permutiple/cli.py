@@ -223,8 +223,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in "".join(text.split()).split(","))
 
 
+def _refuse(args, mode: str, flags: tuple[str, ...]) -> None:
+    """A usage error for any of ``flags`` given where ``mode`` would ignore it."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"{mode} does not take --{flag}")
+
+
 def _cmd_concat(args) -> int:
     if args.palindrome:
+        _refuse(args, "--palindrome", ("cf1", "sigma1", "cf2", "sigma2"))
         if args.k is None or not args.cf:
             raise ValueError("palindromic mode needs --k and one or more --cf")
         pieces = []
@@ -235,6 +243,7 @@ def _cmd_concat(args) -> int:
             )
         witness = palindromic_concat(pieces, args.k)
     else:
+        _refuse(args, "concat without --palindrome", ("k", "cf"))
         if not (args.cf1 and args.sigma1 and args.cf2 and args.sigma2):
             raise ValueError("give --cf1/--sigma1 and --cf2/--sigma2, or use --palindrome")
         w1 = classify(
@@ -285,9 +294,11 @@ def _cmd_surd(args) -> int:
     if stream_mode:
         if args.k is None or args.params is None:
             raise ValueError("stream mode needs both --k and --params")
+        _refuse(args, "stream mode", ("depth",))
+        n = 20 if args.digits is None else args.digits
         stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
-        digits = format_cf(ContinuedFraction(stream.prefix(args.digits)))
-        permuted = format_cf(ContinuedFraction(stream.permuted_prefix(args.digits)))
+        digits = format_cf(ContinuedFraction(stream.prefix(n)))
+        permuted = format_cf(ContinuedFraction(stream.permuted_prefix(n)))
         gaps = _gap_strings(stream, args.gaps) if args.gaps else None
         if args.json:
             record = {"k": args.k, "digits": digits, "permuted": permuted}
@@ -302,9 +313,11 @@ def _cmd_surd(args) -> int:
         return 0
     if args.a is None or args.b is None or args.c is None:
         raise ValueError("probe mode needs --a, --b and --c")
+    _refuse(args, "probe mode", ("digits", "gaps"))
     surd = QuadraticSurd(args.a, args.b, args.c)
     k = surd_multiplier(surd)
-    report = verify_surd_permutiple(surd, args.depth) if k is not None else None
+    depth = 20 if args.depth is None else args.depth
+    report = verify_surd_permutiple(surd, depth) if k is not None else None
     preperiod, period = periodic_expansion(surd)
     if args.json:
         record = {
@@ -450,10 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=int, help="probe mode: digits compared (default 20)")
     p.add_argument("--k", type=int, help="stream mode: multiplier")
     p.add_argument("--params", help="stream mode: const:<v>, pow:<base>, or a comma list")
-    p.add_argument("--digits", type=int, default=20)
+    p.add_argument("--digits", type=int, help="stream mode: digits printed (default 20)")
     p.add_argument("--gaps", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_surd)

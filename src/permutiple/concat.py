@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cf import ContinuedFraction
-from .classify import Permutation, Witness, _tip, classify
+from .cf import ContinuedFraction, _tip
+from .classify import Permutation, Witness, classify
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class BracketViews:
 def bracket_views(cf: ContinuedFraction) -> BracketViews:
     """The last two convergent pairs: p_n, q_n, p_{n-1}, q_{n-1}.  A single
     digit reads the seed (1, 0) for the dropped ends."""
-    (full, drop_first), (drop_last, drop_both) = _tip(cf)
+    (full, drop_first), (drop_last, drop_both) = _tip(cf.digits)
     return BracketViews(full, drop_first, drop_last, drop_both)
 
 

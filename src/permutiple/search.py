@@ -147,7 +147,7 @@ def _arrangement_table(
     shorter multisets come from ``memo``, or are built and kept there; the
     table returned is not kept.  A one-digit tail (e,) is e/1, so two-digit
     rows are built without a lookup; the empty multiset's one row is
-    (), 1, 0, as in ``_continuant_pair``.
+    (), 1, 0, the seed pair (p_{-1}, q_{-1}) of ``cf._tip``.
     """
     if not multiset:
         return [((), 1, 0)]

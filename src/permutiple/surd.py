@@ -79,25 +79,29 @@ def _expansion(s: QuadraticSurd) -> Iterator[tuple[int, tuple[int, int]]]:
         Q = (D - P * P) // Q
 
 
-def periodic_expansion(
-    s: QuadraticSurd, max_states: int = 10_000
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+# Most (P, Q) states ``periodic_expansion`` walks before it refuses a surd:
+# the period of sqrt(D) can grow like sqrt(D) log D, so a large b would
+# otherwise never close.
+MAX_STATES = 10_000
+
+
+def periodic_expansion(s: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(preperiod, period) of the digit expansion of a quadratic surd.
 
     Cycle detection on the (P, Q) states of the expansion.  Reduced surds
     come back with an empty preperiod.  Every expansion is eventually
-    periodic, but a period that does not close within ``max_states``
+    periodic, but a period that does not close within ``MAX_STATES``
     states is refused with ValueError.
     """
     digits: list[int] = []
     seen: dict[tuple[int, int], int] = {}
-    for a, state in islice(_expansion(s), max_states):
+    for a, state in islice(_expansion(s), MAX_STATES):
         if state in seen:
             start = seen[state]
             return tuple(digits[:start]), tuple(digits[start:])
         seen[state] = len(digits)
         digits.append(a)
-    raise ValueError(f"no cycle within {max_states} states for {s}")
+    raise ValueError(f"no cycle within {MAX_STATES} states for {s}")
 
 
 def expansion_digits(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
@@ -134,10 +138,6 @@ class SurdProbeReport:
     multiset_agree: bool
     alignment: str | None
     verdict: str
-
-    @property
-    def consistent(self) -> bool:
-        return self.alignment is not None
 
 
 def verify_surd_permutiple(s: QuadraticSurd, depth: int = 20) -> SurdProbeReport:
@@ -201,9 +201,6 @@ class DigitStream:
     def digit(self, j: int) -> int:
         s = self._param(j // 2)
         return s if j % 2 else self.k * s
-
-    def sigma(self, j: int) -> int:
-        return j ^ 1
 
     def prefix(self, n: int) -> tuple[int, ...]:
         return tuple(self.digit(j) for j in range(n))

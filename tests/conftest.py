@@ -1,9 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's code paths: evaluation nests the
-fraction directly, continuants come from 2x2 matrix products, and the
-witness oracle tries every permutation against exact Fraction values with
-no pruning.  Tests marked ``slow`` run only with ``--run-slow``.
+fraction directly, continuants come from 2x2 matrix products, the Gauss
+map is its definition, and the witness oracle tries every permutation
+against exact Fraction values with no pruning.  Tests marked ``slow`` run only with ``--run-slow``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,17 @@ def matrix_continuant(xs) -> int:
     for x in xs:
         a, b, c, d = a * x + b, a, c * x + d, c
     return a
+
+
+def gauss_step(x: Fraction) -> Fraction:
+    """One step of the Gauss map, the digit left-shift on [0, 1): 0 -> 0,
+    else frac(1/x)."""
+    if not 0 <= x < 1:
+        raise ValueError(f"{x} is outside [0, 1)")
+    if x == 0:
+        return Fraction(0)
+    inv = 1 / x
+    return inv - (inv.numerator // inv.denominator)
 
 
 @functools.lru_cache(maxsize=1 << 17)

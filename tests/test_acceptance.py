@@ -248,14 +248,13 @@ def test_criterion_6_concatenation_closure():
             for pieces in ([a], [a, a], [a, b, a]):
                 joined = palindromic_concat(pieces, k)
                 assert joined.flags.reverse_multiple
-                assert evaluate(joined.cf) == k * evaluate(joined.cf.reverse())
+                assert evaluate(joined.cf) == k * evaluate(CF(joined.cf.digits[::-1]))
     announce("criterion 6", f"{checked} pairwise concatenations verified and landess-closed")
 
 
 def test_criterion_7_surd_module():
     report = verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=40)
     assert report.k == 2
-    assert report.consistent
     assert report.alignment == "adjacent-swap"
     assert report.verdict == "consistent to depth 40"
 
@@ -274,7 +273,7 @@ def test_criterion_7_surd_module():
 
     golden = verify_surd_permutiple(QuadraticSurd(1, 5, 2), depth=40)
     assert golden.k == 2
-    assert not golden.consistent  # recorded observation, not a failure
+    assert golden.alignment is None  # recorded observation, not a failure
     assert golden.verdict == "inconsistent at depth 40"
     announce(
         "criterion 7",

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import matrix_continuant, nested_eval
+from conftest import gauss_step, matrix_continuant, nested_eval
 
 from permutiple import (
     ContinuedFraction,
@@ -15,7 +15,6 @@ from permutiple import (
     format_cf,
     format_rational,
     from_rational,
-    gauss_step,
     parse_rational,
     tails,
 )

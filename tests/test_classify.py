@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from permutiple import (
     canonical_sigma,
     classify,
     continuant,
-    convergents,
     find_witnesses,
     is_perfect,
     is_symmetric,
@@ -45,14 +45,14 @@ class TestPermutation:
     def test_derived_attributes(self):
         assert P((3, 0, 4, 5, 1, 2)).cycles == ((0, 3, 5, 2, 4, 1),)
         assert P((1, 0, 3, 2)).cycles == ((0, 1), (2, 3))
-        assert P.identity(4).cycles == ((0,), (1,), (2,), (3,))
+        assert P((0, 1, 2, 3)).cycles == ((0,), (1,), (2,), (3,))
         assert P.reversal(3).images == (2, 1, 0)
 
 
 class TestPermuteDigits:
     def test_examples(self):
         assert permute_digits(CF((7, 1, 3)), REVERSAL_3) == CF((3, 1, 7))
-        assert permute_digits(CF((7, 1, 3)), P.identity(3)) == CF((7, 1, 3))
+        assert permute_digits(CF((7, 1, 3)), P((0, 1, 2))) == CF((7, 1, 3))
         assert permute_digits(CF((7, 1, 14, 2)), P((1, 0, 3, 2))) == CF((1, 7, 2, 14))
 
     def test_length_mismatch(self):
@@ -67,7 +67,7 @@ class TestMultiplier:
 
     def test_ratio_one_or_not_an_integer(self):
         with pytest.raises(NotAPermutipleError):
-            classify(CF((7, 1, 3)), P.identity(3))
+            classify(CF((7, 1, 3)), P((0, 1, 2)))
         with pytest.raises(NotAPermutipleError):
             classify(CF((7, 1, 3)), P((1, 0, 2)))
 
@@ -184,12 +184,13 @@ class TestClassify:
 
     def test_k_inferred_from_one_walk_of_each_string(self, monkeypatch):
         walked = []
+        tip = classify_module._tip
 
-        def counting(cf):
-            walked.append(cf.digits)
-            return convergents(cf)
+        def counting(digits):
+            walked.append(digits)
+            return tip(digits)
 
-        monkeypatch.setattr(classify_module, "convergents", counting)
+        monkeypatch.setattr(classify_module, "_tip", counting)
         w = classify(CF((11, 1, 10, 2, 3)), P((1, 4, 0, 2, 3)))
         assert w.k == 9 and w.flags.continuant_preserving
         assert walked == [(11, 1, 10, 2, 3), (1, 3, 11, 10, 2)]
@@ -198,7 +199,7 @@ class TestClassify:
 
     def test_rejects_non_permutiple(self):
         with pytest.raises(NotAPermutipleError):
-            classify(CF((7, 1, 3)), P.identity(3))
+            classify(CF((7, 1, 3)), P((0, 1, 2)))
         with pytest.raises(NotAPermutipleError):
             classify(CF((7, 1, 3)), REVERSAL_3, k=3)
 
@@ -377,3 +378,18 @@ class TestCanonicalSigma:
     def test_rejects_non_rearrangement(self):
         with pytest.raises(ValueError):
             canonical_sigma((7, 1, 3), (3, 3, 7))
+        with pytest.raises(ValueError, match="not a rearrangement"):
+            canonical_sigma((7, 1, 3), (3, 1))
+
+    def test_long_repeated_digits_take_linear_memory(self):
+        # 1000 twos and 1000 ones: the first image list is built without
+        # materializing every later code's choices (about m*m/4 of them)
+        base, permuted = (2, 1) * 1000, (1, 2) * 1000
+        tracemalloc.start()
+        try:
+            sigma = canonical_sigma(base, permuted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sigma.images[:4] == (1, 0, 3, 2)
+        assert peak < 1 << 20

@@ -398,6 +398,27 @@ class TestUsageErrors:
             assert code == 2
             assert err.startswith("error: ") and out == ""
 
+    def test_modes_reject_the_flags_they_would_ignore(self, capsys):
+        pair = ["--cf1", "7;1,3", "--sigma1", "2,1,0", "--cf2", "7;1,3", "--sigma2", "2,1,0"]
+        probe = ["surd", "--a", "1", "--b", "3", "--c", "1"]
+        stream = ["surd", "--k", "2", "--params", "const:1"]
+        for argv in (
+            ["concat", *pair, "--k", "2"],
+            ["concat", *pair, "--cf", "7;1,3"],
+            ["concat", "--palindrome", "--k", "2", "--cf", "7;1,3", "--cf1", "7;1,3"],
+            ["concat", "--palindrome", "--k", "2", "--cf", "7;1,3", "--sigma2", "2,1,0"],
+            [*probe, "--gaps", "5"],
+            [*probe, "--digits", "8"],
+            [*probe, "--gaps", "0", "--json"],
+            [*stream, "--depth", "20"],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 2, argv
+            assert err.startswith("error: ") and "does not take" in err and out == ""
+        # each mode still reads its own flag, and its default is 20
+        assert run([*probe, "--depth", "20"], capsys)[1] == run(probe, capsys)[1]
+        assert run([*stream, "--digits", "20"], capsys)[1] == run(stream, capsys)[1]
+
     def test_surd_depth_must_be_positive(self, capsys):
         for depth in ("0", "-3"):
             argv = ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", depth]

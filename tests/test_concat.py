@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,15 @@ from permutiple import (
     ContinuedFraction,
     PerfectParameters,
     Permutation,
+    SearchConfig,
     bracket_views,
     classify,
     concat,
     concat_witness,
     continuant,
     evaluate,
+    exhaustive_search,
+    find_witnesses,
     palindromic_concat,
     perfect_from_parameters,
     two_digit,
@@ -157,7 +161,7 @@ class TestPalindromicConcat:
         joined = palindromic_concat([a, b, a], 2)
         assert joined.cf == CF((7, 1, 3, 7, 2, 1, 3, 7, 1, 3))
         assert joined.flags.reverse_multiple
-        assert joined.value == 2 * evaluate(joined.cf.reverse())
+        assert joined.value == 2 * evaluate(CF(joined.cf.digits[::-1]))
 
     def test_non_palindromic_rejected(self):
         a = witness((7, 1, 3), (3, 1, 7))
@@ -188,3 +192,38 @@ class TestMonoidClosure:
             joined = concat_witness(w1, w2)
             assert joined.flags.landess
             assert joined.value == 2 * joined.permuted_value
+
+
+class TestProductsAgainstInversion:
+    def test_search_corpus_products_are_found_by_find_witnesses(self):
+        # The paper's "new from old" results, checked against the value/k
+        # inversion, which shares no code with the closure constructions:
+        # every product's (permuted string, k) must be one find_witnesses finds.
+        corpus = exhaustive_search(SearchConfig(length=(2, 4), max_digit=12, canonical_only=False))
+        flags = ("landess", "continuant_preserving", "reverse_multiple")
+        groups = {flag: defaultdict(list) for flag in flags}
+        for w in corpus:
+            for flag, by_k in groups.items():
+                if getattr(w.flags, flag):
+                    by_k[w.k].append(w)
+        landess, preserving, reverse = groups.values()
+        rng = random.Random(13)
+        products = []
+        for _ in range(300):  # chains w1 . (w2 . (... . w_last)) of up to 40 digits
+            k = rng.choice(sorted(landess))
+            joined = rng.choice(preserving[k])
+            while rng.random() > 0.15:
+                left = rng.choice(landess[k])
+                if len(left.cf) + len(joined.cf) > 40:
+                    break
+                joined = concat_witness(left, joined)
+            products.append(joined)
+        for _ in range(100):  # palindromic lists of odd and even length
+            k = rng.choice(sorted(reverse))
+            half = [rng.choice(reverse[k]) for _ in range(rng.randint(1, 3))]
+            products.append(palindromic_concat(half + half[-1 - rng.randint(0, 1) :: -1], k))
+        assert max(len(w.cf) for w in products) > 30
+        assert any(not w.cf.is_canonical for w in products)
+        for w in products:
+            found = find_witnesses(w.cf, allow_noncanonical=True)
+            assert (w.permuted.digits, w.k) in {(x.permuted.digits, x.k) for x in found}, w.cf

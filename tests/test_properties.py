@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from conftest import matrix_continuant, nested_eval
+from conftest import gauss_step, matrix_continuant, nested_eval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from permutiple import (
     convergents,
     evaluate,
     from_rational,
-    gauss_step,
     is_symmetric,
     permute_digits,
     tails,

@@ -16,13 +16,13 @@ from permutiple import (
     Witness,
     check_conjectures,
     classify,
+    continuant,
     exhaustive_search,
     export,
     find_witnesses,
     witness_record,
 )
 from permutiple import search
-from permutiple.cf import _continuant_pair
 from permutiple.cli import main
 from permutiple.search import MAX_MULTISETS, MAX_TABLE_ROWS, MAX_WORKERS
 
@@ -295,7 +295,7 @@ class TestArrangementTable:
         table = search._arrangement_table(multiset, {})
         arrangements = sorted(set(itertools.permutations(multiset)))
         assert len(table) == 56  # 8! / 6! distinct rows, against 8! = 40 320 orderings
-        assert table == [(a, *_continuant_pair(a)) for a in arrangements]
+        assert table == [(a, continuant(a), continuant(a[1:])) for a in arrangements]
 
     def test_memo_holds_only_shorter_tables(self):
         memo = {}
