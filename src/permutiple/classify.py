@@ -269,16 +269,14 @@ MAX_K_CANDIDATES = 10**6
 MAX_SIGMA_LISTS = 10**5
 
 
-def _k_range(p: int, q: int, top: int, smallest: int, k_bounds: tuple[int, float]) -> range:
-    """The multipliers within ``k_bounds`` that can take the value p/q to a
-    partner led by a digit in [smallest, top].
+def _k_range(p: int, q: int, top: int, smallest: int) -> range:
+    """The multipliers k >= 2 that can take the value p/q to a partner led
+    by a digit in [smallest, top].
 
     The partner's value lies in (smallest, top + 1], so p/q <= k * (top + 1)
-    and k * smallest < p/q.  Passing a0/1 covers every value in (a0, a0 + 1]
-    too: k * smallest < a0 + 1 is k <= a0 // smallest.
+    and k * smallest < p/q.
     """
-    low, high = k_bounds
-    return range(max(low, -(-p // (q * (top + 1)))), min(high, p // (q * smallest)) + 1)
+    return range(max(2, -(-p // (q * (top + 1)))), p // (q * smallest) + 1)
 
 
 def _hits(
@@ -396,7 +394,7 @@ def find_witnesses(
     if not leads:
         return []
     (p, q), _ = _tip(digits)
-    ks = _k_range(p, q, leads[-1], multiset[0], (2, inf))
+    ks = _k_range(p, q, leads[-1], multiset[0])
     if len(ks) > MAX_K_CANDIDATES:
         raise ValueError(
             f"{cf} needs {len(ks)} multipliers tried, over the limit of {MAX_K_CANDIDATES}"

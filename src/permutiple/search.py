@@ -2,22 +2,24 @@
 
 Each length's digit multisets are enumerated once, lazily; a multiset in
 which no digit is at most half another is skipped, as none of its bases
-can have a partner.  A multiset gets one table of its distinct
-arrangements in lexicographic order, each with its value p/q: a row is a
-digit in front of a row of the multiset less that digit, whose table is
+can have a partner.  A base (a0 >= 2, last digit >= 2 unless non-canonical
+bases are searched) can only have partners led by digits <= a0 // 2.
+Arrangements are rows (arrangement, p, q) with p/q the value: a row is a
+digit d in front of a row (tail, p_t, q_t) of the multiset less d, with
+value (d*p_t + q_t) / p_t, and the tables of those shorter multisets are
 built once per scanned part and kept for the longer multisets after it.
-A base (a0 >= 2, last digit >= 2 unless non-canonical bases are searched)
-can only have partners led by digits <= a0 // 2, a prefix of the table.
-It scans that prefix, or looks up the one partner value p / (k*q) of each
-multiplier k its lead allows in a (p, q) index of the table; each lead
-group picks one of the two by its own prefix length and multiplier count.
-Either way the candidates go through the exact test that
-``classify.find_witnesses`` uses too.  A config is refused when its
-longest length has over ``MAX_MULTISETS`` multisets or its shorter tables
-would hold over ``MAX_TABLE_ROWS`` rows.  Worker processes take strided
-parts of each length's multisets; the parts' hits are sorted by base per
-length before they are classified, so the output stream is in (length,
-digits, permuted) order and identical for any worker count.
+Per multiset, the rows led by digits at most half the largest go into one
+dict keyed by the top continuant p'.  Each base's value is read off the
+rows of its tail, and its candidates are the rows at p' = p // j for the
+divisors j of p, as a hit has p/q == k * p'/q' in lowest terms, so p'
+divides p; nearly always that is the one lookup j = 1.  The candidates go
+through the exact test that ``classify.find_witnesses`` uses too.  A
+config is refused when its longest length has over ``MAX_MULTISETS``
+multisets or its shorter tables would hold over ``MAX_TABLE_ROWS`` rows.
+Worker processes take strided parts of each length's multisets; the
+parts' hits are sorted by base per length before they are classified, so
+the output stream is in (length, digits, permuted) order and identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .classify import (
     FLAG_ORDER,
     Witness,
     _hits,
-    _k_range,
     _witness_list,
     format_permutation,
 )
@@ -52,6 +53,11 @@ MAX_MULTISETS = 10**8
 # scan keeps them all, at most max_digit**j rows of each length j < m, in
 # each worker process.
 MAX_TABLE_ROWS = 10**6
+
+
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,16 @@ class SearchConfig:
     dedupe: bool = True
 
     def __post_init__(self) -> None:
+        length = self.length
+        if not (
+            _is_int(length)
+            or (isinstance(length, tuple) and len(length) == 2 and all(map(_is_int, length)))
+        ):
+            raise ValueError(f"length must be an integer or a pair of them, not {length!r}")
+        for name in ("max_digit", "k_min", "k_max", "workers"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name.startswith("k_"))):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         low, high = self._bounds()  # checked before lengths() builds the range
         if low > high:
             raise ValueError(f"empty length range {self.length!r}: low exceeds high")
@@ -134,6 +150,17 @@ def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
     return out
 
 
+def _tails(rest: tuple[int, ...], memo: dict[tuple[int, ...], list[_Row]]) -> list[_Row]:
+    """The table of a shorter multiset: taken from ``memo``, or built and kept
+    there.  A one-digit multiset (e,) is e/1 and is not kept."""
+    if len(rest) == 1:
+        return [(rest, rest[0], 1)]
+    table = memo.get(rest)
+    if table is None:
+        table = memo[rest] = _arrangement_table(rest, memo)
+    return table
+
+
 def _arrangement_table(
     multiset: tuple[int, ...], memo: dict[tuple[int, ...], list[_Row]]
 ) -> list[_Row]:
@@ -143,11 +170,9 @@ def _arrangement_table(
     Each distinct digit d, ascending, goes in front of every row (tail, p, q)
     of the table of the multiset less d, in that table's order, with the
     value (d*p + q) / p.  Continuants are coprime, so no fraction needs
-    reducing, and no permutation or sort is walked.  The tables of the
-    shorter multisets come from ``memo``, or are built and kept there; the
-    table returned is not kept.  A one-digit tail (e,) is e/1, so two-digit
-    rows are built without a lookup; the empty multiset's one row is
-    (), 1, 0, the seed pair (p_{-1}, q_{-1}) of ``cf._tip``.
+    reducing, and no permutation or sort is walked.  The tail tables come
+    from ``_tails``; the table returned is not kept.  The empty multiset's
+    one row is (), 1, 0, the seed pair (p_{-1}, q_{-1}) of ``cf._tip``.
     """
     if not multiset:
         return [((), 1, 0)]
@@ -157,15 +182,8 @@ def _arrangement_table(
         if d == previous:
             continue
         previous = d
-        rest = multiset[:i] + multiset[i + 1 :]
-        if len(rest) == 1:
-            e = rest[0]
-            rows.append(((d, e), d * e + 1, e))
-            continue
-        tails = memo.get(rest)
-        if tails is None:
-            tails = memo[rest] = _arrangement_table(rest, memo)
         head = (d,)
+        tails = _tails(multiset[:i] + multiset[i + 1 :], memo)
         rows += [(head + tail, d * p + q, p) for tail, p, q in tails]
     return rows
 
@@ -176,49 +194,69 @@ def _multiset_hits(
     k_bounds: tuple[int, float],
     memo: dict[tuple[int, ...], list[_Row]],
 ) -> list[_Hits]:
-    """Hits of every base arranged from one sorted digit multiset.
+    """Hits of every base arranged from one sorted digit multiset, found by
+    a divisor join on the top continuant.
 
-    Its table is built from the shorter tables in ``memo``, the one memo of
-    the part being scanned, and is dropped once its bases are tested.
-    A base's partners are the arrangements led by a digit <= a0 // 2: the
-    table prefix ``table[:end]``, tested row by row.  The other way is one
-    (p, q) index lookup per multiplier in the lead's ``_k_range``, which
-    costs about m row tests for m digits.  So a lead group inverts when its
-    k count times m is below ``end``.  A prefix of at most m rows costs no
-    more than one lookup, so it is scanned without measuring.  The first
-    group that looks anything up builds the index.
+    A partner is led by a digit <= a0 // 2, so only leads d with 2d at most
+    the largest digit give partner rows (arrangement, p', q').  They go into
+    ``by_p``, keyed by p', lead by lead and tail by tail, so each bucket is
+    in lexicographic order.  A base needs a0 >= 2 * the smallest digit; its
+    value (a0*p_t + q_t) / p_t is read off each row of the memoized table of
+    the multiset less a0, so no top-length table is built.  Leads go up, and
+    a lead's bases are tested before its partner rows go in, so every
+    partner led by a digit <= a0 // 2 is in ``by_p`` by then.
+
+    For a hit, p/q == k * p'/q' in lowest terms, so p' divides p.  The
+    candidates are the buckets p // j for each j | p, and p' >= min(by_p)
+    bounds j; below 2 * min(by_p) that is the one bucket p.  Merged buckets
+    are sorted.  Partners led by a digit above a0 // 2 may be among them:
+    their value is over half the base's, so the exact test rejects them.
+    A multiset with no digit at most half another has neither partners nor
+    bases, and gives [].
     """
-    m, smallest = len(multiset), multiset[0]
-    table = _arrangement_table(multiset, memo)
-    index = None
+    half, double = multiset[-1] // 2, 2 * multiset[0]
+    by_p: dict[int, list[_Row]] = {}
     out: list[_Hits] = []
-    lead = end = 0
-    for base, p, q in table:
-        if base[0] != lead:
-            lead = base[0]
-            while table[end][0][0] <= lead // 2:
-                end += 1
-            invert = False
-            if end > m:
-                ks = _k_range(lead, 1, table[end - 1][0][0], smallest, k_bounds)
-                invert = len(ks) * m < end
-                if invert and ks and index is None:
-                    index = {(row[1], row[2]): row for row in table}
-        if end == 0 or (canonical_only and base[-1] < 2):
-            continue
-        if invert:
-            found = []
-            for k in ks:
-                # p/q == k * p'/q' in lowest terms: p'/q' is (p/g) / (k*q/g), g = gcd(p, k)
-                g = math.gcd(p, k)
-                row = index.get((p // g, k * q // g))
-                if row is not None:
-                    found.append(row)
-            hits = _hits(p, q, sorted(found), k_bounds)
-        else:
-            hits = _hits(p, q, table[:end], k_bounds)
-        if hits:
-            out.append((base, hits))
+    least = math.inf  # the smallest p' in by_p
+    previous = None
+    for i, d in enumerate(multiset):
+        if d == previous or half < d < double:
+            continue  # a repeated lead, or neither a partner's lead nor a base's
+        previous = d
+        rest = multiset[:i] + multiset[i + 1 :]
+        # a one-digit rest inline: at length 2 the call is a real share of the scan
+        tails = [(rest, rest[0], 1)] if len(rest) == 1 else _tails(rest, memo)
+        if d >= double:
+            for tail, pt, qt in tails:
+                if canonical_only and tail[-1] < 2:
+                    continue
+                p = d * pt + qt
+                if p < 2 * least:
+                    candidates = by_p.get(p)
+                    if candidates is None:
+                        continue
+                else:
+                    candidates = sorted(
+                        row
+                        for j in range(1, p // least + 1)
+                        if p % j == 0
+                        for row in by_p.get(p // j, ())
+                    )
+                hits = _hits(p, pt, candidates, k_bounds)
+                if hits:
+                    out.append(((d,) + tail, hits))
+        if d <= half:
+            head = (d,)
+            for tail, p, q in tails:
+                pp = d * p + q
+                row = (head + tail, pp, p)
+                bucket = by_p.get(pp)
+                if bucket is None:
+                    by_p[pp] = [row]
+                    if pp < least:
+                        least = pp
+                else:
+                    bucket.append(row)
     return out
 
 

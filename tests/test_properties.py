@@ -1,6 +1,7 @@
 """Generative checks of the core identities with hypothesis."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from conftest import gauss_step, matrix_continuant, nested_eval
@@ -21,7 +22,8 @@ from permutiple import (
     permute_digits,
     tails,
 )
-from permutiple.search import _arrangement_table
+from permutiple.classify import _hits
+from permutiple.search import _arrangement_table, _multiset_hits
 
 digit_strings = st.lists(st.integers(1, 40), min_size=1, max_size=9).map(tuple)
 
@@ -122,3 +124,26 @@ def test_arrangement_table_is_the_sorted_distinct_arrangements(ds):
     assert [row[0] for row in table] == sorted(set(itertools.permutations(multiset)))
     for arrangement, p, q in table:
         assert (p, q) == (continuant(arrangement), continuant(arrangement[1:]))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(1, 8), min_size=2, max_size=6),
+    st.booleans(),
+    st.integers(2, 5),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_multiset_hits_match_the_pairwise_scan(ds, canonical_only, k_min, k_span):
+    # every base against every arrangement led by a digit <= a0 // 2, with
+    # no divisor join and no memo
+    multiset = tuple(sorted(ds))
+    k_bounds = (k_min, math.inf if k_span is None else k_min + k_span)
+    rows = [(a, continuant(a), continuant(a[1:])) for a in sorted(set(itertools.permutations(ds)))]
+    expected = []
+    for base, p, q in rows:
+        if canonical_only and base[-1] < 2:
+            continue
+        hits = _hits(p, q, [row for row in rows if row[0][0] <= base[0] // 2], k_bounds)
+        if hits:
+            expected.append((base, hits))
+    assert _multiset_hits(multiset, canonical_only, k_bounds, {}) == expected

@@ -92,6 +92,29 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="multisets"):  # no C(10**12 + 10**6, 10**6) either
             SearchConfig(length=(2, 10**12), max_digit=10**6)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("length", 3.0),
+            ("length", True),
+            ("length", (2, 3.0)),
+            ("length", [2, 3]),
+            ("max_digit", 5.5),
+            ("max_digit", True),
+            ("k_min", 2.5),
+            ("k_min", True),
+            ("k_max", 3.5),
+            ("k_max", True),
+            ("workers", 1.5),
+            ("workers", True),
+        ],
+    )
+    def test_refuses_non_integer_fields(self, field, value):
+        # refused when built, not once the scan starts: a float k_min would
+        # otherwise reach the k test in _hits and drop k = 2 hits at 3/<=5
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchConfig(**{"length": 3, "max_digit": 5, field: value})
+
     def test_refuses_work_that_cannot_finish(self):
         SearchConfig(length=2, max_digit=3, workers=MAX_WORKERS)
         with pytest.raises(ValueError, match=f"<= {MAX_WORKERS}"):  # before any pool exists
@@ -173,11 +196,10 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("canonical_only", [True, False])
     @pytest.mark.parametrize("k_min, k_max", [(None, None), (3, None), (None, 2)])
     def test_long_multisets_match_oracle(self, length, max_digit, canonical_only, k_min, k_max):
-        # Tables of up to 210 arrangements: most bases here get their partners
-        # by (p, q) lookups per k, the rest by scanning the table prefix.  At
-        # 6/<=4 all 12 canonical hits come from lookups, the non-canonical
-        # scan gets hits both ways, and k_min = 3 leaves lead groups with no
-        # k to look up.
+        # Multisets of up to 210 arrangements, many with repeated digits, so
+        # partner buckets often hold an arrangement and its reversal, which
+        # share a continuant; k_min = 3 leaves every canonical base here
+        # without a hit.
         config = SearchConfig(
             length=length,
             max_digit=max_digit,
@@ -201,7 +223,7 @@ class TestExhaustiveSearch:
     )
     def test_long_lengths_match_per_base_find_witnesses(self, length, max_digit, count):
         # find_witnesses draws each candidate from the Euclid expansion of
-        # p / (k*q), with no arrangement table; only _hits and _k_range are shared
+        # p / (k*q), with no arrangement table; only _hits is shared
         expected = [
             (ds, w.sigma.images, w.k)
             for ds in itertools.product(range(1, max_digit + 1), repeat=length)
@@ -305,6 +327,32 @@ class TestArrangementTable:
         assert {len(multiset) for multiset in memo} == {2, 3, 4, 5}
         for multiset, table in memo.items():
             assert table == search._arrangement_table(multiset, {})
+
+
+class TestMultisetHits:
+    def test_partners_at_a_proper_divisor_of_p_are_candidates(self, monkeypatch):
+        # 5;1,1,1,5 has p = 96 and no partner at p' = 96 (its reversal is
+        # itself, led by 5 > 5 // 2); 1;5,1,5,1 has p' = 48 = 96 / 2, so it
+        # is reached only by the j = 2 lookup
+        seen = {}
+
+        def spy(p, q, candidates, k_bounds):
+            seen[p, q] = [row[0] for row in candidates]
+            return search_hits(p, q, candidates, k_bounds)
+
+        search_hits = search._hits
+        monkeypatch.setattr(search, "_hits", spy)
+        assert search._multiset_hits((1, 1, 1, 5, 5), True, (2, math.inf), {}) == []
+        assert (continuant((5, 1, 1, 1, 5)), continuant((1, 1, 1, 5))) == (96, 17)
+        assert continuant((1, 5, 1, 5, 1)) == 48
+        assert (1, 5, 1, 5, 1) in seen[96, 17]
+
+    def test_multiset_with_no_partner_gives_no_hits(self):
+        # no digit is at most half another: no partner row and no base lead
+        for multiset in ((1, 1, 1, 1, 1, 1), (2, 3), (3, 4, 5)):
+            memo = {}
+            assert search._multiset_hits(multiset, False, (2, math.inf), memo) == []
+            assert memo == {}
 
 
 class TestConjectures:
