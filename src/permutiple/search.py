@@ -1,25 +1,28 @@
 """Exhaustive permutiple search over bounded digit strings.
 
-Each length's digit multisets are enumerated once, lazily; a multiset in
-which no digit is at most half another is skipped, as none of its bases
-can have a partner.  A base (a0 >= 2, last digit >= 2 unless non-canonical
-bases are searched) can only have partners led by digits <= a0 // 2.
-Arrangements are rows (arrangement, p, q) with p/q the value: a row is a
-digit d in front of a row (tail, p_t, q_t) of the multiset less d, with
-value (d*p_t + q_t) / p_t, and the tables of those shorter multisets are
-built once per scanned part and kept for the longer multisets after it.
-Per multiset, the rows led by digits at most half the largest go into one
-dict keyed by the top continuant p'.  Each base's value is read off the
-rows of its tail, and its candidates are the rows at p' = p // j for the
-divisors j of p, as a hit has p/q == k * p'/q' in lowest terms, so p'
-divides p; nearly always that is the one lookup j = 1.  The candidates go
-through the exact test that ``classify.find_witnesses`` uses too.  A
-config is refused when its longest length has over ``MAX_MULTISETS``
-multisets or its shorter tables would hold over ``MAX_TABLE_ROWS`` rows.
-Worker processes take strided parts of each length's multisets; the
-parts' hits are sorted by base per length before they are classified, so
-the output stream is in (length, digits, permuted) order and identical for
-any worker count.
+Each length's digit multisets are walked as R + (c,): a sorted prefix R of
+all but the largest digit, then each largest digit c from
+max(R[-1], 2 * R[0]) up, so a multiset in which no digit is at most half
+another is never visited, as none of its bases can have a partner.  A base
+(a0 >= 2, last digit >= 2 unless non-canonical bases are searched) can only
+have partners led by digits <= a0 // 2.  Arrangements are rows
+(arrangement, p, q) with p/q the value: a row is a digit d in front of a
+row (tail, p_t, q_t) of the multiset less d, with value (d*p_t + q_t) / p_t.
+The tables of those shorter multisets are built once per scanned part and
+kept for the multisets after it: R's own table once per prefix, and the
+table of (R less d) + (c,) at index c of one list per R less d, so a
+multiset costs no slice and no hash.  Per multiset, the rows led by digits
+at most half the largest go into one dict keyed by the top continuant p'.
+Each base's value is read off the rows of its tail, and its candidates are
+the rows at p' = p // j for the divisors j of p, as a hit has
+p/q == k * p'/q' in lowest terms, so p' divides p; nearly always that is
+the one lookup j = 1.  The candidates go through the exact test that
+``classify.find_witnesses`` uses too.  A config is refused when its longest
+length has over ``MAX_MULTISETS`` multisets or its shorter tables would
+hold over ``MAX_TABLE_ROWS`` rows.  Worker processes take strided parts of
+each length's prefixes; the parts' hits are sorted by base per length
+before they are classified, so the output stream is in (length, digits,
+permuted) order and identical for any worker count.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ MAX_WORKERS = 64
 MAX_MULTISETS = 10**8
 # Rows that the tables of one length's shorter multisets may hold: a length-m
 # scan keeps them all, at most max_digit**j rows of each length j < m, in
-# each worker process.
+# each worker process (length m - 1 in the columns, shorter in the memo).
 MAX_TABLE_ROWS = 10**6
 
 
@@ -137,16 +140,19 @@ _Row = tuple[tuple[int, ...], int, int]
 
 
 def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
-    """Hits of every base in one strided part of the length-m multisets."""
+    """Hits of every base in one part of the length-m multisets: the
+    multisets R + (c,) of every sorted (m-1)-digit prefix R in a strided
+    part of the prefixes, with each largest digit c >= R[-1]."""
     config, m, part = args
     k_bounds = (config.k_min or 2, math.inf if config.k_max is None else config.k_max)
-    multisets = itertools.combinations_with_replacement(range(1, config.max_digit + 1), m)
+    prefixes = itertools.combinations_with_replacement(range(1, config.max_digit + 1), m - 1)
     memo: dict[tuple[int, ...], list[_Row]] = {}
+    columns: dict[tuple[int, ...], list[list[_Row] | None]] = {}
     out: list[_Hits] = []
-    for multiset in itertools.islice(multisets, part, None, config.workers):
-        # a partner is led by a digit <= a0 // 2, so some digit must be <= half another
-        if 2 * multiset[0] <= multiset[-1]:
-            out += _multiset_hits(multiset, config.canonical_only, k_bounds, memo)
+    for prefix in itertools.islice(prefixes, part, None, config.workers):
+        out += _prefix_hits(
+            prefix, config.max_digit, config.canonical_only, k_bounds, memo, columns
+        )
     return out
 
 
@@ -188,75 +194,106 @@ def _arrangement_table(
     return rows
 
 
-def _multiset_hits(
-    multiset: tuple[int, ...],
+def _prefix_hits(
+    prefix: tuple[int, ...],
+    max_digit: int,
     canonical_only: bool,
     k_bounds: tuple[int, float],
     memo: dict[tuple[int, ...], list[_Row]],
+    columns: dict[tuple[int, ...], list[list[_Row] | None]],
 ) -> list[_Hits]:
-    """Hits of every base arranged from one sorted digit multiset, found by
-    a divisor join on the top continuant.
+    """Hits of every base arranged from a multiset R + (c,), for one sorted
+    prefix R and each largest digit c from max(R[-1], 2 * R[0]) up to
+    ``max_digit``, found by a divisor join on the top continuant.
 
-    A partner is led by a digit <= a0 // 2, so only leads d with 2d at most
-    the largest digit give partner rows (arrangement, p', q').  They go into
-    ``by_p``, keyed by p', lead by lead and tail by tail, so each bucket is
-    in lexicographic order.  A base needs a0 >= 2 * the smallest digit; its
-    value (a0*p_t + q_t) / p_t is read off each row of the memoized table of
-    the multiset less a0, so no top-length table is built.  Leads go up, and
-    a lead's bases are tested before its partner rows go in, so every
-    partner led by a digit <= a0 // 2 is in ``by_p`` by then.
+    Below 2 * R[0] no digit is at most half another, so a multiset has
+    neither partners nor bases.  The multiset less its lead c is R, whose
+    table is fetched once for every c.  Less any other lead d it is
+    (R less d) + (c,), whose table sits at index c of the column
+    ``columns[R less d]``, built on first use, so no multiset is sliced or
+    hashed.  A partner is led by a digit <= a0 // 2, so only leads d with
+    2d <= c give partner rows (arrangement, p', q').  They go into ``by_p``,
+    keyed by p', lead by lead and tail by tail, so each bucket is in
+    lexicographic order.  A base needs a0 >= 2 * R[0]; its value
+    (a0*p_t + q_t) / p_t is read off each row of the table of the multiset
+    less a0.  Leads go up, and a lead's bases are tested before its partner
+    rows go in, so every partner led by a digit <= a0 // 2 is in ``by_p`` by
+    then.
 
     For a hit, p/q == k * p'/q' in lowest terms, so p' divides p.  The
     candidates are the buckets p // j for each j | p, and p' >= min(by_p)
     bounds j; below 2 * min(by_p) that is the one bucket p.  Merged buckets
     are sorted.  Partners led by a digit above a0 // 2 may be among them:
     their value is over half the base's, so the exact test rejects them.
-    A multiset with no digit at most half another has neither partners nor
-    bases, and gives [].
+    Hits come by c, then by base.
     """
-    half, double = multiset[-1] // 2, 2 * multiset[0]
-    by_p: dict[int, list[_Row]] = {}
-    out: list[_Hits] = []
-    least = math.inf  # the smallest p' in by_p
+    double = 2 * prefix[0]
+    first = max(prefix[-1], double)
+    if first > max_digit:
+        return []
+    leads = []  # (d, R less d, its column) for each distinct digit d of R
     previous = None
-    for i, d in enumerate(multiset):
-        if d == previous or half < d < double:
-            continue  # a repeated lead, or neither a partner's lead nor a base's
-        previous = d
-        rest = multiset[:i] + multiset[i + 1 :]
-        # a one-digit rest inline: at length 2 the call is a real share of the scan
-        tails = [(rest, rest[0], 1)] if len(rest) == 1 else _tails(rest, memo)
-        if d >= double:
-            for tail, pt, qt in tails:
-                if canonical_only and tail[-1] < 2:
-                    continue
-                p = d * pt + qt
-                if p < 2 * least:
-                    candidates = by_p.get(p)
-                    if candidates is None:
+    for i, d in enumerate(prefix):
+        if d != previous:
+            previous = d
+            rest = prefix[:i] + prefix[i + 1 :]
+            column = columns.get(rest)
+            if column is None:
+                column = columns[rest] = [None] * (max_digit + 1)
+            leads.append((d, rest, column))
+    # R is R less its largest digit, plus that digit: its table is in that column
+    top, _, column = leads[-1]
+    own = column[top]
+    if own is None:
+        own = column[top] = _arrangement_table(prefix, memo)
+    # the lead c, last: 0 stands for c, and every slot holds R's table
+    leads.append((0, prefix, [own] * (max_digit + 1)))
+    floor = 2 if canonical_only else 0  # a canonical base ends in a digit >= 2
+    out: list[_Hits] = []
+    for c in range(first, max_digit + 1):
+        half = c // 2
+        by_p: dict[int, list[_Row]] = {}
+        least = twice = math.inf  # the smallest p' in by_p, and twice that
+        for d, rest, column in leads:
+            if d == c:
+                continue  # R's largest digit is the lead c, taken last
+            d = d or c
+            if half < d < double:
+                continue  # neither a partner's lead nor a base's
+            tails = column[c]
+            if tails is None:
+                tails = column[c] = _arrangement_table(rest + (c,), memo)
+            if d >= double:
+                for tail, pt, qt in tails:
+                    if tail[-1] < floor:
                         continue
-                else:
-                    candidates = sorted(
-                        row
-                        for j in range(1, p // least + 1)
-                        if p % j == 0
-                        for row in by_p.get(p // j, ())
-                    )
-                hits = _hits(p, pt, candidates, k_bounds)
-                if hits:
-                    out.append(((d,) + tail, hits))
-        if d <= half:
-            head = (d,)
-            for tail, p, q in tails:
-                pp = d * p + q
-                row = (head + tail, pp, p)
-                bucket = by_p.get(pp)
-                if bucket is None:
-                    by_p[pp] = [row]
-                    if pp < least:
-                        least = pp
-                else:
-                    bucket.append(row)
+                    p = d * pt + qt
+                    if p < twice:
+                        candidates = by_p.get(p)
+                        if candidates is None:
+                            continue
+                    else:
+                        candidates = sorted(
+                            row
+                            for j in range(1, p // least + 1)
+                            if p % j == 0
+                            for row in by_p.get(p // j, ())
+                        )
+                    hits = _hits(p, pt, candidates, k_bounds)
+                    if hits:
+                        out.append(((d,) + tail, hits))
+            if d <= half:
+                head = (d,)
+                for tail, p, q in tails:
+                    pp = d * p + q
+                    row = (head + tail, pp, p)
+                    bucket = by_p.get(pp)
+                    if bucket is None:
+                        by_p[pp] = [row]
+                        if pp < least:
+                            least, twice = pp, 2 * pp
+                    else:
+                        bucket.append(row)
     return out
 
 
@@ -339,8 +376,9 @@ class ConjectureReport:
 def check_conjectures(
     stream: Iterable[Witness], which: Iterable[str], bounds: str = ""
 ) -> dict[str, ConjectureReport]:
-    """Evaluate the requested conjecture predicates over one witness stream."""
-    ids = list(which)
+    """Evaluate the requested conjecture predicates over one witness stream;
+    an id asked for twice is evaluated once."""
+    ids = list(dict.fromkeys(which))
     for conjecture in ids:
         if conjecture not in _CONJECTURES:
             raise ValueError(f"unknown conjecture id {conjecture!r}")

@@ -23,7 +23,7 @@ from permutiple import (
     tails,
 )
 from permutiple.classify import _hits
-from permutiple.search import _arrangement_table, _multiset_hits
+from permutiple.search import _arrangement_table, _prefix_hits
 
 digit_strings = st.lists(st.integers(1, 40), min_size=1, max_size=9).map(tuple)
 
@@ -128,22 +128,30 @@ def test_arrangement_table_is_the_sorted_distinct_arrangements(ds):
 
 @settings(deadline=None)
 @given(
-    st.lists(st.integers(1, 8), min_size=2, max_size=6),
+    st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    st.integers(0, 7),
     st.booleans(),
     st.integers(2, 5),
     st.one_of(st.none(), st.integers(0, 4)),
 )
-def test_multiset_hits_match_the_pairwise_scan(ds, canonical_only, k_min, k_span):
-    # every base against every arrangement led by a digit <= a0 // 2, with
-    # no divisor join and no memo
-    multiset = tuple(sorted(ds))
+def test_prefix_hits_match_the_pairwise_scan(ds, extra, canonical_only, k_min, k_span):
+    # every base of each multiset R + (c,) against every arrangement led by
+    # a digit <= a0 // 2, with no divisor join, no memo and no columns; the
+    # c below 2 * R[0] must give nothing
+    prefix = tuple(sorted(ds))
+    max_digit = min(8, prefix[-1] + extra)
     k_bounds = (k_min, math.inf if k_span is None else k_min + k_span)
-    rows = [(a, continuant(a), continuant(a[1:])) for a in sorted(set(itertools.permutations(ds)))]
     expected = []
-    for base, p, q in rows:
-        if canonical_only and base[-1] < 2:
-            continue
-        hits = _hits(p, q, [row for row in rows if row[0][0] <= base[0] // 2], k_bounds)
-        if hits:
-            expected.append((base, hits))
-    assert _multiset_hits(multiset, canonical_only, k_bounds, {}) == expected
+    for c in range(prefix[-1], max_digit + 1):
+        multiset = prefix + (c,)
+        rows = [
+            (a, continuant(a), continuant(a[1:]))
+            for a in sorted(set(itertools.permutations(multiset)))
+        ]
+        for base, p, q in rows:
+            if canonical_only and base[-1] < 2:
+                continue
+            hits = _hits(p, q, [row for row in rows if row[0][0] <= base[0] // 2], k_bounds)
+            if hits:
+                expected.append((base, hits))
+    assert _prefix_hits(prefix, max_digit, canonical_only, k_bounds, {}, {}) == expected

@@ -241,11 +241,13 @@ class TestExhaustiveSearch:
             (4, 14, 144, "9af69bfdd42cac4e77b8f30a65d79c2aca4275560ce293e53d53b65cefb52379"),
             (5, 8, 50, "6bf89b8d188e8c85df1fcdcdbeedeed8aa3dd75d2f02c133f09fd0b3bcbea99a"),
             (6, 6, 98, "d911740b2f5e2cd45d8782759f714f7b7becdcec87358a1b53ccf46557208afb"),
+            ((2, 3), 60, 454, "8d6f70dac7a06500395f90cbd2bb427fd859c695fd8a7baeab88b51d66e11dc8"),
         ],
     )
     def test_baseline_bounds_are_pinned(self, length, max_digit, count, sha256):
         # the ROADMAP's four baseline scans, recorded from the per-tuple loop
-        # that tested every tuple's own arrangements
+        # that tested every tuple's own arrangements, and the lengths 2..3
+        # scan whose bytes perfbench's scan-short workload checks
         buffer = io.StringIO()
         config = SearchConfig(length=length, max_digit=max_digit)
         assert export(exhaustive_search(config), "jsonl", buffer) == count
@@ -278,9 +280,14 @@ class TestExhaustiveSearch:
         calls.clear()
         assert len(run(SearchConfig(**loose, k_min=3))) == len(calls) == 77
 
-    def test_worker_counts_agree(self):
-        serial = run(SearchConfig(length=3, max_digit=8))
-        parallel = run(SearchConfig(length=3, max_digit=8, workers=3))
+    @pytest.mark.parametrize(
+        "length, max_digit, workers",
+        # the last two have fewer one-digit prefixes than workers
+        [(3, 8, 3), (2, 3, 8), ((2, 3), 7, 8)],
+    )
+    def test_worker_counts_agree(self, length, max_digit, workers):
+        serial = run(SearchConfig(length=length, max_digit=max_digit))
+        parallel = run(SearchConfig(length=length, max_digit=max_digit, workers=workers))
         assert serial == parallel
 
     def test_dedupe_toggle(self):
@@ -319,17 +326,24 @@ class TestArrangementTable:
         assert len(table) == 56  # 8! / 6! distinct rows, against 8! = 40 320 orderings
         assert table == [(a, continuant(a), continuant(a[1:])) for a in arrangements]
 
-    def test_memo_holds_only_shorter_tables(self):
-        memo = {}
-        for multiset in itertools.combinations_with_replacement(range(1, 5), 6):
-            search._multiset_hits(multiset, True, (2, math.inf), memo)
-        # one-digit tails are built inline and top-length tables are dropped
-        assert {len(multiset) for multiset in memo} == {2, 3, 4, 5}
+    def test_memo_and_columns_hold_only_shorter_tables(self):
+        memo, columns = {}, {}
+        for prefix in itertools.combinations_with_replacement(range(1, 5), 5):
+            search._prefix_hits(prefix, 4, True, (2, math.inf), memo, columns)
+        # length-6 multisets: one-digit tails are built inline, length-5
+        # tables sit in the columns of their length-4 rests, and no
+        # top-length table is built
+        assert {len(multiset) for multiset in memo} == {2, 3, 4}
         for multiset, table in memo.items():
             assert table == search._arrangement_table(multiset, {})
+        assert {len(rest) for rest in columns} == {4}
+        for rest, column in columns.items():
+            assert len(column) == 5
+            for c, table in enumerate(column):
+                assert table is None or table == search._arrangement_table(rest + (c,), {})
 
 
-class TestMultisetHits:
+class TestPrefixHits:
     def test_partners_at_a_proper_divisor_of_p_are_candidates(self, monkeypatch):
         # 5;1,1,1,5 has p = 96 and no partner at p' = 96 (its reversal is
         # itself, led by 5 > 5 // 2); 1;5,1,5,1 has p' = 48 = 96 / 2, so it
@@ -342,17 +356,35 @@ class TestMultisetHits:
 
         search_hits = search._hits
         monkeypatch.setattr(search, "_hits", spy)
-        assert search._multiset_hits((1, 1, 1, 5, 5), True, (2, math.inf), {}) == []
+        # max_digit 5 leaves the one multiset (1, 1, 1, 5) + (5,)
+        assert search._prefix_hits((1, 1, 1, 5), 5, True, (2, math.inf), {}, {}) == []
         assert (continuant((5, 1, 1, 1, 5)), continuant((1, 1, 1, 5))) == (96, 17)
         assert continuant((1, 5, 1, 5, 1)) == 48
         assert (1, 5, 1, 5, 1) in seen[96, 17]
 
-    def test_multiset_with_no_partner_gives_no_hits(self):
-        # no digit is at most half another: no partner row and no base lead
-        for multiset in ((1, 1, 1, 1, 1, 1), (2, 3), (3, 4, 5)):
-            memo = {}
-            assert search._multiset_hits(multiset, False, (2, math.inf), memo) == []
-            assert memo == {}
+    def test_prefix_with_no_partner_gives_no_hits(self):
+        # every c <= max_digit is below 2 * R[0]: no digit is at most half
+        # another, so there is no partner row and no base lead
+        for prefix, max_digit in (((1, 1, 1, 1, 1), 1), ((2,), 3), ((3, 4), 5)):
+            memo, columns = {}, {}
+            assert search._prefix_hits(prefix, max_digit, False, (2, math.inf), memo, columns) == []
+            assert memo == {} and columns == {}
+
+    def test_length_two_reads_the_column_of_the_empty_rest(self):
+        # R = (r,) less its lead is (): every one-digit table (c,) sits in
+        # the one column columns[()]
+        memo, columns = {}, {}
+        hits = []
+        for r in range(1, 9):
+            hits += search._prefix_hits((r,), 8, True, (2, math.inf), memo, columns)
+        assert list(columns) == [()]
+        assert memo == {(): [((), 1, 0)]}
+        assert sorted(hits) == sorted(
+            (base, sorted(oracle_hits(base).items()))
+            for base in itertools.product(range(1, 9), repeat=2)
+            if base[-1] >= 2 and oracle_hits(base)
+        )
+        assert len(hits) == 5
 
 
 class TestConjectures:
@@ -368,6 +400,16 @@ class TestConjectures:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             check_conjectures([], ["c9"])
+
+    def test_repeated_id_is_counted_once(self, monkeypatch):
+        monkeypatch.setitem(search._CONJECTURES, "c2", ("every permutiple doubles", lambda w: w.k == 2))
+        stream = run(SearchConfig(length=2, max_digit=8))
+        reports = check_conjectures(stream, ["c2", "c2"])
+        assert list(reports) == ["c2"]
+        assert reports["c2"].examined == len(stream) == 5
+        assert [w.cf.digits for w in reports["c2"].counterexamples] == [(6, 2), (8, 2)]
+        with pytest.raises(ValueError):
+            check_conjectures([], ["c2", "c9", "c2"])
 
     def test_counterexamples_are_collected(self, monkeypatch, capsys):
         # no stated conjecture fails at tiny bounds, so c2 is swapped for a
