@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import factorial, gcd, inf, prod
+from math import factorial, gcd, prod
 from typing import Iterable, Iterator
 
 from .cf import ContinuedFraction, _euclid, _Tip, _tip
@@ -280,25 +280,21 @@ def _k_range(p: int, q: int, top: int, smallest: int) -> range:
 
 
 def _hits(
-    p: int,
-    q: int,
-    candidates: Iterable[tuple[tuple[int, ...], int, int]],
-    k_bounds: tuple[int, float] = (2, inf),
+    p: int, q: int, candidates: Iterable[tuple[tuple[int, ...], int, int]]
 ) -> list[tuple[tuple[int, ...], int]]:
     """The one candidate test: (permuted, k) for every candidate arrangement
-    whose value times an integer k within ``k_bounds`` is the base's p/q.
+    whose value times an integer k >= 2 is the base's p/q.
 
     Each candidate is (permuted, p', q').  The caller has already dropped
     arrangements that cannot be a multiple's partner (leading digit above
     a0 // 2, see ``find_witnesses``).  Hits keep the candidates' order.
     """
-    low, high = k_bounds
     hits = []
     for permuted, pp, qp in candidates:
         if p % pp:  # p/q == k * p'/q' in lowest terms needs p' | p
             continue
         k = _multiplier(p, q, pp, qp)
-        if k is not None and low <= k <= high:
+        if k is not None:
             hits.append((permuted, k))
     return hits
 

@@ -21,6 +21,11 @@ from math import gcd
 from .cf import ContinuedFraction
 from .classify import Permutation, Witness, canonical_sigma, classify
 
+# Leading digits, a0_max - k, that one three-digit enumeration may try: its
+# witnesses are all held before any is returned, and past this they would
+# take minutes and hundreds of megabytes.
+MAX_LEADING_DIGITS = 10**5
+
 
 def two_digit(k: int, s: int) -> Witness:
     """The swap family [k*s; s] = k * [s; k*s].
@@ -63,9 +68,17 @@ def three_digit_reverse(k: int, a0: int) -> Witness | None:
 
 
 def enumerate_three_digit_reverse(k: int, a0_max: int) -> list[Witness]:
-    """All three-digit k-reverse multiples with leading digit up to a0_max."""
+    """All three-digit k-reverse multiples with leading digit up to a0_max.
+
+    More than ``MAX_LEADING_DIGITS`` leading digits to try (a0_max - k) are
+    refused with ValueError before any is tried.
+    """
     if k < 2:
         raise ValueError("multiplier k must be an integer greater than 1")
+    if a0_max - k > MAX_LEADING_DIGITS:
+        raise ValueError(
+            f"a0_max {a0_max} with k={k} is over {MAX_LEADING_DIGITS} leading digits to try"
+        )
     out = []
     for a0 in range(k + 1, a0_max + 1):
         if gcd(a0, k) != 1:

@@ -9,24 +9,28 @@ have partners led by digits <= a0 // 2.  Arrangements are rows
 (arrangement, p, q) with p/q the value: a row is a digit d in front of a
 row (tail, p_t, q_t) of the multiset less d, with value (d*p_t + q_t) / p_t.
 The tables of those shorter multisets are built once per scanned part and
-kept for the multisets after it: R's own table once per prefix, and the
-table of (R less d) + (c,) at index c of one list per R less d, so a
+kept for the multisets after it in one store: a multiset's table sits at
+index c, its largest digit, of the column of the multiset less c.  A
+prefix fetches R's table and the column of each R less d once, so a
 multiset costs no slice and no hash.  Per multiset, the rows led by digits
 at most half the largest go into one dict keyed by the top continuant p'.
 Each base's value is read off the rows of its tail, and its candidates are
 the rows at p' = p // j for the divisors j of p, as a hit has
 p/q == k * p'/q' in lowest terms, so p' divides p; nearly always that is
 the one lookup j = 1.  The candidates go through the exact test that
-``classify.find_witnesses`` uses too.  A config is refused when its longest
-length has over ``MAX_MULTISETS`` multisets or its shorter tables would
-hold over ``MAX_TABLE_ROWS`` rows.  Worker processes take strided parts of
-each length's prefixes; the parts' hits are sorted by base per length
-before they are classified, so the output stream is in (length, digits,
-permuted) order and identical for any worker count.
+``classify.find_witnesses`` uses too, for every k >= 2.  A config is
+refused when its longest length has over ``MAX_MULTISETS`` multisets or
+its shorter tables would hold over ``MAX_TABLE_ROWS`` rows.  Worker
+processes take strided parts of each length's prefixes; the parts' hits
+are sorted by base per length, and the hits whose k is outside
+[k_min, k_max] dropped, before they are classified, so the output stream
+is in (length, digits, permuted) order and identical for any worker
+count.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
@@ -54,7 +58,7 @@ MAX_WORKERS = 64
 MAX_MULTISETS = 10**8
 # Rows that the tables of one length's shorter multisets may hold: a length-m
 # scan keeps them all, at most max_digit**j rows of each length j < m, in
-# each worker process (length m - 1 in the columns, shorter in the memo).
+# each worker process (in its one table store).
 MAX_TABLE_ROWS = 10**6
 
 
@@ -137,6 +141,9 @@ class SearchConfig:
 _Hits = tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
 # (arrangement, p, q): an arrangement of a multiset and its value p/q
 _Row = tuple[tuple[int, ...], int, int]
+# sorted multiset less its largest digit -> the tables of it plus each digit,
+# indexed by that digit; a missing column is made with every slot None
+_Store = collections.defaultdict[tuple[int, ...], list[list[_Row] | None]]
 
 
 def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
@@ -144,44 +151,39 @@ def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
     multisets R + (c,) of every sorted (m-1)-digit prefix R in a strided
     part of the prefixes, with each largest digit c >= R[-1]."""
     config, m, part = args
-    k_bounds = (config.k_min or 2, math.inf if config.k_max is None else config.k_max)
-    prefixes = itertools.combinations_with_replacement(range(1, config.max_digit + 1), m - 1)
-    memo: dict[tuple[int, ...], list[_Row]] = {}
-    columns: dict[tuple[int, ...], list[list[_Row] | None]] = {}
+    size = config.max_digit + 1
+    store: _Store = collections.defaultdict(lambda: [None] * size)
+    prefixes = itertools.combinations_with_replacement(range(1, size), m - 1)
     out: list[_Hits] = []
     for prefix in itertools.islice(prefixes, part, None, config.workers):
-        out += _prefix_hits(
-            prefix, config.max_digit, config.canonical_only, k_bounds, memo, columns
-        )
+        out += _prefix_hits(prefix, config.max_digit, config.canonical_only, store)
     return out
 
 
-def _tails(rest: tuple[int, ...], memo: dict[tuple[int, ...], list[_Row]]) -> list[_Row]:
-    """The table of a shorter multiset: taken from ``memo``, or built and kept
-    there.  A one-digit multiset (e,) is e/1 and is not kept."""
-    if len(rest) == 1:
-        return [(rest, rest[0], 1)]
-    table = memo.get(rest)
+def _table(multiset: tuple[int, ...], store: _Store) -> list[_Row]:
+    """The table of a sorted multiset: taken from its slot in ``store``, at
+    index multiset[-1] of the column ``store[multiset[:-1]]``, or built and
+    kept there."""
+    column = store[multiset[:-1]]
+    table = column[multiset[-1]]
     if table is None:
-        table = memo[rest] = _arrangement_table(rest, memo)
+        table = column[multiset[-1]] = _arrangement_table(multiset, store)
     return table
 
 
-def _arrangement_table(
-    multiset: tuple[int, ...], memo: dict[tuple[int, ...], list[_Row]]
-) -> list[_Row]:
-    """(arrangement, p, q) for each distinct arrangement of a sorted multiset,
-    in lexicographic order, with p/q its value in lowest terms.
+def _arrangement_table(multiset: tuple[int, ...], store: _Store) -> list[_Row]:
+    """(arrangement, p, q) for each distinct arrangement of a non-empty sorted
+    multiset, in lexicographic order, with p/q its value in lowest terms.
 
-    Each distinct digit d, ascending, goes in front of every row (tail, p, q)
-    of the table of the multiset less d, in that table's order, with the
-    value (d*p + q) / p.  Continuants are coprime, so no fraction needs
-    reducing, and no permutation or sort is walked.  The tail tables come
-    from ``_tails``; the table returned is not kept.  The empty multiset's
-    one row is (), 1, 0, the seed pair (p_{-1}, q_{-1}) of ``cf._tip``.
+    A one-digit multiset (e,) has the one row (e,), e, 1.  Otherwise each
+    distinct digit d, ascending, goes in front of every row (tail, p, q) of
+    the table of the multiset less d, in that table's order, with the value
+    (d*p + q) / p.  Continuants are coprime, so no fraction needs reducing,
+    and no permutation or sort is walked.  The tail tables come from
+    ``_table``; the table returned is not kept.
     """
-    if not multiset:
-        return [((), 1, 0)]
+    if len(multiset) == 1:
+        return [(multiset, multiset[0], 1)]
     rows: list[_Row] = []
     previous = None
     for i, d in enumerate(multiset):
@@ -189,18 +191,13 @@ def _arrangement_table(
             continue
         previous = d
         head = (d,)
-        tails = _tails(multiset[:i] + multiset[i + 1 :], memo)
+        tails = _table(multiset[:i] + multiset[i + 1 :], store)
         rows += [(head + tail, d * p + q, p) for tail, p, q in tails]
     return rows
 
 
 def _prefix_hits(
-    prefix: tuple[int, ...],
-    max_digit: int,
-    canonical_only: bool,
-    k_bounds: tuple[int, float],
-    memo: dict[tuple[int, ...], list[_Row]],
-    columns: dict[tuple[int, ...], list[list[_Row] | None]],
+    prefix: tuple[int, ...], max_digit: int, canonical_only: bool, store: _Store
 ) -> list[_Hits]:
     """Hits of every base arranged from a multiset R + (c,), for one sorted
     prefix R and each largest digit c from max(R[-1], 2 * R[0]) up to
@@ -210,22 +207,22 @@ def _prefix_hits(
     neither partners nor bases.  The multiset less its lead c is R, whose
     table is fetched once for every c.  Less any other lead d it is
     (R less d) + (c,), whose table sits at index c of the column
-    ``columns[R less d]``, built on first use, so no multiset is sliced or
-    hashed.  A partner is led by a digit <= a0 // 2, so only leads d with
-    2d <= c give partner rows (arrangement, p', q').  They go into ``by_p``,
-    keyed by p', lead by lead and tail by tail, so each bucket is in
-    lexicographic order.  A base needs a0 >= 2 * R[0]; its value
-    (a0*p_t + q_t) / p_t is read off each row of the table of the multiset
-    less a0.  Leads go up, and a lead's bases are tested before its partner
-    rows go in, so every partner led by a digit <= a0 // 2 is in ``by_p`` by
-    then.
+    ``store[R less d]``, fetched once per prefix and filled on first use, so
+    no multiset is sliced or hashed per c.  A partner is led by a digit
+    <= a0 // 2, so only leads d with 2d <= c give partner rows
+    (arrangement, p', q').  They go into ``by_p``, keyed by p', lead by lead
+    and tail by tail, so each bucket is in lexicographic order.  A base
+    needs a0 >= 2 * R[0]; its value (a0*p_t + q_t) / p_t is read off each
+    row of the table of the multiset less a0.  Leads go up, and a lead's
+    bases are tested before its partner rows go in, so every partner led by
+    a digit <= a0 // 2 is in ``by_p`` by then.
 
     For a hit, p/q == k * p'/q' in lowest terms, so p' divides p.  The
     candidates are the buckets p // j for each j | p, and p' >= min(by_p)
     bounds j; below 2 * min(by_p) that is the one bucket p.  Merged buckets
     are sorted.  Partners led by a digit above a0 // 2 may be among them:
     their value is over half the base's, so the exact test rejects them.
-    Hits come by c, then by base.
+    Hits come by c, then by base, with every k >= 2.
     """
     double = 2 * prefix[0]
     first = max(prefix[-1], double)
@@ -237,17 +234,9 @@ def _prefix_hits(
         if d != previous:
             previous = d
             rest = prefix[:i] + prefix[i + 1 :]
-            column = columns.get(rest)
-            if column is None:
-                column = columns[rest] = [None] * (max_digit + 1)
-            leads.append((d, rest, column))
-    # R is R less its largest digit, plus that digit: its table is in that column
-    top, _, column = leads[-1]
-    own = column[top]
-    if own is None:
-        own = column[top] = _arrangement_table(prefix, memo)
+            leads.append((d, rest, store[rest]))
     # the lead c, last: 0 stands for c, and every slot holds R's table
-    leads.append((0, prefix, [own] * (max_digit + 1)))
+    leads.append((0, prefix, [_table(prefix, store)] * (max_digit + 1)))
     floor = 2 if canonical_only else 0  # a canonical base ends in a digit >= 2
     out: list[_Hits] = []
     for c in range(first, max_digit + 1):
@@ -260,9 +249,7 @@ def _prefix_hits(
             d = d or c
             if half < d < double:
                 continue  # neither a partner's lead nor a base's
-            tails = column[c]
-            if tails is None:
-                tails = column[c] = _arrangement_table(rest + (c,), memo)
+            tails = column[c] or _table(rest + (c,), store)
             if d >= double:
                 for tail, pt, qt in tails:
                     if tail[-1] < floor:
@@ -279,7 +266,7 @@ def _prefix_hits(
                             if p % j == 0
                             for row in by_p.get(p // j, ())
                         )
-                    hits = _hits(p, pt, candidates, k_bounds)
+                    hits = _hits(p, pt, candidates)
                     if hits:
                         out.append(((d,) + tail, hits))
             if d <= half:
@@ -298,10 +285,14 @@ def _prefix_hits(
 
 
 def _by_length(config: SearchConfig, parts: Iterator[list[_Hits]]) -> Iterator[Witness]:
-    """Merge each length's parts by base, then classify the hits in that order."""
+    """Merge each length's parts by base, drop the hits whose k is outside
+    [k_min, k_max], then classify the rest in that order."""
+    low = config.k_min or 2
+    high = math.inf if config.k_max is None else config.k_max
     for _ in config.lengths():
         found = itertools.chain.from_iterable(itertools.islice(parts, config.workers))
         for base, hits in sorted(found):
+            hits = [hit for hit in hits if low <= hit[1] <= high]
             yield from _witness_list(base, hits, not config.dedupe, not config.canonical_only)
 
 

@@ -90,40 +90,46 @@ def test_criterion_1_example_gallery():
     announce("criterion 1", f"{len(GALLERY)} gallery identities verified exactly")
 
 
+def three_digit_family(k_max, bound):
+    """Canonical constructor witnesses for k = 2..k_max with every digit <= bound."""
+    return {
+        w
+        for k in range(2, k_max + 1)
+        for w in enumerate_three_digit_reverse(k, bound)
+        if w.cf.is_canonical and max(w.cf.digits) <= bound
+    }
+
+
 def test_criterion_2_three_digit_completeness():
-    config = SearchConfig(length=3, max_digit=25, k_min=2, k_max=5, workers=WORKERS)
-    searched = list(exhaustive_search(config))
-    assert searched, "the scan must find witnesses"
+    # every k: a 3-digit witness has a0 > k * a2 >= k, so k < bound
+    searched = list(exhaustive_search(SearchConfig(length=3, max_digit=120, workers=WORKERS)))
     for w in searched:
         a0, a1, a2 = w.cf.digits
         assert w.flags.reverse_multiple
         assert w.permuted.digits == (a2, a1, a0)
         assert a0 * a1 + 1 == w.k * (a1 * a2 + 1)
-    constructed = set()
-    for k in range(2, 6):
-        for w in enumerate_three_digit_reverse(k, 25):
-            if w.cf.is_canonical and max(w.cf.digits) <= 25:
-                constructed.add(w)
-    assert set(searched) == constructed
+    assert set(searched) == three_digit_family(120, 120)
+    assert len(searched) == 953
+    # and a bounded multiplier range against the same family cut to it
+    config = SearchConfig(length=3, max_digit=25, k_min=2, k_max=5, workers=WORKERS)
+    bounded = list(exhaustive_search(config))
+    assert bounded and set(bounded) == three_digit_family(5, 25)
     announce(
         "criterion 2",
-        f"{len(searched)} three-digit witnesses, search == constructor enumeration",
+        f"{len(searched)} three-digit witnesses at bound 120 (every k) and"
+        f" {len(bounded)} at bound 25 (k <= 5), search == constructor enumeration",
     )
 
 
 def test_criterion_3_two_digit_completeness():
     searched = {
         (w.cf.digits, w.k)
-        for w in exhaustive_search(SearchConfig(length=2, max_digit=50, workers=WORKERS))
+        for w in exhaustive_search(SearchConfig(length=2, max_digit=1000, workers=WORKERS))
     }
-    family = {
-        ((k * s, s), k)
-        for s in range(2, 51)
-        for k in range(2, 26)
-        if k * s <= 50
-    }
+    family = {((k * s, s), k) for s in range(2, 501) for k in range(2, 1000 // s + 1)}
     assert searched == family
-    announce("criterion 3", f"exactly the swap family: {len(searched)} witnesses at bound 50")
+    assert len(searched) == 5070
+    announce("criterion 3", f"exactly the swap family: {len(searched)} witnesses at bound 1000")
 
 
 def test_criterion_4_conjecture_scans(scan_len4_b20, scan_len2to5_b12):

@@ -217,6 +217,13 @@ class TestEnumerate:
         )
         assert code == 0 and len(out.strip().splitlines()) == 4
 
+    def test_three_digit_reverse_huge_range_is_refused_at_once(self, capsys):
+        code, out, err = run(
+            ["enumerate", "three-digit-reverse", "--k", "2", "--a0-max", "1000000000"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "over 100000 leading digits to try" in err
+
     def test_three_digit_reverse_needs_exactly_one_lead_bound(self, capsys):
         for flags in ([], ["--a0", "5", "--a0-max", "9"]):
             with pytest.raises(SystemExit) as excinfo:

@@ -11,6 +11,7 @@ from permutiple import (
     ContinuedFraction,
     PerfectParameters,
     Permutation,
+    constructors,
     enumerate_three_digit_reverse,
     export,
     perfect_cyclic,
@@ -20,6 +21,7 @@ from permutiple import (
     two_digit,
     validate_perfect_permutation,
 )
+from permutiple.constructors import MAX_LEADING_DIGITS
 
 CF = ContinuedFraction
 P = Permutation
@@ -83,6 +85,18 @@ class TestThreeDigitReverse:
         assert leading == [3, 5, 7, 9]
         assert CF((7, 1, 3)) in [w.cf for w in enumerate_three_digit_reverse(2, 7)]
         assert enumerate_three_digit_reverse(3, 3) == []
+
+    def test_enumeration_range_is_bounded(self, monkeypatch):
+        with pytest.raises(ValueError, match="leading digits to try"):
+            enumerate_three_digit_reverse(2, 2 + MAX_LEADING_DIGITS + 1)
+        with pytest.raises(ValueError, match="leading digits to try"):
+            enumerate_three_digit_reverse(7, 10**9)
+        # the bound is on a0_max - k, the leading digits tried: at the limit
+        # the range runs, one past it is refused
+        monkeypatch.setattr(constructors, "MAX_LEADING_DIGITS", 8)
+        assert [w.cf.digits[0] for w in enumerate_three_digit_reverse(2, 10)] == [3, 5, 7, 9]
+        with pytest.raises(ValueError):
+            enumerate_three_digit_reverse(2, 11)
 
     def test_outputs_satisfy_derived_bounds(self):
         for k in range(2, 6):

@@ -1,5 +1,6 @@
 """Generative checks of the core identities with hypothesis."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 from permutiple import (
     ContinuedFraction,
     Permutation,
+    SearchConfig,
     bracket_views,
     canonicalize,
     concat,
     continuant,
     convergents,
     evaluate,
+    exhaustive_search,
     from_rational,
     is_symmetric,
     permute_digits,
@@ -120,27 +123,21 @@ def test_convergents_of_permuted_strings_stay_reduced(ds, rng):
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
 def test_arrangement_table_is_the_sorted_distinct_arrangements(ds):
     multiset = tuple(sorted(ds))
-    table = _arrangement_table(multiset, {})
+    store = collections.defaultdict(lambda: [None] * 10)
+    table = _arrangement_table(multiset, store)
     assert [row[0] for row in table] == sorted(set(itertools.permutations(multiset)))
     for arrangement, p, q in table:
         assert (p, q) == (continuant(arrangement), continuant(arrangement[1:]))
 
 
 @settings(deadline=None)
-@given(
-    st.lists(st.integers(1, 8), min_size=1, max_size=5),
-    st.integers(0, 7),
-    st.booleans(),
-    st.integers(2, 5),
-    st.one_of(st.none(), st.integers(0, 4)),
-)
-def test_prefix_hits_match_the_pairwise_scan(ds, extra, canonical_only, k_min, k_span):
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=5), st.integers(0, 7), st.booleans())
+def test_prefix_hits_match_the_pairwise_scan(ds, extra, canonical_only):
     # every base of each multiset R + (c,) against every arrangement led by
-    # a digit <= a0 // 2, with no divisor join, no memo and no columns; the
-    # c below 2 * R[0] must give nothing
+    # a digit <= a0 // 2, with no divisor join and no store; the c below
+    # 2 * R[0] must give nothing
     prefix = tuple(sorted(ds))
     max_digit = min(8, prefix[-1] + extra)
-    k_bounds = (k_min, math.inf if k_span is None else k_min + k_span)
     expected = []
     for c in range(prefix[-1], max_digit + 1):
         multiset = prefix + (c,)
@@ -151,7 +148,29 @@ def test_prefix_hits_match_the_pairwise_scan(ds, extra, canonical_only, k_min, k
         for base, p, q in rows:
             if canonical_only and base[-1] < 2:
                 continue
-            hits = _hits(p, q, [row for row in rows if row[0][0] <= base[0] // 2], k_bounds)
+            hits = _hits(p, q, [row for row in rows if row[0][0] <= base[0] // 2])
             if hits:
                 expected.append((base, hits))
-    assert _prefix_hits(prefix, max_digit, canonical_only, k_bounds, {}, {}) == expected
+    store = collections.defaultdict(lambda: [None] * (max_digit + 1))
+    assert _prefix_hits(prefix, max_digit, canonical_only, store) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.integers(2, 7),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(2, 6)),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_k_bounds_filter_the_unbounded_stream(low, high, max_digit, canonical_only, k_min, k_span):
+    # the bounds only drop witnesses: a bounded search is the unbounded
+    # stream, in its order, less every witness with k outside [k_min, k_max]
+    length = (min(low, high), max(low, high))
+    k_max = None if k_span is None else (k_min or 2) + k_span
+    config = dict(length=length, max_digit=max_digit, canonical_only=canonical_only)
+    bounded = list(exhaustive_search(SearchConfig(**config, k_min=k_min, k_max=k_max)))
+    unbounded = exhaustive_search(SearchConfig(**config))
+    top = math.inf if k_max is None else k_max
+    assert bounded == [w for w in unbounded if (k_min or 2) <= w.k <= top]

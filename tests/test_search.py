@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import io
@@ -318,29 +319,34 @@ class TestExhaustiveSearch:
             assert w.cf.digits[0] > w.permuted.digits[0]
 
 
+def empty_store(max_digit):
+    """A table store whose missing columns have a slot per digit <= max_digit."""
+    return collections.defaultdict(lambda: [None] * (max_digit + 1))
+
+
 class TestArrangementTable:
     def test_long_multiset_with_repeated_digits(self):
         multiset = (1, 1, 1, 1, 1, 1, 2, 4)
-        table = search._arrangement_table(multiset, {})
+        table = search._arrangement_table(multiset, empty_store(4))
         arrangements = sorted(set(itertools.permutations(multiset)))
         assert len(table) == 56  # 8! / 6! distinct rows, against 8! = 40 320 orderings
         assert table == [(a, continuant(a), continuant(a[1:])) for a in arrangements]
 
-    def test_memo_and_columns_hold_only_shorter_tables(self):
-        memo, columns = {}, {}
+    def test_store_holds_only_shorter_tables(self):
+        store = empty_store(4)
         for prefix in itertools.combinations_with_replacement(range(1, 5), 5):
-            search._prefix_hits(prefix, 4, True, (2, math.inf), memo, columns)
-        # length-6 multisets: one-digit tails are built inline, length-5
-        # tables sit in the columns of their length-4 rests, and no
+            search._prefix_hits(prefix, 4, True, store)
+        # length-6 multisets: every table of lengths 1..5 sits at index c of
+        # the column of the multiset less its largest digit c, and no
         # top-length table is built
-        assert {len(multiset) for multiset in memo} == {2, 3, 4}
-        for multiset, table in memo.items():
-            assert table == search._arrangement_table(multiset, {})
-        assert {len(rest) for rest in columns} == {4}
-        for rest, column in columns.items():
+        lengths = set()
+        for rest, column in store.items():
             assert len(column) == 5
             for c, table in enumerate(column):
-                assert table is None or table == search._arrangement_table(rest + (c,), {})
+                if table is not None:
+                    lengths.add(len(rest) + 1)
+                    assert table == search._arrangement_table(rest + (c,), empty_store(4))
+        assert lengths == {1, 2, 3, 4, 5}
 
 
 class TestPrefixHits:
@@ -350,14 +356,14 @@ class TestPrefixHits:
         # is reached only by the j = 2 lookup
         seen = {}
 
-        def spy(p, q, candidates, k_bounds):
+        def spy(p, q, candidates):
             seen[p, q] = [row[0] for row in candidates]
-            return search_hits(p, q, candidates, k_bounds)
+            return search_hits(p, q, candidates)
 
         search_hits = search._hits
         monkeypatch.setattr(search, "_hits", spy)
         # max_digit 5 leaves the one multiset (1, 1, 1, 5) + (5,)
-        assert search._prefix_hits((1, 1, 1, 5), 5, True, (2, math.inf), {}, {}) == []
+        assert search._prefix_hits((1, 1, 1, 5), 5, True, empty_store(5)) == []
         assert (continuant((5, 1, 1, 1, 5)), continuant((1, 1, 1, 5))) == (96, 17)
         assert continuant((1, 5, 1, 5, 1)) == 48
         assert (1, 5, 1, 5, 1) in seen[96, 17]
@@ -366,19 +372,19 @@ class TestPrefixHits:
         # every c <= max_digit is below 2 * R[0]: no digit is at most half
         # another, so there is no partner row and no base lead
         for prefix, max_digit in (((1, 1, 1, 1, 1), 1), ((2,), 3), ((3, 4), 5)):
-            memo, columns = {}, {}
-            assert search._prefix_hits(prefix, max_digit, False, (2, math.inf), memo, columns) == []
-            assert memo == {} and columns == {}
+            store = empty_store(max_digit)
+            assert search._prefix_hits(prefix, max_digit, False, store) == []
+            assert store == {}
 
     def test_length_two_reads_the_column_of_the_empty_rest(self):
         # R = (r,) less its lead is (): every one-digit table (c,) sits in
-        # the one column columns[()]
-        memo, columns = {}, {}
+        # the one column store[()]
+        store = empty_store(8)
         hits = []
         for r in range(1, 9):
-            hits += search._prefix_hits((r,), 8, True, (2, math.inf), memo, columns)
-        assert list(columns) == [()]
-        assert memo == {(): [((), 1, 0)]}
+            hits += search._prefix_hits((r,), 8, True, store)
+        assert list(store) == [()]
+        assert store[()] == [None] + [[((e,), e, 1)] for e in range(1, 9)]
         assert sorted(hits) == sorted(
             (base, sorted(oracle_hits(base).items()))
             for base in itertools.product(range(1, 9), repeat=2)
