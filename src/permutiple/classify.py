@@ -375,8 +375,9 @@ def find_witnesses(
     value has one digit string: its Euclid expansion, or that expansion with
     the last digit split off as a trailing 1.  A candidate is kept when it
     rearranges the digits, then put through the candidate test that
-    ``search`` uses.  Strings with more than ``MAX_K_CANDIDATES`` multipliers
-    to try are refused with ValueError.
+    ``search`` uses for its rare divisor lookups, p' a proper divisor of p
+    (its common case p' == p it tests inline).  Strings with more than
+    ``MAX_K_CANDIDATES`` multipliers to try are refused with ValueError.
     """
     if not cf.is_canonical and not allow_noncanonical:
         raise ValueError(f"base string {cf} is not canonical")

@@ -6,26 +6,28 @@ max(R[-1], 2 * R[0]) up, so a multiset in which no digit is at most half
 another is never visited, as none of its bases can have a partner.  A base
 (a0 >= 2, last digit >= 2 unless non-canonical bases are searched) can only
 have partners led by digits <= a0 // 2.  Arrangements are rows
-(arrangement, p, q) with p/q the value: a row is a digit d in front of a
-row (tail, p_t, q_t) of the multiset less d, with value (d*p_t + q_t) / p_t.
-The tables of those shorter multisets are built once per scanned part and
-kept for the multisets after it in one store: a multiset's table sits at
-index c, its largest digit, of the column of the multiset less c.  A
-prefix fetches R's table and the column of each R less d once, so a
-multiset costs no slice and no hash.  Per multiset, the rows led by digits
-at most half the largest go into one dict keyed by the top continuant p'.
-Each base's value is read off the rows of its tail, and its candidates are
-the rows at p' = p // j for the divisors j of p, as a hit has
-p/q == k * p'/q' in lowest terms, so p' divides p; nearly always that is
-the one lookup j = 1.  The candidates go through the exact test that
-``classify.find_witnesses`` uses too, for every k >= 2.  A config is
-refused when its longest length has over ``MAX_MULTISETS`` multisets or
-its shorter tables would hold over ``MAX_TABLE_ROWS`` rows.  Worker
-processes take strided parts of each length's prefixes; the parts' hits
-are sorted by base per length, and the hits whose k is outside
-[k_min, k_max] dropped, before they are classified, so the output stream
-is in (length, digits, permuted) order and identical for any worker
-count.
+(p, q, last) with p/q the value and last the last digit, and no digits: a
+row is a digit d in front of a row (p_t, q_t, last) of the multiset less d,
+with value (d*p_t + q_t) / p_t.  The tables of those shorter multisets are
+built once per scanned part and kept for the multisets after it in one
+store: a multiset's table sits at index c, its largest digit, of the column
+of the multiset less c.  A prefix fetches R's table and the column of each
+R less d once, so a multiset costs no slice and no hash.  Per multiset, the
+rows led by digits at most half the largest go into one dict keyed by the
+top continuant p', each as its q'.  Each base's value is read off the rows
+of its tail, and its candidates are the rows at p' = p // j for the
+divisors j of p, as a hit has p/q == k * p'/q' in lowest terms, so p'
+divides p.  Nearly always that is the one lookup j = 1, where a hit is
+q' == k*q, tested inline; the rare divisor lookups go through the exact
+test that ``classify.find_witnesses`` uses too, for every k >= 2.  Digits
+are rebuilt from p/q, by Euclid's algorithm, only for a base with a hit
+and its hit partners.  A config is refused when its longest length has
+over ``MAX_MULTISETS`` multisets or its shorter tables would hold over
+``MAX_TABLE_ROWS`` rows.  Worker processes take strided parts of each
+length's prefixes; the parts' hits are sorted by base per length, and the
+hits whose k is outside [k_min, k_max] dropped, before they are
+classified, so the output stream is in (length, digits, permuted) order
+and identical for any worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cf import format_cf
+from .cf import _euclid, format_cf
 from .classify import (
     FLAG_ORDER,
     Witness,
@@ -58,8 +60,10 @@ MAX_WORKERS = 64
 MAX_MULTISETS = 10**8
 # Rows that the tables of one length's shorter multisets may hold: a length-m
 # scan keeps them all, at most max_digit**j rows of each length j < m, in
-# each worker process (in its one table store).
-MAX_TABLE_ROWS = 10**6
+# each worker process (in its one table store).  A row is three ints and no
+# digits, so the most this admits (11 digits <= 4, 1 398 100 rows) peaks
+# near 160 MB.
+MAX_TABLE_ROWS = 2 * 10**6
 
 
 def _is_int(value: object) -> bool:
@@ -139,8 +143,8 @@ class SearchConfig:
 
 # (base digits, its (permuted, k) hits ordered by permuted string)
 _Hits = tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
-# (arrangement, p, q): an arrangement of a multiset and its value p/q
-_Row = tuple[tuple[int, ...], int, int]
+# (p, q, last): an arrangement's value p/q and its last digit
+_Row = tuple[int, int, int]
 # sorted multiset less its largest digit -> the tables of it plus each digit,
 # indexed by that digit; a missing column is made with every slot None
 _Store = collections.defaultdict[tuple[int, ...], list[list[_Row] | None]]
@@ -172,28 +176,41 @@ def _table(multiset: tuple[int, ...], store: _Store) -> list[_Row]:
 
 
 def _arrangement_table(multiset: tuple[int, ...], store: _Store) -> list[_Row]:
-    """(arrangement, p, q) for each distinct arrangement of a non-empty sorted
-    multiset, in lexicographic order, with p/q its value in lowest terms.
+    """(p, q, last) for each distinct arrangement of a non-empty sorted
+    multiset, in lexicographic order of the arrangements, with p/q its value
+    in lowest terms and last its last digit.
 
-    A one-digit multiset (e,) has the one row (e,), e, 1.  Otherwise each
-    distinct digit d, ascending, goes in front of every row (tail, p, q) of
+    A one-digit multiset (e,) has the one row (e, 1, e).  Otherwise each
+    distinct digit d, ascending, goes in front of every row (p, q, last) of
     the table of the multiset less d, in that table's order, with the value
-    (d*p + q) / p.  Continuants are coprime, so no fraction needs reducing,
-    and no permutation or sort is walked.  The tail tables come from
-    ``_table``; the table returned is not kept.
+    (d*p + q) / p and the same last digit.  Continuants are coprime, so no
+    fraction needs reducing, and no permutation or sort is walked.  A row
+    holds no digits: ``_arrangement`` rebuilds them from p/q.  The tail
+    tables come from ``_table``; the table returned is not kept.
     """
     if len(multiset) == 1:
-        return [(multiset, multiset[0], 1)]
+        e = multiset[0]
+        return [(e, 1, e)]
     rows: list[_Row] = []
     previous = None
     for i, d in enumerate(multiset):
         if d == previous:
             continue
         previous = d
-        head = (d,)
         tails = _table(multiset[:i] + multiset[i + 1 :], store)
-        rows += [(head + tail, d * p + q, p) for tail, p, q in tails]
+        rows += [(d * p + q, p, last) for p, q, last in tails]
     return rows
+
+
+def _arrangement(p: int, q: int, m: int) -> tuple[int, ...]:
+    """The m-digit arrangement with value p/q: its Euclid expansion, with the
+    last digit a split into a-1, 1 when the expansion has m-1 digits.  A
+    rational has two expansions, whose lengths differ by one, so this is the
+    only one with m digits."""
+    digits = list(_euclid(p, q))
+    if len(digits) < m:
+        digits[-1:] = (digits[-1] - 1, 1)
+    return tuple(digits)
 
 
 def _prefix_hits(
@@ -209,25 +226,32 @@ def _prefix_hits(
     (R less d) + (c,), whose table sits at index c of the column
     ``store[R less d]``, fetched once per prefix and filled on first use, so
     no multiset is sliced or hashed per c.  A partner is led by a digit
-    <= a0 // 2, so only leads d with 2d <= c give partner rows
-    (arrangement, p', q').  They go into ``by_p``, keyed by p', lead by lead
-    and tail by tail, so each bucket is in lexicographic order.  A base
-    needs a0 >= 2 * R[0]; its value (a0*p_t + q_t) / p_t is read off each
-    row of the table of the multiset less a0.  Leads go up, and a lead's
-    bases are tested before its partner rows go in, so every partner led by
-    a digit <= a0 // 2 is in ``by_p`` by then.
+    <= a0 // 2, so only leads d with 2d <= c give partner rows.  Each goes
+    into ``by_p`` as its q' (the p of its tail), keyed by p', lead by lead
+    and tail by tail, so each bucket is in lexicographic order of the
+    partners' arrangements.  A base needs a0 >= 2 * R[0]; its value
+    (a0*p_t + q_t) / p_t is read off each row of the table of the multiset
+    less a0.  Leads go up, and a lead's bases are tested before its partner
+    rows go in, so every partner led by a digit <= a0 // 2 is in ``by_p`` by
+    then.
 
-    For a hit, p/q == k * p'/q' in lowest terms, so p' divides p.  The
-    candidates are the buckets p // j for each j | p, and p' >= min(by_p)
-    bounds j; below 2 * min(by_p) that is the one bucket p.  Merged buckets
-    are sorted.  Partners led by a digit above a0 // 2 may be among them:
-    their value is over half the base's, so the exact test rejects them.
-    Hits come by c, then by base, with every k >= 2.
+    For a hit, p/q == k * p'/q' in lowest terms, so p' divides p, and p'
+    >= min(by_p) bounds p/p'.  Below 2 * min(by_p) the one candidate bucket
+    is p' = p, where p/q == k * p/q' says q' == k*q: each q' there is tested
+    inline, with no digits built.  Otherwise the candidates are the
+    buckets p // j for each j | p, rebuilt to (arrangement, p', q'), sorted
+    and put through the exact test ``classify._hits``.  Partners led by a
+    digit above a0 // 2 may be among the candidates: their value is over
+    half the base's, so neither test keeps them.  Only a base with a hit and
+    its hit partners are rebuilt to digits, by ``_arrangement``.  A base's
+    hits are in permuted order: a bucket's order, or the merged buckets
+    sorted.  Hits come by c, then by base, with every k >= 2.
     """
     double = 2 * prefix[0]
     first = max(prefix[-1], double)
     if first > max_digit:
         return []
+    m = len(prefix) + 1
     leads = []  # (d, R less d, its column) for each distinct digit d of R
     previous = None
     for i, d in enumerate(prefix):
@@ -241,7 +265,7 @@ def _prefix_hits(
     out: list[_Hits] = []
     for c in range(first, max_digit + 1):
         half = c // 2
-        by_p: dict[int, list[_Row]] = {}
+        by_p: dict[int, list[int]] = {}  # p' -> the q' of each partner row
         least = twice = math.inf  # the smallest p' in by_p, and twice that
         for d, rest, column in leads:
             if d == c:
@@ -251,36 +275,48 @@ def _prefix_hits(
                 continue  # neither a partner's lead nor a base's
             tails = column[c] or _table(rest + (c,), store)
             if d >= double:
-                for tail, pt, qt in tails:
-                    if tail[-1] < floor:
+                for pt, qt, last in tails:
+                    if last < floor:
                         continue
                     p = d * pt + qt
                     if p < twice:
-                        candidates = by_p.get(p)
-                        if candidates is None:
+                        bucket = by_p.get(p)
+                        if bucket is None:
                             continue
+                        for qp in bucket:  # p/pt == k * p/qp: qp == k*pt, k >= 2
+                            if qp > pt and not qp % pt:
+                                break
+                        else:
+                            continue  # no hit: nothing built, and no call made
+                        hits = [
+                            (_arrangement(p, qp, m), qp // pt)
+                            for qp in bucket
+                            if qp > pt and not qp % pt
+                        ]
                     else:
-                        candidates = sorted(
-                            row
-                            for j in range(1, p // least + 1)
-                            if p % j == 0
-                            for row in by_p.get(p // j, ())
+                        hits = _hits(
+                            p,
+                            pt,
+                            sorted(
+                                (_arrangement(p // j, qp, m), p // j, qp)
+                                for j in range(1, p // least + 1)
+                                if p % j == 0
+                                for qp in by_p.get(p // j, ())
+                            ),
                         )
-                    hits = _hits(p, pt, candidates)
-                    if hits:
-                        out.append(((d,) + tail, hits))
+                        if not hits:
+                            continue
+                    out.append((_arrangement(p, pt, m), hits))
             if d <= half:
-                head = (d,)
-                for tail, p, q in tails:
+                for p, q, _ in tails:
                     pp = d * p + q
-                    row = (head + tail, pp, p)
                     bucket = by_p.get(pp)
                     if bucket is None:
-                        by_p[pp] = [row]
+                        by_p[pp] = [p]
                         if pp < least:
                             least, twice = pp, 2 * pp
                     else:
-                        bucket.append(row)
+                        bucket.append(p)
     return out
 
 

@@ -33,10 +33,12 @@ from permutiple import (
     exhaustive_search,
     infinite_perfect_stream,
     palindromic_concat,
+    perfect_from_parameters,
     perfect_reverse,
     surd_multiplier,
     tails,
     two_digit,
+    validate_perfect_permutation,
     verify_surd_permutiple,
 )
 
@@ -130,6 +132,53 @@ def test_criterion_3_two_digit_completeness():
     assert searched == family
     assert len(searched) == 5070
     announce("criterion 3", f"exactly the swap family: {len(searched)} witnesses at bound 1000")
+
+
+def four_digit_families(bound):
+    """Canonical 4-digit (digits, permuted, k) with every digit <= bound: the
+    perfect ones and the reverse multiples, each built, never scanned."""
+    perfect = set()
+    for images in itertools.permutations(range(4)):
+        sigma = Permutation(images)
+        if not validate_perfect_permutation(sigma):  # every cycle parity-balanced
+            continue
+        for k in range(2, bound + 1):
+            # a cycle's digits are its parameter times those built with 1
+            ones = perfect_from_parameters(PerfectParameters(sigma, k, (1,) * len(sigma.cycles)))
+            tops = [bound // max(ones.cf.digits[j] for j in cycle) for cycle in sigma.cycles]
+            for params in itertools.product(*(range(1, top + 1) for top in tops)):
+                w = perfect_from_parameters(PerfectParameters(sigma, k, params))
+                if w.cf.is_canonical:
+                    perfect.add((w.cf.digits, w.permuted.digits, w.k))
+    # [a0; a1, a2, a3] == k * [a3; a2, a1, a0] exactly when
+    # k*a1 == a2 + t*(a1*a2 + 1) and a0 == k*a3 + t for an integer t >= 0;
+    # a3 >= 2 and a0 <= bound leave k <= bound // 2
+    reverse = set()
+    for k in range(2, bound // 2 + 1):
+        for a1, a2 in itertools.product(range(1, bound + 1), repeat=2):
+            t, rem = divmod(k * a1 - a2, a1 * a2 + 1)
+            if rem or t < 0:
+                continue
+            for a3 in range(2, (bound - t) // k + 1):
+                digits = (k * a3 + t, a1, a2, a3)
+                assert nested_eval(digits) == k * nested_eval(digits[::-1])
+                reverse.add((digits, digits[::-1], k))
+    return perfect, reverse
+
+
+def test_four_digit_completeness():
+    searched = {
+        (w.cf.digits, w.permuted.digits, w.k)
+        for w in exhaustive_search(SearchConfig(length=4, max_digit=30, workers=WORKERS))
+    }
+    perfect, reverse = four_digit_families(30)
+    assert searched == perfect | reverse
+    assert (len(searched), len(perfect), len(reverse - perfect)) == (971, 812, 159)
+    announce(
+        "four-digit families",
+        f"{len(searched)} witnesses at bound 30 == {len(perfect)} perfect"
+        f" + {len(reverse - perfect)} further reverse multiples",
+    )
 
 
 def test_criterion_4_conjecture_scans(scan_len4_b20, scan_len2to5_b12):

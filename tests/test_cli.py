@@ -366,7 +366,7 @@ class TestUsageErrors:
     def test_brute_force_limit_is_usage_error(self, capsys):
         for argv in (
             ["witnesses", "--cf", "10000000;1,2"],  # over a million k to try
-            ["search", "--len", "11", "--max-digit", "4"],  # over 10**6 rows of shorter tables
+            ["search", "--len", "12", "--max-digit", "4"],  # over 2 * 10**6 rows of shorter tables
             ["witnesses", "--cf", "7;1,3,1"],  # not canonical: refused, not folded
         ):
             code, out, err = run(argv, capsys)

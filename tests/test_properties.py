@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 from conftest import gauss_step, matrix_continuant, nested_eval
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permutiple import (
@@ -26,7 +26,7 @@ from permutiple import (
     tails,
 )
 from permutiple.classify import _hits
-from permutiple.search import _arrangement_table, _prefix_hits
+from permutiple.search import _arrangement, _arrangement_table, _prefix_hits
 
 digit_strings = st.lists(st.integers(1, 40), min_size=1, max_size=9).map(tuple)
 
@@ -125,9 +125,23 @@ def test_arrangement_table_is_the_sorted_distinct_arrangements(ds):
     multiset = tuple(sorted(ds))
     store = collections.defaultdict(lambda: [None] * 10)
     table = _arrangement_table(multiset, store)
-    assert [row[0] for row in table] == sorted(set(itertools.permutations(multiset)))
-    for arrangement, p, q in table:
-        assert (p, q) == (continuant(arrangement), continuant(arrangement[1:]))
+    assert table == [
+        (continuant(a), continuant(a[1:]), a[-1])
+        for a in sorted(set(itertools.permutations(multiset)))
+    ]
+
+
+@example([1])
+@example([1, 1, 1, 1, 1, 1])
+@example([1, 2])
+@given(st.lists(st.one_of(st.just(1), st.integers(1, 9)), min_size=1, max_size=6))
+def test_rows_rebuild_to_their_arrangements(ds):
+    # a row holds no digits; its p/q forced to m digits must give back its
+    # arrangement, also where that ends in 1 and the expansion is a digit short
+    multiset = tuple(sorted(ds))
+    store = collections.defaultdict(lambda: [None] * 10)
+    rebuilt = [_arrangement(p, q, len(ds)) for p, q, _ in _arrangement_table(multiset, store)]
+    assert rebuilt == sorted(set(itertools.permutations(multiset)))
 
 
 @settings(deadline=None)

@@ -84,10 +84,10 @@ class TestSearchConfig:
         SearchConfig(length=2, max_digit=5, k_min=3, k_max=3)  # one multiplier: accepted
         with pytest.raises(ValueError, match="empty length range"):
             SearchConfig(length=(5, 3), max_digit=5)
-        # 4 + 4**2 + ... + 4**9 = 349 524 rows of shorter tables: accepted; to 4**10, refused
-        assert sum(4**j for j in range(1, 10)) <= MAX_TABLE_ROWS < sum(4**j for j in range(1, 11))
-        SearchConfig(length=10, max_digit=4)
-        for length, max_digit in ((11, 4), ((2, 11), 5), ((2, 10**12), 5), ((2, 10**12), 2)):
+        # 4 + 4**2 + ... + 4**10 = 1 398 100 rows of shorter tables: accepted; to 4**11, refused
+        assert sum(4**j for j in range(1, 11)) <= MAX_TABLE_ROWS < sum(4**j for j in range(1, 12))
+        SearchConfig(length=11, max_digit=4)
+        for length, max_digit in ((12, 4), ((2, 11), 5), ((2, 10**12), 5), ((2, 10**12), 2)):
             with pytest.raises(ValueError, match=f"over {MAX_TABLE_ROWS} rows"):
                 SearchConfig(length=length, max_digit=max_digit)  # before the range is built
         with pytest.raises(ValueError, match="multisets"):  # no C(10**12 + 10**6, 10**6) either
@@ -330,7 +330,9 @@ class TestArrangementTable:
         table = search._arrangement_table(multiset, empty_store(4))
         arrangements = sorted(set(itertools.permutations(multiset)))
         assert len(table) == 56  # 8! / 6! distinct rows, against 8! = 40 320 orderings
-        assert table == [(a, continuant(a), continuant(a[1:])) for a in arrangements]
+        assert table == [(continuant(a), continuant(a[1:]), a[-1]) for a in arrangements]
+        # 42 of them end in 1, so their Euclid expansion is a digit short
+        assert [search._arrangement(p, q, 8) for p, q, _ in table] == arrangements
 
     def test_store_holds_only_shorter_tables(self):
         store = empty_store(4)
@@ -384,7 +386,7 @@ class TestPrefixHits:
         for r in range(1, 9):
             hits += search._prefix_hits((r,), 8, True, store)
         assert list(store) == [()]
-        assert store[()] == [None] + [[((e,), e, 1)] for e in range(1, 9)]
+        assert store[()] == [None] + [[(e, 1, e)] for e in range(1, 9)]
         assert sorted(hits) == sorted(
             (base, sorted(oracle_hits(base).items()))
             for base in itertools.product(range(1, 9), repeat=2)
