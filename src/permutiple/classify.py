@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import factorial, gcd, prod
 from typing import Iterable, Iterator
@@ -44,7 +44,10 @@ class Permutation:
         return cls(tuple(int(part) for part in compact.split(",")))
 
     @classmethod
+    @lru_cache(maxsize=128)
     def reversal(cls, size: int) -> Permutation:
+        """The reversal j -> size - 1 - j: one shared object per size, so its
+        cycles and perfect layout are walked once."""
         return cls(tuple(range(size - 1, -1, -1)))
 
     def __len__(self) -> int:
@@ -71,9 +74,36 @@ class Permutation:
             cycles.append(tuple(cycle))
         return tuple(cycles)
 
+    @cached_property
+    def perfect_layout(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per cycle, the power of k of each position's digit in a perfect
+        permutiple on this sigma, in cycle order; None for a cycle that holds
+        unequal numbers of even and odd positions, which no perfect digits fit.
+
+        Perfection reads a_sigma(j) = a_j / k at even j and a_j * k at odd j,
+        so along a cycle the power steps -1 after an even j and +1 after an
+        odd one, and it closes exactly when the steps balance.  The powers
+        are shifted so that the lowest is 0.  It falls on an odd j (after an
+        even one the next is lower), where s_j = a_j is the smallest of the
+        s_j (a_j / k at even j), so every digit is an integer for any
+        positive cycle parameter.
+        """
+        layout = []
+        for cycle in self.cycles:
+            powers, power = [], 0
+            for j in cycle:
+                powers.append(power)
+                power += 1 if j % 2 else -1
+            if power:
+                layout.append(None)
+            else:
+                low = min(powers)
+                layout.append(tuple([e - low for e in powers]))
+        return tuple(layout)
+
 
 def format_permutation(sigma: Permutation) -> str:
-    return ",".join(str(i) for i in sigma.images)
+    return ",".join([str(i) for i in sigma.images])
 
 
 @dataclass(frozen=True)
@@ -167,7 +197,8 @@ def _check_lengths(cf: ContinuedFraction, sigma: Permutation) -> None:
 def permute_digits(cf: ContinuedFraction, sigma: Permutation) -> ContinuedFraction:
     """Digit string whose j-th digit is a_sigma(j); may be non-canonical."""
     _check_lengths(cf, sigma)
-    return ContinuedFraction(tuple(cf.digits[i] for i in sigma.images))
+    ds = cf.digits
+    return ContinuedFraction(tuple([ds[i] for i in sigma.images]))
 
 
 def _multiplier(p: int, q: int, pp: int, qp: int) -> int | None:
@@ -210,23 +241,22 @@ def is_perfect(cf: ContinuedFraction, sigma: Permutation, k: int) -> bool:
     """Alternating exact-ratio pattern: a_j = k*a_sigma(j) at even j and
     a_sigma(j) = k*a_j at odd j."""
     _check_lengths(cf, sigma)
-    ds = cf.digits
-    for j, image in enumerate(sigma.images):
-        if j % 2 == 0:
-            if ds[j] != k * ds[image]:
-                return False
-        elif ds[image] != k * ds[j]:
-            return False
-    return True
+    ds, img = cf.digits, sigma.images
+    return all(a == k * ds[i] for a, i in zip(ds[::2], img[::2])) and all(
+        ds[i] == k * a for a, i in zip(ds[1::2], img[1::2])
+    )
 
 
 def is_symmetric(cf: ContinuedFraction, sigma: Permutation) -> bool:
-    """Symmetric digit products are preserved: a_j*a_{n-j} == a_sigma(j)*a_sigma(n-j)."""
+    """Symmetric digit products are preserved: a_j*a_{n-j} == a_sigma(j)*a_sigma(n-j).
+
+    The pairs j and n - j are one test, so only j <= n // 2 is walked.
+    """
     _check_lengths(cf, sigma)
     ds = cf.digits
     n = len(ds) - 1
     img = sigma.images
-    return all(ds[j] * ds[n - j] == ds[img[j]] * ds[img[n - j]] for j in range(n + 1))
+    return all(ds[j] * ds[n - j] == ds[img[j]] * ds[img[n - j]] for j in range(n // 2 + 1))
 
 
 def classify(
@@ -285,9 +315,13 @@ def _hits(
     """The one candidate test: (permuted, k) for every candidate arrangement
     whose value times an integer k >= 2 is the base's p/q.
 
-    Each candidate is (permuted, p', q').  The caller has already dropped
-    arrangements that cannot be a multiple's partner (leading digit above
-    a0 // 2, see ``find_witnesses``).  Hits keep the candidates' order.
+    Each candidate is (permuted, p', q').  Candidates led by a digit above
+    a0 // 2 may be passed: ``find_witnesses`` drops them, but ``search``'s
+    divisor path passes every partner led by a digit up to c // 2, with c
+    the multiset's largest digit, and for a base led by a digit below c
+    that can exceed a0 // 2.  Such a partner's value is over half the
+    base's, so no k >= 2 fits and this test rejects it.  Hits keep the
+    candidates' order.
     """
     hits = []
     for permuted, pp, qp in candidates:

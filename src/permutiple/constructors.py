@@ -94,12 +94,12 @@ def validate_perfect_permutation(sigma: Permutation) -> bool:
 
     Requires a nonempty sigma whose every cycle holds equally many even and
     odd positions; this parity balance is exactly the solvability condition
-    for the digit parameters.  Balanced cycles have even length, so such a
-    sigma is a derangement of even order on an even number of symbols.
+    for the digit parameters, and exactly the cycles whose
+    ``Permutation.perfect_layout`` closes.  Balanced cycles have even length,
+    so such a sigma is a derangement of even order on an even number of
+    symbols.
     """
-    return len(sigma) > 0 and all(
-        2 * sum(1 for j in cycle if j % 2 == 0) == len(cycle) for cycle in sigma.cycles
-    )
+    return len(sigma) > 0 and None not in sigma.perfect_layout
 
 
 @dataclass(frozen=True)
@@ -128,26 +128,16 @@ class PerfectParameters:
 def perfect_from_parameters(params: PerfectParameters) -> Witness:
     """Perfect permutiple built from one free parameter per cycle of sigma.
 
-    Perfection reads a_sigma(j) = a_j / k at even j and a_j * k at odd j, so
-    along each cycle the digit's power of k steps -1 at even j and +1 at
-    odd j.  A cycle holds as many even as odd positions, so the steps sum
-    to 0 and the powers close.  With s_j = a_j / k at even j and s_j = a_j
-    at odd j, the powers are shifted so the cycle parameter is the smallest
-    s_j in its cycle, making every digit an integer for any positive
-    parameter.
+    Digit j is its cycle's parameter times k to the power that sigma's
+    ``perfect_layout`` gives it, so the parameter is the smallest s_j in its
+    cycle (s_j = a_j / k at even j, a_j at odd j) and every digit is an
+    integer for any positive parameter.
     """
     sigma, k = params.sigma, params.k
     digits = [0] * len(sigma)
-    for cycle, param in zip(sigma.cycles, params.orbit_params):
-        powers, power = [], 0
-        for j in cycle:
-            powers.append(power)
-            power += 1 if j % 2 else -1
-        if power:  # parity balance guarantees closure
-            raise AssertionError("digit exponent steps do not sum to 0 around the cycle")
-        shift = min(e + j % 2 - 1 for j, e in zip(cycle, powers))  # power of s_j
+    for cycle, powers, param in zip(sigma.cycles, sigma.perfect_layout, params.orbit_params):
         for j, e in zip(cycle, powers):
-            digits[j] = param * k ** (e - shift)
+            digits[j] = param * k**e
     witness = classify(ContinuedFraction(tuple(digits)), sigma, k, allow_noncanonical=True)
     if not witness.flags.perfect:  # construction guarantees the ratio pattern
         raise AssertionError(f"constructed digits {witness.cf} are not perfect")

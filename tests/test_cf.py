@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 from fractions import Fraction
@@ -42,6 +43,36 @@ class TestContinuedFractionType:
             CF((-1,))
         with pytest.raises(ValueError):
             CF((True, 2))
+
+    @pytest.mark.parametrize(
+        "digits, message",
+        [
+            ((True,), "invalid digit True: digits are integers >= 1"),
+            ((2.0,), "invalid digit 2.0: digits are integers >= 1"),
+            ((0,), "invalid digit 0: digits are integers >= 1"),
+            ((-1,), "invalid digit -1: digits are integers >= 1"),
+            ((), "a continued fraction needs at least one digit"),
+            ((3, 2.0, 0, True), "invalid digit 2.0: digits are integers >= 1"),
+            ((3, 1, 0, 2.0), "invalid digit 0: digits are integers >= 1"),
+            ((3, False, 2.0), "invalid digit False: digits are integers >= 1"),
+            ((5, 2, -4, 0), "invalid digit -4: digits are integers >= 1"),
+        ],
+    )
+    def test_refusal_names_the_first_bad_digit(self, digits, message):
+        with pytest.raises(ValueError) as raised:
+            CF(digits)
+        assert str(raised.value) == message
+
+    def test_int_subclass_digits_are_accepted(self):
+        class Digit(enum.IntEnum):
+            ONE = 1
+            SEVEN = 7
+
+        cf = CF((Digit.SEVEN, 1, Digit.ONE, 3))
+        assert cf.digits == (7, 1, 1, 3)
+        assert evaluate(cf) == evaluate(CF((7, 1, 1, 3)))
+        with pytest.raises(ValueError, match="invalid digit 0"):
+            CF((Digit.SEVEN, 0))
 
     def test_canonical_flag(self):
         assert CF((7, 1, 3)).is_canonical

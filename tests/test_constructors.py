@@ -11,9 +11,11 @@ from permutiple import (
     ContinuedFraction,
     PerfectParameters,
     Permutation,
+    concat_witness,
     constructors,
     enumerate_three_digit_reverse,
     export,
+    palindromic_concat,
     perfect_cyclic,
     perfect_from_parameters,
     perfect_reverse,
@@ -330,3 +332,59 @@ class TestConstructorGridIsPinned:
         assert export(_constructor_grid(), "jsonl", out) == 562
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == "ec98c50ac52ffcae1f34e2fcb1c2e01b2cd18a298b039906f8a0b064583f4994"
+
+
+def _block_sigma(size):
+    """A perfect-capable sigma on ``size`` (even) symbols: consecutive blocks of 2, 4, 6
+    and 8 positions in turn, the last block taking what is left, each one
+    cycle through its even positions upward and its odd ones downward, so
+    every cycle is balanced."""
+    images = [0] * size
+    start, sizes = 0, itertools.cycle((2, 4, 6, 8))
+    while start < size:
+        block = range(start, min(size, start + next(sizes)))
+        cycle = list(block[::2]) + list(block[1::2])[::-1]
+        for j, position in enumerate(cycle):
+            images[position] = cycle[(j + 1) % len(cycle)]
+        start = block.stop
+    return P(tuple(images))
+
+
+def _long_batch():
+    """Constructed witnesses of 100 and 200 digits, a concatenation chain
+    and a palindromic concatenation."""
+    for size, k, ell in ((100, 3, 15), (200, 2, 75)):
+        yield perfect_reverse(k, tuple(1 + (j * j) % 9 for j in range(size // 2)))
+        orbits = gcd(ell, size)
+        yield perfect_cyclic(k, size, ell, tuple(1 + (3 * j) % 7 for j in range(orbits)))
+        sigma = _block_sigma(size)
+        params = tuple(1 + j % 3 for j in range(len(sigma.cycles)))
+        yield perfect_from_parameters(PerfectParameters(sigma, k + 1, params))
+    pieces = [perfect_reverse(2, tuple(range(1 + j, 9 + 2 * j))) for j in range(4)]
+    chain = pieces[-1]
+    for piece in reversed(pieces[:-1]):
+        chain = concat_witness(piece, chain)
+    yield chain
+    yield palindromic_concat(pieces[:3] + pieces[:2][::-1], 2)
+
+
+class TestLongConstructedWitnessesArePinned:
+    # recorded from the builders that walked each cycle four times, checked
+    # digits one by one and built a new reversal per call
+    @pytest.mark.parametrize(
+        "fmt, sha256",
+        [
+            ("jsonl", "f4f6f3941a9d4f0905d9cbdb12a737a65da8ed8b591a20e5864ece9b8ae9860b"),
+            ("csv", "3bb5a516a7f02e27029a9f84df83ea0fe944e86e55a27825fe627adfcab492a8"),
+        ],
+    )
+    def test_export_digest(self, fmt, sha256):
+        out = io.StringIO()
+        assert export(_long_batch(), fmt, out) == 8
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
+
+    def test_batch_lengths_and_families(self):
+        batch = list(_long_batch())
+        assert [len(w.cf) for w in batch] == [100, 100, 100, 200, 200, 200, 76, 88]
+        assert all(w.flags.perfect for w in batch)
+        assert [w.flags.reverse_multiple for w in batch[-2:]] == [False, True]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from permutiple import (
     ContinuedFraction,
+    PerfectParameters,
     Permutation,
     SearchConfig,
     bracket_views,
@@ -21,10 +22,15 @@ from permutiple import (
     evaluate,
     exhaustive_search,
     from_rational,
+    is_perfect,
     is_symmetric,
+    perfect_from_parameters,
+    perfect_reverse,
     permute_digits,
     tails,
+    validate_perfect_permutation,
 )
+from permutiple.cf import _convergents, _tip
 from permutiple.classify import _hits
 from permutiple.search import _arrangement, _arrangement_table, _prefix_hits
 
@@ -188,3 +194,155 @@ def test_k_bounds_filter_the_unbounded_stream(low, high, max_digit, canonical_on
     unbounded = exhaustive_search(SearchConfig(**config))
     top = math.inf if k_max is None else k_max
     assert bounded == [w for w in unbounded if (k_min or 2) <= w.k <= top]
+
+
+# Each single-walk pass below is pinned to the formula it replaced.
+
+
+@given(st.lists(st.integers(1, 10**6), max_size=12))
+@example([])
+@example([7])
+def test_tip_is_the_last_two_convergent_pairs(ds):
+    pairs = [(0, 1), (1, 0), *_convergents(ds)]  # the seeds stand in for a short string
+    assert _tip(ds) == (pairs[-1], pairs[-2])
+    assert _tip(iter(ds)) == _tip(ds)
+
+
+class _Seven(int):
+    """An int subclass digit, as an IntEnum member is."""
+
+    def __new__(cls):
+        return super().__new__(cls, 7)
+
+
+def _loop_digit_check(digits):
+    """The per-digit check ``ContinuedFraction`` ran on every string: the
+    message it raises, or None when it accepts."""
+    if not digits:
+        return "a continued fraction needs at least one digit"
+    for a in digits:
+        if isinstance(a, bool) or not isinstance(a, int) or a < 1:
+            return f"invalid digit {a!r}: digits are integers >= 1"
+    return None
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-2, 9), st.booleans(), st.sampled_from([2.0, 1.5]), st.builds(_Seven)
+        ),
+        max_size=6,
+    )
+)
+@example([])
+@example([True])
+def test_digit_check_matches_the_loop(digits):
+    expected = _loop_digit_check(digits)
+    try:
+        ContinuedFraction(tuple(digits))
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+def _symmetric_at_every_position(ds, img):
+    n = len(ds) - 1
+    return all(ds[j] * ds[n - j] == ds[img[j]] * ds[img[n - j]] for j in range(n + 1))
+
+
+def _perfect_by_position(ds, img, k):
+    for j, image in enumerate(img):
+        if j % 2 == 0:
+            if ds[j] != k * ds[image]:
+                return False
+        elif ds[image] != k * ds[j]:
+            return False
+    return True
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    st.integers(2, 4),
+    st.randoms(use_true_random=False),
+)
+def test_symmetric_and_perfect_match_the_position_loops(half, k, rng):
+    # a perfect reverse multiple, then maybe one digit bumped and maybe another
+    # sigma, so both answers come out either way
+    w = perfect_reverse(k, tuple(half))
+    ds = list(w.cf.digits)
+    if rng.random() < 0.5:
+        ds[rng.randrange(len(ds))] += 1
+    if rng.random() < 0.3:
+        del ds[rng.randrange(len(ds))]  # an odd length
+    img = list(range(len(ds)))[::-1]
+    if rng.random() < 0.5:
+        rng.shuffle(img)
+    cf, sigma = ContinuedFraction(tuple(ds)), Permutation(tuple(img))
+    assert is_symmetric(cf, sigma) == _symmetric_at_every_position(ds, img)
+    assert is_perfect(cf, sigma, k) == _perfect_by_position(ds, img, k)
+
+
+@st.composite
+def balanced_sigmas(draw, max_size=16):
+    """Permutations whose every cycle holds as many even as odd positions."""
+    size = 2 * draw(st.integers(1, max_size // 2))
+    evens = draw(st.permutations(range(0, size, 2)))
+    odds = draw(st.permutations(range(1, size, 2)))
+    images = [0] * size
+    start = 0
+    while start < len(evens):
+        half = draw(st.integers(1, len(evens) - start))
+        cycle = draw(st.permutations(evens[start : start + half] + odds[start : start + half]))
+        for j, position in enumerate(cycle):
+            images[position] = cycle[(j + 1) % len(cycle)]
+        start += half
+    return Permutation(tuple(images))
+
+
+any_sigmas = (
+    st.integers(0, 9)
+    .flatmap(lambda n: st.permutations(range(n)))
+    .map(lambda images: Permutation(tuple(images)))
+)
+
+
+@given(st.one_of(any_sigmas, balanced_sigmas()))
+@example(Permutation(()))
+@example(Permutation(tuple(range(6))))
+@example(Permutation((1, 0, 2)))
+def test_validate_perfect_permutation_matches_the_even_odd_count(sigma):
+    expected = len(sigma) > 0 and all(
+        2 * sum(1 for j in cycle if j % 2 == 0) == len(cycle) for cycle in sigma.cycles
+    )
+    assert validate_perfect_permutation(sigma) == expected
+
+
+def _four_walk_digits(sigma, k, orbit_params):
+    """The builder ``perfect_from_parameters`` replaced: per cycle, one walk
+    each for the powers, their closure, the least power of s_j and the digits."""
+    digits = [0] * len(sigma)
+    for cycle, param in zip(sigma.cycles, orbit_params):
+        powers, power = [], 0
+        for j in cycle:
+            powers.append(power)
+            power += 1 if j % 2 else -1
+        assert power == 0
+        shift = min(e + j % 2 - 1 for j, e in zip(cycle, powers))
+        for j, e in zip(cycle, powers):
+            digits[j] = param * k ** (e - shift)
+    return tuple(digits)
+
+
+@given(balanced_sigmas(), st.integers(2, 7), st.data())
+def test_perfect_from_parameters_matches_the_four_walk_builder(sigma, k, data):
+    count = len(sigma.cycles)
+    params = tuple(data.draw(st.lists(st.integers(1, 9), min_size=count, max_size=count)))
+    w = perfect_from_parameters(PerfectParameters(sigma, k, params))
+    assert w.cf.digits == _four_walk_digits(sigma, k, params)
+
+
+@given(st.integers(0, 300))
+def test_reversal_is_the_shared_reversed_image_list(n):
+    assert Permutation.reversal(n) == Permutation(tuple(range(n - 1, -1, -1)))
+    assert Permutation.reversal(n) is Permutation.reversal(n)
