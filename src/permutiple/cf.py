@@ -23,12 +23,9 @@ class ContinuedFraction:
         object.__setattr__(self, "digits", tuple(self.digits))
         if not self.digits:
             raise ValueError("a continued fraction needs at least one digit")
-        # all plain ints, the least >= 1; the loop only names the bad digit
-        # (an int subclass that is not bool passes there too)
-        if set(map(type, self.digits)) != {int} or min(self.digits) < 1:
-            for a in self.digits:
-                if isinstance(a, bool) or not isinstance(a, int) or a < 1:
-                    raise ValueError(f"invalid digit {a!r}: digits are integers >= 1")
+        for a in self.digits:
+            if isinstance(a, bool) or not isinstance(a, int) or a < 1:
+                raise ValueError(f"invalid digit {a!r}: digits are integers >= 1")
 
     @classmethod
     def parse(cls, text: str) -> ContinuedFraction:
@@ -108,16 +105,11 @@ def _tip(digits: Iterable[int]) -> _Tip:
     The seeds (p_{-2}, q_{-2}) = (0, 1) and (p_{-1}, q_{-1}) = (1, 0) stand
     in for the pairs a short string lacks: one digit reads (1, 0) as its
     (p_{n-1}, q_{n-1}), and no digits read (1, 0) as the value, K() = 1.
-    This is ``_convergents``'s recurrence in a plain loop, which skips a
-    generator step per digit on long strings; a differential test pins
-    the two walks together.
     """
-    p_prev, p = 0, 1
-    q_prev, q = 1, 0
-    for a in digits:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return (p, q), (p_prev, q_prev)
+    before, last = (0, 1), (1, 0)
+    for pair in _convergents(digits):
+        before, last = last, pair
+    return last, before
 
 
 def continuant(xs: Iterable[int]) -> int:

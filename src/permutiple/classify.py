@@ -44,10 +44,11 @@ class Permutation:
         return cls(tuple(int(part) for part in compact.split(",")))
 
     @classmethod
-    @lru_cache(maxsize=128)
+    @lru_cache
     def reversal(cls, size: int) -> Permutation:
-        """The reversal j -> size - 1 - j: one shared object per size, so its
-        cycles and perfect layout are walked once."""
+        """The reversal j -> size - 1 - j: one shared object per size (the
+        128 sizes last asked for), so a process that builds many reverse
+        witnesses of one length walks its cycles and perfect layout once."""
         return cls(tuple(range(size - 1, -1, -1)))
 
     def __len__(self) -> int:

@@ -30,7 +30,6 @@ from permutiple import (
     tails,
     validate_perfect_permutation,
 )
-from permutiple.cf import _convergents, _tip
 from permutiple.classify import _hits
 from permutiple.search import _arrangement, _arrangement_table, _prefix_hits
 
@@ -197,53 +196,6 @@ def test_k_bounds_filter_the_unbounded_stream(low, high, max_digit, canonical_on
 
 
 # Each single-walk pass below is pinned to the formula it replaced.
-
-
-@given(st.lists(st.integers(1, 10**6), max_size=12))
-@example([])
-@example([7])
-def test_tip_is_the_last_two_convergent_pairs(ds):
-    pairs = [(0, 1), (1, 0), *_convergents(ds)]  # the seeds stand in for a short string
-    assert _tip(ds) == (pairs[-1], pairs[-2])
-    assert _tip(iter(ds)) == _tip(ds)
-
-
-class _Seven(int):
-    """An int subclass digit, as an IntEnum member is."""
-
-    def __new__(cls):
-        return super().__new__(cls, 7)
-
-
-def _loop_digit_check(digits):
-    """The per-digit check ``ContinuedFraction`` ran on every string: the
-    message it raises, or None when it accepts."""
-    if not digits:
-        return "a continued fraction needs at least one digit"
-    for a in digits:
-        if isinstance(a, bool) or not isinstance(a, int) or a < 1:
-            return f"invalid digit {a!r}: digits are integers >= 1"
-    return None
-
-
-@given(
-    st.lists(
-        st.one_of(
-            st.integers(-2, 9), st.booleans(), st.sampled_from([2.0, 1.5]), st.builds(_Seven)
-        ),
-        max_size=6,
-    )
-)
-@example([])
-@example([True])
-def test_digit_check_matches_the_loop(digits):
-    expected = _loop_digit_check(digits)
-    try:
-        ContinuedFraction(tuple(digits))
-    except ValueError as exc:
-        assert str(exc) == expected
-    else:
-        assert expected is None
 
 
 def _symmetric_at_every_position(ds, img):
