@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import factorial, gcd, prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .cf import ContinuedFraction, _euclid, _Tip, _tip
 
@@ -310,30 +310,6 @@ def _k_range(p: int, q: int, top: int, smallest: int) -> range:
     return range(max(2, -(-p // (q * (top + 1)))), p // (q * smallest) + 1)
 
 
-def _hits(
-    p: int, q: int, candidates: Iterable[tuple[tuple[int, ...], int, int]]
-) -> list[tuple[tuple[int, ...], int]]:
-    """The one candidate test: (permuted, k) for every candidate arrangement
-    whose value times an integer k >= 2 is the base's p/q.
-
-    Each candidate is (permuted, p', q').  Candidates led by a digit above
-    a0 // 2 may be passed: ``find_witnesses`` drops them, but ``search``'s
-    divisor path passes every partner led by a digit up to c // 2, with c
-    the multiset's largest digit, and for a base led by a digit below c
-    that can exceed a0 // 2.  Such a partner's value is over half the
-    base's, so no k >= 2 fits and this test rejects it.  Hits keep the
-    candidates' order.
-    """
-    hits = []
-    for permuted, pp, qp in candidates:
-        if p % pp:  # p/q == k * p'/q' in lowest terms needs p' | p
-            continue
-        k = _multiplier(p, q, pp, qp)
-        if k is not None:
-            hits.append((permuted, k))
-    return hits
-
-
 def _realizing(base: tuple[int, ...], permuted: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every image list realizing ``permuted`` from ``base``, in lexicographic
     order; ``permuted`` must rearrange ``base``.
@@ -408,10 +384,9 @@ def find_witnesses(
     With p/q the string's value in lowest terms, each k has one possible
     partner value, p / (k*q) reduced by gcd(p, k), and at one length that
     value has one digit string: its Euclid expansion, or that expansion with
-    the last digit split off as a trailing 1.  A candidate is kept when it
-    rearranges the digits, then put through the candidate test that
-    ``search`` uses for its rare divisor lookups, p' a proper divisor of p
-    (its common case p' == p it tests inline).  Strings with more than
+    the last digit split off as a trailing 1.  A candidate that rearranges
+    the digits is a hit with the k it was solved for; the Witness built
+    from it proves the identity.  Strings with more than
     ``MAX_K_CANDIDATES`` multipliers to try are refused with ValueError.
     """
     if not cf.is_canonical and not allow_noncanonical:
@@ -432,7 +407,7 @@ def find_witnesses(
             f"{cf} needs {len(ks)} multipliers tried, over the limit of {MAX_K_CANDIDATES}"
         )
     present = set(digits)
-    candidates = []
+    hits = []
     for k in ks:
         g = gcd(p, k)
         pp, qp = p // g, k * q // g
@@ -446,6 +421,5 @@ def find_witnesses(
             if len(expansion) == m - 1 and expansion[-1] >= 2:  # the trailing-1 form
                 expansion[-1:] = [expansion[-1] - 1, 1]
             if sorted(expansion) == multiset:
-                candidates.append((tuple(expansion), pp, qp))
-    hits = _hits(p, q, sorted(candidates))
-    return _witness_list(digits, hits, all_sigmas, allow_noncanonical)
+                hits.append((tuple(expansion), k))
+    return _witness_list(digits, sorted(hits), all_sigmas, allow_noncanonical)

@@ -72,11 +72,11 @@ def _witness_line(w: Witness) -> str:
 
 
 def _emit(witnesses, as_json: bool) -> int:
-    """Print each witness as one line or one JSON object; exit code 0."""
-    for w in witnesses:
-        if as_json:
-            print(json.dumps(witness_record(w), separators=(",", ":")))
-        else:
+    """Print each witness as one line, or as JSONL through ``export``; exit code 0."""
+    if as_json:
+        export(witnesses, "jsonl")
+    else:
+        for w in witnesses:
             print(_witness_line(w))
     return 0
 
@@ -296,6 +296,8 @@ def _cmd_surd(args) -> int:
             raise ValueError("stream mode needs both --k and --params")
         _refuse(args, "stream mode", ("depth",))
         n = 20 if args.digits is None else args.digits
+        if n < 1:
+            raise ValueError(f"--digits must be a positive integer, got {n}")
         stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
         digits = format_cf(ContinuedFraction(stream.prefix(n)))
         permuted = format_cf(ContinuedFraction(stream.permuted_prefix(n)))
@@ -314,9 +316,11 @@ def _cmd_surd(args) -> int:
     if args.a is None or args.b is None or args.c is None:
         raise ValueError("probe mode needs --a, --b and --c")
     _refuse(args, "probe mode", ("digits", "gaps"))
+    depth = 20 if args.depth is None else args.depth
+    if depth < 1:  # refused also for a surd with no multiplier, which never probes
+        raise ValueError(f"--depth must be a positive integer, got {depth}")
     surd = QuadraticSurd(args.a, args.b, args.c)
     k = surd_multiplier(surd)
-    depth = 20 if args.depth is None else args.depth
     report = verify_surd_permutiple(surd, depth) if k is not None else None
     preperiod, period = periodic_expansion(surd)
     if args.json:

@@ -41,12 +41,11 @@ def two_digit(k: int, s: int) -> Witness:
 def three_digit_reverse(k: int, a0: int) -> Witness | None:
     """Reverse multiple [a0; a1, a2] = k * [a2; a1, a0] with leading digit a0.
 
-    a1 is forced by a0*a1 = -1 (mod k): with alpha the inverse of a0 mod k,
-    a1 = k - alpha.  Writing q = (a0*a1 + 1)/k (exact), a2 is forced by
-    a1*a2 = -1 (mod q): with beta the inverse of a1 mod q, a2 = q - beta.
-    The product identity a0*a1 + 1 == k*(a1*a2 + 1) is then verified; some
-    leading digits admit no solution (the identity fails), in which case
-    None is returned.
+    By the mirror identity the product relation a0*a1 + 1 == k*(a1*a2 + 1)
+    decides it, that is a1*(a0 - k*a2) == k - 1.  So 0 < a0 - k*a2 < k,
+    which makes a0 - k*a2 the residue t = a0 mod k and a2 = a0 // k, and
+    a1 = (k - 1) / t.  Leading digits whose t does not divide k - 1 admit
+    no solution, and None is returned.
     """
     if k < 2:
         raise ValueError("multiplier k must be an integer greater than 1")
@@ -54,14 +53,9 @@ def three_digit_reverse(k: int, a0: int) -> Witness | None:
         raise ValueError(f"leading digit must exceed k={k}")
     if gcd(a0, k) != 1:
         raise ValueError(f"leading digit {a0} must be relatively prime to k={k}")
-    alpha = pow(a0, -1, k)
-    a1 = k - alpha
-    q, rem = divmod(a0 * a1 + 1, k)
-    if rem:  # unreachable: a0*a1 = -1 (mod k) by choice of a1
-        raise AssertionError("a0*a1 + 1 is not divisible by k")
-    beta = pow(a1, -1, q)
-    a2 = q - beta
-    if a0 * a1 + 1 != k * (a1 * a2 + 1):
+    a2, t = divmod(a0, k)
+    a1, rem = divmod(k - 1, t)
+    if rem:
         return None
     cf = ContinuedFraction((a0, a1, a2))
     return classify(cf, canonical_sigma(cf.digits, (a2, a1, a0)), k, allow_noncanonical=True)

@@ -18,8 +18,7 @@ top continuant p', each as its q'.  Each base's value is read off the rows
 of its tail, and its candidates are the rows at p' = p // j for the
 divisors j of p, as a hit has p/q == k * p'/q' in lowest terms, so p'
 divides p.  Nearly always that is the one lookup j = 1, where a hit is
-q' == k*q, tested inline; the rare divisor lookups go through the exact
-test that ``classify.find_witnesses`` uses too, for every k >= 2.  Digits
+q' == k*q; at p' = p // j it is j*q' == k*q, for every k >= 2.  Digits
 are rebuilt from p/q, by Euclid's algorithm, only for a base with a hit
 and its hit partners.  A config is refused when its longest length has
 over ``MAX_MULTISETS`` multisets or its shorter tables would hold over
@@ -45,13 +44,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .cf import _euclid, format_cf
-from .classify import (
-    FLAG_ORDER,
-    Witness,
-    _hits,
-    _witness_list,
-    format_permutation,
-)
+from .classify import FLAG_ORDER, Witness, _witness_list, format_permutation
 
 # Worker processes a scan may start: the pool forks them all at once.
 MAX_WORKERS = 64
@@ -239,13 +232,14 @@ def _prefix_hits(
     >= min(by_p) bounds p/p'.  Below 2 * min(by_p) the one candidate bucket
     is p' = p, where p/q == k * p/q' says q' == k*q: each q' there is tested
     inline, with no digits built.  Otherwise the candidates are the
-    buckets p // j for each j | p, rebuilt to (arrangement, p', q'), sorted
-    and put through the exact test ``classify._hits``.  Partners led by a
-    digit above a0 // 2 may be among the candidates: their value is over
-    half the base's, so neither test keeps them.  Only a base with a hit and
-    its hit partners are rebuilt to digits, by ``_arrangement``.  A base's
-    hits are in permuted order: a bucket's order, or the merged buckets
-    sorted.  Hits come by c, then by base, with every k >= 2.
+    buckets p // j for each j | p, where p/q == k * (p/j)/q' says
+    j*q' == k*q, the same test for any j.  Partners led by a digit above
+    a0 // 2 may be among the candidates: their value is over half the
+    base's, so no k >= 2 fits and neither lookup keeps them.  Only a base
+    with a hit and its hit partners are rebuilt to digits, by
+    ``_arrangement``.  A base's hits are in permuted order: a bucket's
+    order, or the merged buckets' hits sorted.  Hits come by c, then by
+    base, with every k >= 2.
     """
     double = 2 * prefix[0]
     first = max(prefix[-1], double)
@@ -293,16 +287,13 @@ def _prefix_hits(
                             for qp in bucket
                             if qp > pt and not qp % pt
                         ]
-                    else:
-                        hits = _hits(
-                            p,
-                            pt,
-                            sorted(
-                                (_arrangement(p // j, qp, m), p // j, qp)
-                                for j in range(1, p // least + 1)
-                                if p % j == 0
-                                for qp in by_p.get(p // j, ())
-                            ),
+                    else:  # p/pt == k * (p/j)/qp: j*qp == k*pt, k >= 2
+                        hits = sorted(
+                            (_arrangement(p // j, qp, m), j * qp // pt)
+                            for j in range(1, p // least + 1)
+                            if p % j == 0
+                            for qp in by_p.get(p // j, ())
+                            if j * qp > pt and not j * qp % pt
                         )
                         if not hits:
                             continue

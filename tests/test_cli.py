@@ -427,11 +427,24 @@ class TestUsageErrors:
         assert run([*stream, "--digits", "20"], capsys)[1] == run(stream, capsys)[1]
 
     def test_surd_depth_must_be_positive(self, capsys):
-        for depth in ("0", "-3"):
-            argv = ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", depth]
+        # also for a surd with no multiplier (1 + sqrt 2: (2 - 1)/1 = 1),
+        # which has nothing to probe to that depth
+        for surd in (["1", "3"], ["1", "2"]):
+            for depth in ("0", "-3", "-5"):
+                for flags in ([], ["--json"]):
+                    argv = ["surd", "--a", surd[0], "--b", surd[1], "--c", "1"]
+                    code, out, err = run([*argv, "--depth", depth, *flags], capsys)
+                    assert code == 2, (surd, depth, flags)
+                    assert err == f"error: --depth must be a positive integer, got {depth}\n"
+                    assert out == ""
+
+    def test_surd_stream_digits_must_be_positive(self, capsys):
+        for digits in ("0", "-2"):
+            argv = ["surd", "--k", "2", "--params", "const:1", "--digits", digits]
             code, out, err = run(argv, capsys)
             assert code == 2
-            assert err.startswith("error: ") and out == ""
+            assert err == f"error: --digits must be a positive integer, got {digits}\n"
+            assert out == ""
 
     def test_surd_period_over_the_state_limit_is_refused(self, capsys):
         for flags in ([], ["--json"]):

@@ -72,7 +72,7 @@ class TestThreeDigitReverse:
             three_digit_reverse(1, 5)
 
     def test_no_solution_returns_none(self):
-        # a1 is forced to 3 here and 3 does not divide q - 1
+        # a1 * (a0 - k*a2) = k - 1 needs t = 8 mod 5 = 3 to divide k - 1 = 4
         assert three_digit_reverse(5, 8) is None
 
     def test_documented_method_discrepancy(self):

@@ -30,7 +30,6 @@ from permutiple import (
     tails,
     validate_perfect_permutation,
 )
-from permutiple.classify import _hits
 from permutiple.search import _arrangement, _arrangement_table, _prefix_hits
 
 digit_strings = st.lists(st.integers(1, 40), min_size=1, max_size=9).map(tuple)
@@ -153,7 +152,8 @@ def test_rows_rebuild_to_their_arrangements(ds):
 @given(st.lists(st.integers(1, 8), min_size=1, max_size=5), st.integers(0, 7), st.booleans())
 def test_prefix_hits_match_the_pairwise_scan(ds, extra, canonical_only):
     # every base of each multiset R + (c,) against every arrangement led by
-    # a digit <= a0 // 2, with no divisor join and no store; the c below
+    # a digit <= a0 // 2, kept when the exact ratio of their values is an
+    # integer k >= 2, with no divisor join and no store; the c below
     # 2 * R[0] must give nothing
     prefix = tuple(sorted(ds))
     max_digit = min(8, prefix[-1] + extra)
@@ -167,7 +167,10 @@ def test_prefix_hits_match_the_pairwise_scan(ds, extra, canonical_only):
         for base, p, q in rows:
             if canonical_only and base[-1] < 2:
                 continue
-            hits = _hits(p, q, [row for row in rows if row[0][0] <= base[0] // 2])
+            ratios = [  # (p/q) / (pp/qp)
+                (a, Fraction(p * qp, q * pp)) for a, pp, qp in rows if a[0] <= base[0] // 2
+            ]
+            hits = [(a, int(r)) for a, r in ratios if r.denominator == 1 and r >= 2]
             if hits:
                 expected.append((base, hits))
     store = collections.defaultdict(lambda: [None] * (max_digit + 1))

@@ -112,7 +112,7 @@ class TestSearchConfig:
     )
     def test_refuses_non_integer_fields(self, field, value):
         # refused when built, not once the scan starts: a float k_min would
-        # otherwise reach the k test in _hits and drop k = 2 hits at 3/<=5
+        # otherwise reach the k bounds in _by_length and drop k = 2 hits at 3/<=5
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SearchConfig(**{"length": 3, "max_digit": 5, field: value})
 
@@ -224,7 +224,8 @@ class TestExhaustiveSearch:
     )
     def test_long_lengths_match_per_base_find_witnesses(self, length, max_digit, count):
         # find_witnesses draws each candidate from the Euclid expansion of
-        # p / (k*q), with no arrangement table; only _hits is shared
+        # p / (k*q), with no arrangement table and no ratio test; only the
+        # Witness that proves each hit is shared
         expected = [
             (ds, w.sigma.images, w.k)
             for ds in itertools.product(range(1, max_digit + 1), repeat=length)
@@ -352,23 +353,22 @@ class TestArrangementTable:
 
 
 class TestPrefixHits:
-    def test_partners_at_a_proper_divisor_of_p_are_candidates(self, monkeypatch):
-        # 5;1,1,1,5 has p = 96 and no partner at p' = 96 (its reversal is
-        # itself, led by 5 > 5 // 2); 1;5,1,5,1 has p' = 48 = 96 / 2, so it
-        # is reached only by the j = 2 lookup
-        seen = {}
-
-        def spy(p, q, candidates):
-            seen[p, q] = [row[0] for row in candidates]
-            return search_hits(p, q, candidates)
-
-        search_hits = search._hits
-        monkeypatch.setattr(search, "_hits", spy)
-        # max_digit 5 leaves the one multiset (1, 1, 1, 5) + (5,)
-        assert search._prefix_hits((1, 1, 1, 5), 5, True, empty_store(5)) == []
+    def test_partners_at_a_proper_divisor_of_p_are_candidates(self):
+        # 5;1,1,1,5 has p = 96 and q = 17, and no partner at p' = 96 (its
+        # reversal is itself, led by 5 > 5 // 2).  A row (17, 31, 2) slipped
+        # into the table of (1, 1, 5, 5) becomes the partner row led by 1
+        # with p' = 1*17 + 31 = 48 = 96 / 2 and q' = 17, so only the j = 2
+        # lookup reaches it, where j*q' == k*q reads 2*17 == k*17, so k = 2;
+        # its digits are the 5-digit expansion of 48/17
+        store = empty_store(5)
+        search._table((1, 1, 5, 5), store)
+        store[(1, 1, 5)][5].append((17, 31, 2))
         assert (continuant((5, 1, 1, 1, 5)), continuant((1, 1, 1, 5))) == (96, 17)
-        assert continuant((1, 5, 1, 5, 1)) == 48
-        assert (1, 5, 1, 5, 1) in seen[96, 17]
+        assert search._arrangement(48, 17, 5) == (2, 1, 4, 1, 2)
+        # max_digit 5 leaves the one multiset (1, 1, 1, 5) + (5,)
+        assert search._prefix_hits((1, 1, 1, 5), 5, True, store) == [
+            ((5, 1, 1, 1, 5), [((2, 1, 4, 1, 2), 2)])
+        ]
 
     def test_prefix_with_no_partner_gives_no_hits(self):
         # every c <= max_digit is below 2 * R[0]: no digit is at most half
