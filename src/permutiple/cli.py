@@ -28,7 +28,6 @@ from .classify import (
     Witness,
     classify,
     find_witnesses,
-    format_permutation,
 )
 from .concat import concat_witness, palindromic_concat
 from .constructors import (
@@ -60,10 +59,11 @@ from .surd import (
 
 
 def _witness_line(w: Witness) -> str:
+    text = w.text
     parts = [
-        f"{format_cf(w.cf)} = {w.k} * {format_cf(w.permuted)}",
-        f"sigma {format_permutation(w.sigma)}",
-        f"value {format_rational(w.value)}",
+        f"{text.digits} = {w.k} * {format_cf(w.permuted)}",
+        f"sigma {text.sigma}",
+        f"value {text.p}/{text.q}",
         f"flags {','.join(w.flags.true_names()) or '-'}",
     ]
     if not w.cf.is_canonical:

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cf import _euclid, format_cf
-from .classify import FLAG_ORDER, Witness, _witness_list, format_permutation
+from .cf import _euclid
+from .classify import FLAG_ORDER, Witness, _witness_list
 
 # Worker processes a scan may start: the pool forks them all at once.
 MAX_WORKERS = 64
@@ -414,13 +414,15 @@ def check_conjectures(
 
 
 def witness_record(w: Witness) -> dict:
-    """Fixed-schema JSON object for one witness; p and q are decimal strings
-    so consumers with bounded integers cannot truncate them."""
+    """Fixed-schema JSON object for one witness, from its ``Witness.text``;
+    p and q are decimal strings so consumers with bounded integers cannot
+    truncate them."""
+    text = w.text
     return {
-        "digits": format_cf(w.cf),
-        "sigma": format_permutation(w.sigma),
+        "digits": text.digits,
+        "sigma": text.sigma,
         "k": w.k,
-        "value": {"p": str(w.value.numerator), "q": str(w.value.denominator)},
+        "value": {"p": text.p, "q": text.q},
         "flags": {name: getattr(w.flags, name) for name in FLAG_ORDER},
     }
 
@@ -437,16 +439,8 @@ def _write_csv(witnesses: Iterable[Witness], handle: io.TextIOBase) -> int:
     writer.writerow(["digits", "sigma", "k", "p", "q", "flags"])
     count = 0
     for count, w in enumerate(witnesses, 1):
-        writer.writerow(
-            [
-                format_cf(w.cf),
-                format_permutation(w.sigma),
-                w.k,
-                str(w.value.numerator),
-                str(w.value.denominator),
-                "|".join(w.flags.true_names()),
-            ]
-        )
+        digits, sigma, p, q = w.text
+        writer.writerow([digits, sigma, w.k, p, q, "|".join(w.flags.true_names())])
     return count
 
 
@@ -456,6 +450,8 @@ def export(witnesses: Iterable[Witness], fmt: str = "jsonl", destination="-") ->
 
     Each witness is checked again on the way out (``Witness.verify`` on the
     continuants it walked when built), so a k altered since is refused.
+    Its strings come from ``Witness.text``, formatted once per witness
+    however many formats it is written in.
     """
     checked = (w.verify() for w in witnesses)
     if fmt == "jsonl":

@@ -88,6 +88,12 @@ class TestContinuedFractionType:
         assert format_cf(CF((2,))) == "2"
         assert str(CF((11, 1, 10, 2, 3))) == "11;1,10,2,3"
 
+    def test_parse_refuses_an_empty_digit(self):
+        # a ";" or "," must be followed by a digit, at the end as anywhere
+        for text in ("1;", "1 ; ", "3;2,", ";", "3;,2", ""):
+            with pytest.raises(ValueError):
+                CF.parse(text)
+
     def test_parse_format_round_trip(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -54,6 +54,12 @@ class TestEval:
         )
 
 
+    def test_empty_tail_is_a_usage_error(self, capsys):
+        for cf in ("1;", "3;2,"):
+            code, out, err = run(["eval", "--cf", cf], capsys)
+            assert code == 2 and out == "" and "error" in err
+
+
 class TestClassify:
     def test_reverse_example(self, capsys):
         code, out, _ = run(["classify", "--cf", "7;1,3", "--sigma", "2,1,0"], capsys)

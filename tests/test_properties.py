@@ -149,12 +149,19 @@ def test_rows_rebuild_to_their_arrangements(ds):
 
 
 @settings(deadline=None)
+@example([1, 1, 1, 5], 0, True)
+@example([1, 1, 1, 4], 4, True)
 @given(st.lists(st.integers(1, 8), min_size=1, max_size=5), st.integers(0, 7), st.booleans())
 def test_prefix_hits_match_the_pairwise_scan(ds, extra, canonical_only):
     # every base of each multiset R + (c,) against every arrangement led by
     # a digit <= a0 // 2, kept when the exact ratio of their values is an
     # integer k >= 2, with no divisor join and no store; the c below
-    # 2 * R[0] must give nothing
+    # 2 * R[0] must give nothing.  The two examples take the divisor lookups
+    # (p >= twice the least p'); the first meets the one j = 2 candidate,
+    # q' = 41 for 5;1,1,1,5 (q = 17), and rejects it.  No j > 1 hit exists
+    # at these bounds, as one would change the top continuant and so be a
+    # counterexample to c2; the doctored row of
+    # test_partners_at_a_proper_divisor_of_p_are_candidates checks that hit.
     prefix = tuple(sorted(ds))
     max_digit = min(8, prefix[-1] + extra)
     expected = []

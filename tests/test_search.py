@@ -1,4 +1,5 @@
 import collections
+import csv
 import functools
 import hashlib
 import io
@@ -21,6 +22,7 @@ from permutiple import (
     exhaustive_search,
     export,
     find_witnesses,
+    perfect_reverse,
     witness_record,
 )
 from permutiple import search
@@ -479,9 +481,56 @@ class TestExport:
 
     def test_corrupted_witness_cannot_be_exported(self):
         w = self.witness()
+        export([w], "jsonl", io.StringIO())  # its text is formatted and kept
         object.__setattr__(w, "k", 3)
-        with pytest.raises(ValueError):
-            export([w], "jsonl", io.StringIO())
+        for fmt in ("jsonl", "csv"):
+            with pytest.raises(ValueError):
+                export([w], fmt, io.StringIO())
+
+    def exported_list(self):
+        # short and non-canonical search witnesses, and a 100-digit one
+        ws = run(SearchConfig(length=(2, 3), max_digit=12, canonical_only=False))
+        return ws + [perfect_reverse(3, tuple(range(1, 51)))]
+
+    def test_jsonl_and_csv_agree_field_by_field(self):
+        ws = self.exported_list()
+        jsonl, table = io.StringIO(), io.StringIO()
+        export(ws, "jsonl", jsonl)
+        export(ws, "csv", table)
+        records = [json.loads(line) for line in jsonl.getvalue().splitlines()]
+        rows = list(csv.reader(io.StringIO(table.getvalue())))
+        assert rows[0] == ["digits", "sigma", "k", "p", "q", "flags"]
+        assert len(records) == len(rows) - 1 == len(ws)
+        for w, record, row in zip(ws, records, rows[1:]):
+            flags = [name for name, value in record["flags"].items() if value]
+            assert row == [
+                record["digits"],
+                record["sigma"],
+                str(record["k"]),
+                record["value"]["p"],
+                record["value"]["q"],
+                "|".join(flags),
+            ]
+            assert ContinuedFraction.parse(row[0]) == w.cf
+            assert Permutation.parse(row[1]) == w.sigma
+            assert (int(row[3]), int(row[4])) == (w.value.numerator, w.value.denominator)
+
+    def test_each_witness_is_formatted_once_across_formats(self, monkeypatch):
+        classify_module = sys.modules["permutiple.classify"]
+        calls = collections.Counter()
+        for name in ("format_cf", "format_permutation"):
+
+            def counting(x, name=name, original=getattr(classify_module, name)):
+                calls[name] += 1
+                return original(x)
+
+            monkeypatch.setattr(classify_module, name, counting)
+        ws = self.exported_list()
+        once = {"format_cf": len(ws), "format_permutation": len(ws)}
+        export(ws, "jsonl", io.StringIO())
+        assert calls == once
+        export(ws, "csv", io.StringIO())
+        assert calls == once
 
     def test_determinism_across_worker_counts(self, tmp_path):
         paths = []
