@@ -28,15 +28,6 @@ class ContinuedFraction:
                 raise ValueError(f"invalid digit {a!r}: digits are integers >= 1")
 
     @classmethod
-    def _from_checked(cls, digits: tuple[int, ...]) -> ContinuedFraction:
-        """The string of ``digits``, a tuple already known to hold at least
-        one int >= 1 (such as a rearrangement of a checked string's digits),
-        built without checking each digit again."""
-        cf = object.__new__(cls)
-        object.__setattr__(cf, "digits", digits)
-        return cf
-
-    @classmethod
     def parse(cls, text: str) -> ContinuedFraction:
         """Parse ``a0;a1,a2,...,an`` (spaces tolerated); a bare ``a0`` is allowed,
         but a ``;`` needs a digit after it."""

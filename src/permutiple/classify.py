@@ -13,12 +13,12 @@ one walk of each string.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import factorial, gcd, prod
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .cf import ContinuedFraction, _euclid, _Tip, _tip, format_cf
 
@@ -132,41 +132,32 @@ class ClassificationFlags:
 FLAG_ORDER = tuple(f.name for f in fields(ClassificationFlags))
 
 
-class WitnessText(NamedTuple):
-    """A witness's strings as every output writes them: the digit string,
-    the image list, and the value's numerator and denominator in decimal."""
-
-    digits: str
-    sigma: str
-    p: str
-    q: str
-
-
 @dataclass(frozen=True)
 class Witness:
     """A permutiple (cf, sigma, k), proven when built; values and flags derive from its digits.
 
-    Building it rearranges the digits once, into ``permuted``, and walks each
-    of the two strings once; the identity is proven on those walks.  A k
-    left as None is read off them, so once built ``k`` is always an int.
-    ``text`` is formatted on first use and kept, so a witness written in
-    several formats is turned into text once.
+    A k left as None is read off the same walk of the two strings that
+    proves the identity, so once built ``k`` is always an int.  ``text`` is
+    formatted on first use and kept, so a witness written in several
+    formats is turned into text once.
     """
 
     cf: ContinuedFraction
     sigma: Permutation
     k: int | None = None
-    permuted: ContinuedFraction = field(init=False, repr=False, compare=False)
-    _tips: tuple[_Tip, _Tip] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        permuted = permute_digits(self.cf, self.sigma)
-        tips = _tip(self.cf.digits), _tip(permuted.digits)
-        object.__setattr__(self, "permuted", permuted)
-        object.__setattr__(self, "_tips", tips)
         if self.k is None:
-            object.__setattr__(self, "k", _multiplier(*tips[0][0], *tips[1][0]))
+            object.__setattr__(self, "k", _multiplier(*self._tips[0][0], *self._tips[1][0]))
         self.verify()
+
+    @cached_property
+    def permuted(self) -> ContinuedFraction:
+        return permute_digits(self.cf, self.sigma)
+
+    @cached_property
+    def _tips(self) -> tuple[_Tip, _Tip]:
+        return _tip(self.cf.digits), _tip(self.permuted.digits)
 
     def verify(self) -> Witness:
         """Return self if value(cf) == k * value(permuted), else raise NotAPermutipleError."""
@@ -180,12 +171,13 @@ class Witness:
         return self
 
     @cached_property
-    def text(self) -> WitnessText:
-        """The digit string, image list and value p/q as text; p and q are
-        the continuants of the walk, coprime, so they are the value in
-        lowest terms."""
+    def text(self) -> tuple[str, str, str, str]:
+        """The digit string, the image list, and the value's numerator and
+        denominator in decimal, as every output writes them; p and q are the
+        continuants of the walk, coprime, so they are the value in lowest
+        terms."""
         p, q = self._tips[0][0]
-        return WitnessText(format_cf(self.cf), format_permutation(self.sigma), str(p), str(q))
+        return format_cf(self.cf), format_permutation(self.sigma), str(p), str(q)
 
     @cached_property
     def value(self) -> Fraction:
@@ -215,14 +207,10 @@ def _check_lengths(cf: ContinuedFraction, sigma: Permutation) -> None:
 
 
 def permute_digits(cf: ContinuedFraction, sigma: Permutation) -> ContinuedFraction:
-    """Digit string whose j-th digit is a_sigma(j); may be non-canonical.
-
-    The digits are cf's own, checked when cf was built, so the rearranged
-    string is not checked digit by digit again; only sigma's length is.
-    """
+    """Digit string whose j-th digit is a_sigma(j); may be non-canonical."""
     _check_lengths(cf, sigma)
     ds = cf.digits
-    return ContinuedFraction._from_checked(tuple([ds[i] for i in sigma.images]))
+    return ContinuedFraction(tuple([ds[i] for i in sigma.images]))
 
 
 def _multiplier(p: int, q: int, pp: int, qp: int) -> int | None:

@@ -59,11 +59,11 @@ from .surd import (
 
 
 def _witness_line(w: Witness) -> str:
-    text = w.text
+    digits, sigma, p, q = w.text
     parts = [
-        f"{text.digits} = {w.k} * {format_cf(w.permuted)}",
-        f"sigma {text.sigma}",
-        f"value {text.p}/{text.q}",
+        f"{digits} = {w.k} * {format_cf(w.permuted)}",
+        f"sigma {sigma}",
+        f"value {p}/{q}",
         f"flags {','.join(w.flags.true_names()) or '-'}",
     ]
     if not w.cf.is_canonical:

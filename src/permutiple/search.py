@@ -417,12 +417,12 @@ def witness_record(w: Witness) -> dict:
     """Fixed-schema JSON object for one witness, from its ``Witness.text``;
     p and q are decimal strings so consumers with bounded integers cannot
     truncate them."""
-    text = w.text
+    digits, sigma, p, q = w.text
     return {
-        "digits": text.digits,
-        "sigma": text.sigma,
+        "digits": digits,
+        "sigma": sigma,
         "k": w.k,
-        "value": {"p": text.p, "q": text.q},
+        "value": {"p": p, "q": q},
         "flags": {name: getattr(w.flags, name) for name in FLAG_ORDER},
     }
 
