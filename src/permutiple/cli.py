@@ -48,6 +48,7 @@ from .search import (
     witness_record,
 )
 from .surd import (
+    MAX_DEPTH,
     QuadraticSurd,
     continuant_gaps,
     infinite_perfect_stream,
@@ -270,20 +271,25 @@ def _parse_stream_params(expr: str):
     return _parse_int_list(expr)
 
 
-def _gap_strings(stream, limit: int) -> list[str]:
-    """The continuant gaps for n = 1..limit in decimal, all computed before
-    anything is printed.  The walk stops at the first gap with more digits
-    than Python prints (``sys.get_int_max_str_digits``), so such a limit is
-    refused before any later, larger gap is computed."""
+def _decimal_strings(values, first: int, refusal: str) -> list[str]:
+    """Each of ``values`` in decimal, formatted as it is produced and all
+    before anything is printed.  The walk stops at the first value with more
+    digits than Python prints (``sys.get_int_max_str_digits``), whose index,
+    counted from ``first``, fills ``refusal``, so a count that reaches one is
+    refused before any later, larger value is computed."""
     out = []
-    for n, gap in enumerate(continuant_gaps(stream, limit), 1):
+    for index, value in enumerate(values, first):
         try:
-            out.append(str(gap))
+            out.append(str(value))
         except ValueError:
-            raise ValueError(
-                f"--gaps {limit}: the gap at n = {n} has too many digits to print"
-            ) from None
+            raise ValueError(refusal.format(index)) from None
     return out
+
+
+def _cf_text(strings: list[str]) -> str:
+    """The ``format_cf`` layout of digits already in decimal."""
+    head, *rest = strings
+    return f"{head};{','.join(rest)}" if rest else head
 
 
 def _cmd_surd(args) -> int:
@@ -298,10 +304,17 @@ def _cmd_surd(args) -> int:
         n = 20 if args.digits is None else args.digits
         if n < 1:
             raise ValueError(f"--digits must be a positive integer, got {n}")
+        if n > MAX_DEPTH:
+            raise ValueError(f"--digits {n} is over {MAX_DEPTH} digits")
         stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
-        digits = format_cf(ContinuedFraction(stream.prefix(n)))
-        permuted = format_cf(ContinuedFraction(stream.permuted_prefix(n)))
-        gaps = _gap_strings(stream, args.gaps) if args.gaps else None
+        refusal = f"--digits {n}: the digit at j = {{}} has too many digits to print"
+        digits = _cf_text(_decimal_strings(map(stream.digit, range(n)), 0, refusal))
+        permuted_digits = (stream.digit(j ^ 1) for j in range(n))
+        permuted = _cf_text(_decimal_strings(permuted_digits, 0, refusal))
+        gaps = None
+        if args.gaps:
+            refusal = f"--gaps {args.gaps}: the gap at n = {{}} has too many digits to print"
+            gaps = _decimal_strings(continuant_gaps(stream, args.gaps), 1, refusal)
         if args.json:
             record = {"k": args.k, "digits": digits, "permuted": permuted}
             if gaps is not None:
@@ -319,6 +332,8 @@ def _cmd_surd(args) -> int:
     depth = 20 if args.depth is None else args.depth
     if depth < 1:  # refused also for a surd with no multiplier, which never probes
         raise ValueError(f"--depth must be a positive integer, got {depth}")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"--depth {depth} is over {MAX_DEPTH} digits")
     surd = QuadraticSurd(args.a, args.b, args.c)
     k = surd_multiplier(surd)
     report = verify_surd_permutiple(surd, depth) if k is not None else None

@@ -21,9 +21,9 @@ from math import gcd
 from .cf import ContinuedFraction
 from .classify import Permutation, Witness, canonical_sigma, classify
 
-# Leading digits, a0_max - k, that one three-digit enumeration may try: its
-# witnesses are all held before any is returned, and past this they would
-# take minutes and hundreds of megabytes.
+# Bounds the witnesses one three-digit enumeration holds before it returns
+# any, through a0_max - k, the leading digits it covers (at most one witness
+# each): past this they would take minutes and hundreds of megabytes.
 MAX_LEADING_DIGITS = 10**5
 
 
@@ -64,8 +64,12 @@ def three_digit_reverse(k: int, a0: int) -> Witness | None:
 def enumerate_three_digit_reverse(k: int, a0_max: int) -> list[Witness]:
     """All three-digit k-reverse multiples with leading digit up to a0_max.
 
-    More than ``MAX_LEADING_DIGITS`` leading digits to try (a0_max - k) are
-    refused with ValueError before any is tried.
+    Only the solutions are listed: the residue t = a0 mod k must divide
+    k - 1, so the leads are a0 = k*a2 + t for a2 = 1, 2, ... and each such t
+    in ascending order, which is a0's order as t < k.  Every t | k - 1 is
+    prime to k, so ``three_digit_reverse`` solves each lead.  More than
+    ``MAX_LEADING_DIGITS`` leading digits (a0_max - k) are refused with
+    ValueError before any witness is built.
     """
     if k < 2:
         raise ValueError("multiplier k must be an integer greater than 1")
@@ -73,14 +77,9 @@ def enumerate_three_digit_reverse(k: int, a0_max: int) -> list[Witness]:
         raise ValueError(
             f"a0_max {a0_max} with k={k} is over {MAX_LEADING_DIGITS} leading digits to try"
         )
-    out = []
-    for a0 in range(k + 1, a0_max + 1):
-        if gcd(a0, k) != 1:
-            continue
-        witness = three_digit_reverse(k, a0)
-        if witness is not None:
-            out.append(witness)
-    return out
+    residues = [t for t in range(1, min(k - 1, a0_max - k) + 1) if (k - 1) % t == 0]
+    leads = (k * a2 + t for a2 in range(1, a0_max // k + 1) for t in residues)
+    return [three_digit_reverse(k, a0) for a0 in leads if a0 <= a0_max]
 
 
 def validate_perfect_permutation(sigma: Permutation) -> bool:

@@ -233,7 +233,9 @@ def _prefix_hits(
     is p' = p, where p/q == k * p/q' says q' == k*q: each q' there is tested
     inline, with no digits built.  Otherwise the candidates are the
     buckets p // j for each j | p, where p/q == k * (p/j)/q' says
-    j*q' == k*q, the same test for any j.  Partners led by a digit above
+    j*q' == k*q.  Every row is coprime, so p = d*q + q_t is prime to q and
+    so is its divisor j: q divides j*q' exactly when it divides q', the
+    inline test for any j.  Partners led by a digit above
     a0 // 2 may be among the candidates: their value is over half the
     base's, so no k >= 2 fits and neither lookup keeps them.  Only a base
     with a hit and its hit partners are rebuilt to digits, by
@@ -287,13 +289,13 @@ def _prefix_hits(
                             for qp in bucket
                             if qp > pt and not qp % pt
                         ]
-                    else:  # p/pt == k * (p/j)/qp: j*qp == k*pt, k >= 2
+                    else:  # p/pt == k * (p/j)/qp: j*qp == k*pt, k >= 2, j prime to pt
                         hits = sorted(
                             (_arrangement(p // j, qp, m), j * qp // pt)
                             for j in range(1, p // least + 1)
                             if p % j == 0
                             for qp in by_p.get(p // j, ())
-                            if j * qp > pt and not j * qp % pt
+                            if j * qp > pt and not qp % pt
                         )
                         if not hits:
                             continue

@@ -83,6 +83,10 @@ def _expansion(s: QuadraticSurd) -> Iterator[tuple[int, tuple[int, int]]]:
 # the period of sqrt(D) can grow like sqrt(D) log D, so a large b would
 # otherwise never close.
 MAX_STATES = 10_000
+# Most digits a probe (``verify_surd_permutiple``'s depth) or a printed stream
+# prefix may ask for: the cost grows in step with the count, and 10**6 digits
+# take seconds and over 100 MB.
+MAX_DEPTH = 10**5
 
 
 def periodic_expansion(s: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -145,10 +149,13 @@ def verify_surd_permutiple(s: QuadraticSurd, depth: int = 20) -> SurdProbeReport
 
     Requires surd_multiplier(s) to be an integer >= 2.  Reports whether the
     digit multisets over the matched (even-length) window agree, and the
-    first position alignment found, if any.  ``depth`` must be at least 1.
+    first position alignment found, if any.  ``depth`` must be at least 1
+    and at most ``MAX_DEPTH``.
     """
     if depth < 1:
         raise ValueError(f"probe depth must be a positive integer, got {depth}")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"probe depth {depth} is over {MAX_DEPTH} digits")
     k = surd_multiplier(s)
     if k is None:
         raise ValueError(f"(b - a^2)/c is not an integer >= 2 for {s}")

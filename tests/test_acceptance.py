@@ -181,6 +181,57 @@ def test_four_digit_completeness():
     )
 
 
+def solved_reverse_multiples(length, bound):
+    """Canonical (digits, k) of every reverse multiple of ``length`` digits
+    <= bound, solved from the mirror identity and never scanned.
+
+    With mid the middle digits a1..a_{n-1}, [a0; mid, an] == k * [an; mid', a0]
+    (mid' reversed) says K(a0, mid) == k * K(mid, an), that is
+    K(mid) * (a0 - k*an) == k * K(mid less its last) - K(mid less its first).
+    So t = a0 - k*an is forced, a non-negative integer or no solution, and
+    every an >= 2 with a0 = k*an + t <= bound gives a witness, which leaves
+    k <= bound // 2.  With no middle both shorter continuants are K_{-1} = 0.
+    """
+    out = set()
+    for mid in itertools.product(range(1, bound + 1), repeat=length - 2):
+        whole = continuant(mid)
+        less_last, less_first = (continuant(mid[:-1]), continuant(mid[1:])) if mid else (0, 0)
+        for k in range(2, bound // 2 + 1):
+            t, rem = divmod(k * less_last - less_first, whole)
+            if rem or t < 0:
+                continue
+            for an in range(2, (bound - t) // k + 1):
+                out.add(((k * an + t, *mid, an), k))
+    return out
+
+
+REVERSE_MULTIPLE_COUNTS = [
+    (2, 60, 142),
+    (3, 60, 312),
+    (4, 30, 591),
+    (5, 10, 63),
+    (6, 7, 54),
+    (7, 5, 9),
+    (8, 4, 13),
+]
+
+
+@pytest.mark.parametrize("length,bound,count", REVERSE_MULTIPLE_COUNTS)
+def test_reverse_multiples_solve_the_mirror_identity_at_every_length(length, bound, count):
+    searched = {
+        (w.cf.digits, w.k)
+        for w in exhaustive_search(SearchConfig(length=length, max_digit=bound, workers=WORKERS))
+        if w.permuted.digits == w.cf.digits[::-1]
+    }
+    solved = solved_reverse_multiples(length, bound)
+    assert searched == solved
+    assert len(solved) == count
+    announce(
+        f"{length}-digit reverse multiples",
+        f"{count} at bound {bound}: search == the mirror identity solved per middle string",
+    )
+
+
 def test_criterion_4_conjecture_scans(scan_len4_b20, scan_len2to5_b12):
     reports4 = check_conjectures(scan_len4_b20, ["c1", "c4"], bounds="length 4, digits <= 20")
     reports5 = check_conjectures(

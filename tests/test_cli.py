@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import permutiple
 from permutiple.cli import build_parser, main
 from permutiple.search import MAX_WORKERS
+from permutiple.surd import MAX_DEPTH
 
 
 def run(argv, capsys):
@@ -451,6 +452,37 @@ class TestUsageErrors:
             assert code == 2
             assert err == f"error: --digits must be a positive integer, got {digits}\n"
             assert out == ""
+
+    def test_surd_depth_and_digits_are_bounded(self, capsys):
+        over = str(MAX_DEPTH + 1)
+        for argv in (
+            ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", over],
+            ["surd", "--a", "1", "--b", "2", "--c", "1", "--depth", over],  # no multiplier
+            ["surd", "--k", "2", "--params", "const:1", "--digits", over],
+        ):
+            for flags in ([], ["--json"]):
+                code, out, err = run([*argv, *flags], capsys)
+                assert code == 2, (argv, flags)
+                assert err == f"error: {argv[-2]} {over} is over {MAX_DEPTH} digits\n"
+                assert out == ""
+        argv = ["surd", "--k", "2", "--params", "const:1", "--digits", str(MAX_DEPTH)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.splitlines()[0] == "digits 2;1" + ",2,1" * (MAX_DEPTH // 2 - 1)
+        argv = ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", str(MAX_DEPTH), "--json"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and len(json.loads(out)["digits"]) == MAX_DEPTH
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_unprintable_stream_digit_is_refused_before_any_output(self, capsys, mode):
+        # s_i = 10**(100 i): the digit 2 * 10**4300 at j = 86 is the first
+        # past Python's 4300-digit cap, and the walk stops there
+        base = "1" + "0" * 100
+        argv = ["surd", "--k", "2", "--params", f"pow:{base}", "--digits", "200", *mode]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --digits 200: the digit at j = 86 has too many digits to print\n"
+        code, out, _ = run([*argv[:-1 - len(mode)], "86", *mode], capsys)
+        assert code == 0 and out
 
     def test_surd_period_over_the_state_limit_is_refused(self, capsys):
         for flags in ([], ["--json"]):

@@ -100,6 +100,25 @@ class TestThreeDigitReverse:
         with pytest.raises(ValueError):
             enumerate_three_digit_reverse(2, 11)
 
+    def test_direct_solve_agrees_with_the_listing(self):
+        # the listing never calls three_digit_reverse on a lead it skips, so
+        # the direct solve must find nothing there and the listed witness
+        # everywhere else
+        listed = solved = 0
+        for k in range(2, 41):
+            listing = enumerate_three_digit_reverse(k, 300)
+            by_lead = {w.cf.digits[0]: w for w in listing}
+            assert [w.cf.digits[0] for w in listing] == sorted(by_lead)  # one per lead, ascending
+            for a0 in range(k + 1, 301):
+                if gcd(a0, k) != 1:
+                    assert a0 not in by_lead
+                    continue
+                witness = three_digit_reverse(k, a0)
+                assert witness == by_lead.get(a0), (k, a0)
+                solved += witness is not None
+            listed += len(by_lead)
+        assert listed == solved > 0
+
     def test_outputs_satisfy_derived_bounds(self):
         for k in range(2, 6):
             for w in enumerate_three_digit_reverse(k, 40):

@@ -353,6 +353,19 @@ class TestArrangementTable:
                     assert table == search._arrangement_table(rest + (c,), empty_store(4))
         assert lengths == {1, 2, 3, 4, 5}
 
+    @pytest.mark.parametrize("canonical_only", [True, False])
+    def test_every_row_is_coprime(self, canonical_only):
+        # a row (p, q, last) is d in front of a coprime row (p_t, q_t, last)
+        # with p = d*p_t + q_t and q = p_t, so gcd(p, q) = gcd(q_t, p_t) = 1;
+        # the divisor lookup's test of q' alone, for a j that divides p,
+        # rests on it
+        store = empty_store(6)
+        for prefix in itertools.combinations_with_replacement(range(1, 7), 5):
+            search._prefix_hits(prefix, 6, canonical_only, store)
+        rows = [row for column in store.values() for table in column if table for row in table]
+        assert len(rows) == 6 + 6**2 + 6**3 + 6**4 + 6**5
+        assert all(math.gcd(p, q) == 1 for p, q, _ in rows)
+
 
 class TestPrefixHits:
     def test_partners_at_a_proper_divisor_of_p_are_candidates(self):

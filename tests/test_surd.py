@@ -22,7 +22,8 @@ from permutiple import (
     truncation,
     verify_surd_permutiple,
 )
-from permutiple.surd import _floor_quad
+from permutiple import surd
+from permutiple.surd import MAX_DEPTH, _floor_quad
 
 getcontext().prec = 90
 
@@ -186,6 +187,16 @@ class TestVerifyProbe:
         for depth in (0, -3):
             with pytest.raises(ValueError):
                 verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=depth)
+
+    def test_depth_is_bounded(self, monkeypatch):
+        with pytest.raises(ValueError, match="is over 100000 digits"):
+            verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=MAX_DEPTH + 1)
+        # refused before any digit is computed: the walk is never entered
+        monkeypatch.setattr(surd, "_expansion", None)
+        with pytest.raises(ValueError, match="is over"):
+            verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=10**12)
+        monkeypatch.undo()
+        assert len(verify_surd_permutiple(QuadraticSurd(1, 3, 1), MAX_DEPTH).digits) == MAX_DEPTH
 
     def test_grid_scan_records_verdicts(self):
         verdicts = {}
