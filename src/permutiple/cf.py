@@ -31,12 +31,8 @@ class ContinuedFraction:
     def parse(cls, text: str) -> ContinuedFraction:
         """Parse ``a0;a1,a2,...,an`` (spaces tolerated); a bare ``a0`` is allowed,
         but a ``;`` needs a digit after it."""
-        compact = "".join(text.split())
-        head, semicolon, tail = compact.partition(";")
-        digits = [int(head)]
-        if semicolon:
-            digits.extend(int(part) for part in tail.split(","))
-        return cls(tuple(digits))
+        head, semicolon, tail = "".join(text.split()).partition(";")
+        return cls((int(head),) + (_ints(tail) if semicolon else ()))
 
     @property
     def is_canonical(self) -> bool:
@@ -55,11 +51,19 @@ class ContinuedFraction:
         return format_cf(self)
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    """The integers of a comma list, spaces tolerated."""
+    return tuple(int(part) for part in "".join(text.split()).split(","))
+
+
 def format_cf(cf: ContinuedFraction) -> str:
-    ds = cf.digits
-    if len(ds) == 1:
-        return str(ds[0])
-    return str(ds[0]) + ";" + ",".join([str(a) for a in ds[1:]])
+    return _layout([str(a) for a in cf.digits])
+
+
+def _layout(strings: list[str]) -> str:
+    """The ``a0;a1,...,an`` layout of digits already in decimal."""
+    head, *rest = strings
+    return f"{head};{','.join(rest)}" if rest else head
 
 
 def parse_rational(text: str) -> Fraction:

@@ -20,7 +20,7 @@ from itertools import islice
 from math import factorial, gcd, prod
 from typing import Iterator
 
-from .cf import ContinuedFraction, _euclid, _Tip, _tip, format_cf
+from .cf import ContinuedFraction, _euclid, _ints, _Tip, _tip, format_cf
 
 
 class NotAPermutipleError(ValueError):
@@ -40,8 +40,7 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str) -> Permutation:
-        compact = "".join(text.split())
-        return cls(tuple(int(part) for part in compact.split(",")))
+        return cls(_ints(text))
 
     @classmethod
     @lru_cache
@@ -189,13 +188,19 @@ class Witness:
 
     @cached_property
     def flags(self) -> ClassificationFlags:
-        base, perm = self._tips
+        ((p, q), (p1, q1)), ((pp, _), (pp1, qp1)) = self._tips
+        preserving = p == pp  # the same top continuant
         return ClassificationFlags(
-            continuant_preserving=_preserving(base, perm),
+            continuant_preserving=preserving,
             perfect=is_perfect(self.cf, self.sigma, self.k),
             symmetric=is_symmetric(self.cf, self.sigma),
-            landess=_landess(base, perm, self.k),
-            reverse_multiple=_reverse_multiple(base, self.k),
+            # preservation plus p_{n-1} == k*p'_{n-1} and q_{n-1} == q'_{n-1}
+            landess=preserving and p1 == self.k * pp1 and q1 == qp1,
+            # mirror formula: value(reversed) = p_n / p_{n-1}, so p_n / q_n ==
+            # k * value(reversed) exactly when p_{n-1} == k * q_n.  This is a
+            # value-level check, independent of sigma: with repeated digits
+            # several permutations realize the reversed string.
+            reverse_multiple=p1 == self.k * q,
         )
 
 
@@ -225,28 +230,6 @@ def _multiplier(p: int, q: int, pp: int, qp: int) -> int | None:
         return None
     k = num // den
     return k if k >= 2 else None
-
-
-def _preserving(base: _Tip, perm: _Tip) -> bool:
-    """True when the base and permuted strings have the same top continuant."""
-    return base[0][0] == perm[0][0]
-
-
-def _landess(base: _Tip, perm: _Tip, k: int) -> bool:
-    """Continuant preservation plus the second-to-last convergent relations
-    p_{n-1} == k*p'_{n-1} and q_{n-1} == q'_{n-1}."""
-    (p1, q1), (pp1, qp1) = base[1], perm[1]
-    return _preserving(base, perm) and p1 == k * pp1 and q1 == qp1
-
-
-def _reverse_multiple(base: _Tip, k: int) -> bool:
-    """Value-level check against the reversed digit string.  Independent of
-    any particular sigma: with repeated digits several permutations realize
-    the reversed string."""
-    # mirror formula: value(reversed) = p_n / p_{n-1}, so
-    # p_n / q_n == k * value(reversed) exactly when p_{n-1} == k * q_n
-    (_, q), (p1, _) = base
-    return p1 == k * q
 
 
 def is_perfect(cf: ContinuedFraction, sigma: Permutation, k: int) -> bool:
@@ -311,16 +294,6 @@ MAX_K_CANDIDATES = 10**6
 MAX_SIGMA_LISTS = 10**5
 
 
-def _k_range(p: int, q: int, top: int, smallest: int) -> range:
-    """The multipliers k >= 2 that can take the value p/q to a partner led
-    by a digit in [smallest, top].
-
-    The partner's value lies in (smallest, top + 1], so p/q <= k * (top + 1)
-    and k * smallest < p/q.
-    """
-    return range(max(2, -(-p // (q * (top + 1)))), p // (q * smallest) + 1)
-
-
 def _realizing(base: tuple[int, ...], permuted: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every image list realizing ``permuted`` from ``base``, in lexicographic
     order; ``permuted`` must rearrange ``base``.
@@ -356,14 +329,15 @@ def _witness_list(
     digits: tuple[int, ...],
     hits: list[tuple[tuple[int, ...], int]],
     all_sigmas: bool,
-    allow_noncanonical: bool,
 ) -> list[Witness]:
     """Classified witnesses for hits ordered by permuted string.  Each carries
     the canonical sigma, the first realizing image list, or with
     ``all_sigmas`` becomes one Witness per realizing list, in lexicographic
     order.  Every hit has prod(multiplicity!) realizing lists; more than
     ``MAX_SIGMA_LISTS`` in all are refused with ValueError before any is
-    built."""
+    built.  The caller has already applied the canonical check to the base:
+    ``find_witnesses`` refuses, and a canonical-only scan never reads, a
+    base that ends in 1."""
     if not hits:
         return []
     cf = ContinuedFraction(digits)
@@ -374,7 +348,7 @@ def _witness_list(
                 f"{cf} has {lists} realizing image lists, over the limit of {MAX_SIGMA_LISTS}"
             )
     return [
-        classify(cf, Permutation(images), k, allow_noncanonical)
+        classify(cf, Permutation(images), k, allow_noncanonical=True)
         for permuted, k in hits
         for images in islice(_realizing(digits, permuted), None if all_sigmas else 1)
     ]
@@ -412,7 +386,9 @@ def find_witnesses(
     if not leads:
         return []
     (p, q), _ = _tip(digits)
-    ks = _k_range(p, q, leads[-1], multiset[0])
+    # A partner's value lies in (smallest digit, largest lead + 1], so
+    # p/q <= k * (largest lead + 1) and k * smallest digit < p/q.
+    ks = range(max(2, -(-p // (q * (leads[-1] + 1)))), p // (q * multiset[0]) + 1)
     if len(ks) > MAX_K_CANDIDATES:
         raise ValueError(
             f"{cf} needs {len(ks)} multipliers tried, over the limit of {MAX_K_CANDIDATES}"
@@ -433,4 +409,4 @@ def find_witnesses(
                 expansion[-1:] = [expansion[-1] - 1, 1]
             if sorted(expansion) == multiset:
                 hits.append((tuple(expansion), k))
-    return _witness_list(digits, sorted(hits), all_sigmas, allow_noncanonical)
+    return _witness_list(digits, sorted(hits), all_sigmas)

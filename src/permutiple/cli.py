@@ -13,6 +13,8 @@ import sys
 
 from .cf import (
     ContinuedFraction,
+    _ints,
+    _layout,
     canonicalize,
     convergents,
     evaluate,
@@ -84,17 +86,13 @@ def _emit(witnesses, as_json: bool) -> int:
 
 def _cmd_eval(args) -> int:
     if args.rational is not None:
-        for flag in ("json", "convergents", "tails", "canonical"):
-            if getattr(args, flag):
-                raise ValueError(f"--rational does not combine with --{flag}")
+        _refuse(args, "--rational", ("json", "convergents", "tails", "canonical"))
         cf = from_rational(parse_rational(args.rational))
         print(format_cf(cf))
         return 0
     cf = ContinuedFraction.parse(args.cf)
     if args.canonical:
-        for flag in ("json", "convergents", "tails"):
-            if getattr(args, flag):
-                raise ValueError(f"--canonical does not combine with --{flag}")
+        _refuse(args, "--canonical", ("json", "convergents", "tails"))
         print(format_cf(canonicalize(cf)))
         return 0
     if args.json:
@@ -216,19 +214,31 @@ def _cmd_three_digit_reverse(args) -> int:
 
 def _cmd_perfect(args) -> int:
     sigma = Permutation.parse(args.sigma)
-    params = PerfectParameters(sigma, args.k, _parse_int_list(args.params))
+    params = PerfectParameters(sigma, args.k, _ints(args.params))
     return _emit([perfect_from_parameters(params)], args.json)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in "".join(text.split()).split(","))
-
-
 def _refuse(args, mode: str, flags: tuple[str, ...]) -> None:
-    """A usage error for any of ``flags`` given where ``mode`` would ignore it."""
+    """A usage error for any of ``flags`` given where ``mode`` would ignore it.
+    A flag is given unless it is None or False (its unset defaults), so a
+    given 0 is refused too."""
     for flag in flags:
-        if getattr(args, flag) is not None:
+        value = getattr(args, flag)
+        if value is not None and value is not False:
             raise ValueError(f"{mode} does not take --{flag}")
+
+
+def _count(args, flag: str) -> int:
+    """The value of ``--depth`` or ``--digits``: 20 when not given, else an
+    integer in 1..MAX_DEPTH."""
+    n = getattr(args, flag)
+    if n is None:
+        return 20
+    if n < 1:
+        raise ValueError(f"--{flag} must be a positive integer, got {n}")
+    if n > MAX_DEPTH:
+        raise ValueError(f"--{flag} {n} is over {MAX_DEPTH} digits")
+    return n
 
 
 def _cmd_concat(args) -> int:
@@ -236,27 +246,19 @@ def _cmd_concat(args) -> int:
         _refuse(args, "--palindrome", ("cf1", "sigma1", "cf2", "sigma2"))
         if args.k is None or not args.cf:
             raise ValueError("palindromic mode needs --k and one or more --cf")
-        pieces = []
-        for text in args.cf:
-            cf = ContinuedFraction.parse(text)
-            pieces.append(
-                classify(cf, Permutation.reversal(len(cf)), args.k, allow_noncanonical=True)
-            )
+        pieces = [
+            classify(cf, Permutation.reversal(len(cf)), args.k, allow_noncanonical=True)
+            for cf in map(ContinuedFraction.parse, args.cf)
+        ]
         witness = palindromic_concat(pieces, args.k)
     else:
         _refuse(args, "concat without --palindrome", ("k", "cf"))
         if not (args.cf1 and args.sigma1 and args.cf2 and args.sigma2):
             raise ValueError("give --cf1/--sigma1 and --cf2/--sigma2, or use --palindrome")
-        w1 = classify(
-            ContinuedFraction.parse(args.cf1),
-            Permutation.parse(args.sigma1),
-            allow_noncanonical=True,
-        )
-        w2 = classify(
-            ContinuedFraction.parse(args.cf2),
-            Permutation.parse(args.sigma2),
-            allow_noncanonical=True,
-        )
+        w1, w2 = [
+            classify(ContinuedFraction.parse(cf), Permutation.parse(sigma), allow_noncanonical=True)
+            for cf, sigma in ((args.cf1, args.sigma1), (args.cf2, args.sigma2))
+        ]
         witness = concat_witness(w1, w2)
     return _emit([witness], args.json)
 
@@ -268,28 +270,24 @@ def _parse_stream_params(expr: str):
     if expr.startswith("pow:"):
         base = int(expr.split(":", 1)[1])
         return lambda i: base**i
-    return _parse_int_list(expr)
+    return _ints(expr)
 
 
 def _decimal_strings(values, first: int, refusal: str) -> list[str]:
-    """Each of ``values`` in decimal, formatted as it is produced and all
-    before anything is printed.  The walk stops at the first value with more
-    digits than Python prints (``sys.get_int_max_str_digits``), whose index,
-    counted from ``first``, fills ``refusal``, so a count that reaches one is
-    refused before any later, larger value is computed."""
-    out = []
+    """Each of ``values`` (ints >= 0) in decimal, all formatted before
+    anything is printed.  Each value is first compared with 10**limit, where
+    limit is ``sys.get_int_max_str_digits()`` (0 for none): v >= 10**limit
+    exactly when ``str(v)`` would refuse it.  The first such value stops the
+    walk before any later, larger value is computed and before any value is
+    formatted; its index, counted from ``first``, fills ``refusal``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # not in early 3.10s
+    bound = 10**limit if limit else None
+    held = []
     for index, value in enumerate(values, first):
-        try:
-            out.append(str(value))
-        except ValueError:
-            raise ValueError(refusal.format(index)) from None
-    return out
-
-
-def _cf_text(strings: list[str]) -> str:
-    """The ``format_cf`` layout of digits already in decimal."""
-    head, *rest = strings
-    return f"{head};{','.join(rest)}" if rest else head
+        if bound is not None and value >= bound:
+            raise ValueError(refusal.format(index))
+        held.append(value)
+    return [str(value) for value in held]
 
 
 def _cmd_surd(args) -> int:
@@ -301,16 +299,14 @@ def _cmd_surd(args) -> int:
         if args.k is None or args.params is None:
             raise ValueError("stream mode needs both --k and --params")
         _refuse(args, "stream mode", ("depth",))
-        n = 20 if args.digits is None else args.digits
-        if n < 1:
-            raise ValueError(f"--digits must be a positive integer, got {n}")
-        if n > MAX_DEPTH:
-            raise ValueError(f"--digits {n} is over {MAX_DEPTH} digits")
+        n = _count(args, "digits")
         stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
         refusal = f"--digits {n}: the digit at j = {{}} has too many digits to print"
-        digits = _cf_text(_decimal_strings(map(stream.digit, range(n)), 0, refusal))
-        permuted_digits = (stream.digit(j ^ 1) for j in range(n))
-        permuted = _cf_text(_decimal_strings(permuted_digits, 0, refusal))
+        # The permuted prefix reads digit j ^ 1, which for odd n reaches digit
+        # n = digit n - 1 divided by k: never the first too long to print.
+        strings = _decimal_strings(map(stream.digit, range(n + n % 2)), 0, refusal)
+        digits = _layout(strings[:n])
+        permuted = _layout([strings[j ^ 1] for j in range(n)])
         gaps = None
         if args.gaps:
             refusal = f"--gaps {args.gaps}: the gap at n = {{}} has too many digits to print"
@@ -329,11 +325,7 @@ def _cmd_surd(args) -> int:
     if args.a is None or args.b is None or args.c is None:
         raise ValueError("probe mode needs --a, --b and --c")
     _refuse(args, "probe mode", ("digits", "gaps"))
-    depth = 20 if args.depth is None else args.depth
-    if depth < 1:  # refused also for a surd with no multiplier, which never probes
-        raise ValueError(f"--depth must be a positive integer, got {depth}")
-    if depth > MAX_DEPTH:
-        raise ValueError(f"--depth {depth} is over {MAX_DEPTH} digits")
+    depth = _count(args, "depth")  # checked also for a surd with no multiplier, which never probes
     surd = QuadraticSurd(args.a, args.b, args.c)
     k = surd_multiplier(surd)
     report = verify_surd_permutiple(surd, depth) if k is not None else None
@@ -369,6 +361,12 @@ def _cmd_surd(args) -> int:
     return 0
 
 
+def _json_last(parser: argparse.ArgumentParser, func) -> None:
+    """Add ``--json`` as the subcommand's last flag and bind its handler."""
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permutiple",
@@ -391,23 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convergents", action="store_true")
     p.add_argument("--tails", action="store_true")
     p.add_argument("--canonical", action="store_true", help="print the canonical form")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_eval)
+    _json_last(p, _cmd_eval)
 
     p = sub.add_parser("classify", help="verify and classify a (cf, sigma[, k]) triple")
     p.add_argument("--cf", required=True)
     p.add_argument("--sigma", required=True, help="image list s0,s1,...,sn")
     p.add_argument("--k", type=int)
     p.add_argument("--allow-noncanonical", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
+    _json_last(p, _cmd_classify)
 
     p = sub.add_parser("witnesses", help="all witnesses of a digit string")
     p.add_argument("--cf", required=True)
     p.add_argument("--all-sigmas", action="store_true")
     p.add_argument("--allow-noncanonical", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_witnesses)
+    _json_last(p, _cmd_witnesses)
 
     p = sub.add_parser("search", parents=[scan], help="exhaustive search within digit bounds")
     p.add_argument("--max-digit", type=int, required=True)
@@ -422,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("id", choices=CONJECTURE_IDS)
     p.add_argument("--max-digit", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_conjecture)
+    _json_last(p, _cmd_conjecture)
 
     p = sub.add_parser("enumerate", help="closed-form permutiple families")
     fam = p.add_subparsers(dest="family", required=True)
@@ -431,41 +425,32 @@ def build_parser() -> argparse.ArgumentParser:
     f = fam.add_parser("two-digit")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--s", type=int, required=True)
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(func=lambda a: _emit([two_digit(a.k, a.s)], a.json))
+    _json_last(f, lambda a: _emit([two_digit(a.k, a.s)], a.json))
 
     f = fam.add_parser("three-digit-reverse")
     f.add_argument("--k", type=int, required=True)
     lead = f.add_mutually_exclusive_group(required=True)
     lead.add_argument("--a0", type=int)
     lead.add_argument("--a0-max", type=int)
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_three_digit_reverse)
+    _json_last(f, _cmd_three_digit_reverse)
 
     f = fam.add_parser("perfect")
     f.add_argument("--sigma", required=True)
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--params", required=True, help="one positive integer per cycle")
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_perfect)
+    _json_last(f, _cmd_perfect)
 
     f = fam.add_parser("perfect-reverse")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--params", required=True, help="s0,s1,... for the first half")
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(func=lambda a: _emit([perfect_reverse(a.k, _parse_int_list(a.params))], a.json))
+    _json_last(f, lambda a: _emit([perfect_reverse(a.k, _ints(a.params))], a.json))
 
     f = fam.add_parser("perfect-cyclic")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--length", type=int, required=True)
     f.add_argument("--ell", type=int, required=True)
     f.add_argument("--params", required=True, help="one positive integer per rotation orbit")
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(
-        func=lambda a: _emit(
-            [perfect_cyclic(a.k, a.length, a.ell, _parse_int_list(a.params))], a.json
-        )
-    )
+    _json_last(f, lambda a: _emit([perfect_cyclic(a.k, a.length, a.ell, _ints(a.params))], a.json))
 
     p = sub.add_parser("concat", help="concatenate witnesses")
     p.add_argument("--cf1")
@@ -475,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palindrome", action="store_true")
     p.add_argument("--k", type=int)
     p.add_argument("--cf", action="append", help="repeatable in palindromic mode")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_concat)
+    _json_last(p, _cmd_concat)
 
     p = sub.add_parser("surd", help="quadratic surd probe or perfect stream")
     p.add_argument("--a", type=int)
@@ -487,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="stream mode: const:<v>, pow:<base>, or a comma list")
     p.add_argument("--digits", type=int, help="stream mode: digits printed (default 20)")
     p.add_argument("--gaps", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_surd)
+    _json_last(p, _cmd_surd)
 
     return parser
 

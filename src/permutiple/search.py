@@ -322,7 +322,7 @@ def _by_length(config: SearchConfig, parts: Iterator[list[_Hits]]) -> Iterator[W
         found = itertools.chain.from_iterable(itertools.islice(parts, config.workers))
         for base, hits in sorted(found):
             hits = [hit for hit in hits if low <= hit[1] <= high]
-            yield from _witness_list(base, hits, not config.dedupe, not config.canonical_only)
+            yield from _witness_list(base, hits, not config.dedupe)
 
 
 def exhaustive_search(config: SearchConfig) -> Iterator[Witness]:

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permutiple
-from permutiple.cli import build_parser, main
+from permutiple import cli
+from permutiple.cli import _decimal_strings, build_parser, main
 from permutiple.search import MAX_WORKERS
 from permutiple.surd import MAX_DEPTH
 
@@ -335,6 +338,10 @@ class TestSurd:
         assert lines[0] == "digits 2;1,8,4,32,16"
         assert lines[1] == "permuted 1;2,4,8,16,32"
         assert lines[2].startswith("gaps 0,")
+        # an odd count: the permuted prefix ends on digit n, the one past the prefix
+        code, out, _ = run(["surd", "--k", "2", "--params", "pow:4", "--digits", "5"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["digits 2;1,8,4,32", "permuted 1;2,4,8,16"]
         argv = ["surd", "--k", "2", "--params", "pow:4", "--digits", "4", "--json"]
         code, out, _ = run(argv, capsys)
         assert code == 0
@@ -362,6 +369,99 @@ class TestSurd:
     def test_mixed_modes_rejected(self, capsys):
         code, _, err = run(["surd", "--a", "1", "--b", "3", "--c", "1", "--k", "2"], capsys)
         assert code == 2
+
+
+class TestDecimalStrings:
+    @staticmethod
+    def _counted(calls):
+        class Counted(int):
+            def __str__(self):
+                calls.append(int(self))
+                return int.__repr__(self)
+
+        return Counted
+
+    def test_refusal_comes_before_any_value_is_formatted(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
+        calls = []
+        counted = self._counted(calls)
+        values = [counted(7), counted(10**640 - 1), counted(10**640)]
+
+        def later():
+            raise AssertionError("a value after the refused one was computed")
+            yield
+
+        with pytest.raises(ValueError, match=r"^value 5 is too long$"):
+            _decimal_strings(itertools.chain(values, later()), 3, "value {} is too long")
+        assert calls == []
+        assert _decimal_strings(values[:2], 0, "{}") == ["7", "9" * 640]
+        assert calls == [7, 10**640 - 1]
+
+    @pytest.mark.parametrize("limit", [0, None])
+    def test_no_limit_refuses_nothing(self, monkeypatch, limit):
+        # 0 is Python's "no limit"; None stands for a Python without the function
+        if limit is None:
+            monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        else:
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        assert _decimal_strings([10**640], 1, "{}") == ["1" + "0" * 640]
+
+
+class TestParser:
+    @staticmethod
+    def _leaves(parser, path=()):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from TestParser._leaves(sub, (*path, name))
+                return
+        yield path, parser
+
+    def test_json_is_the_last_flag_of_every_subcommand_but_search(self):
+        leaves = dict(self._leaves(build_parser()))
+        assert sorted(leaves) == sorted(_FLAGS)
+        named = {
+            ("eval",): cli._cmd_eval,
+            ("classify",): cli._cmd_classify,
+            ("witnesses",): cli._cmd_witnesses,
+            ("search",): cli._cmd_search,
+            ("conjecture",): cli._cmd_conjecture,
+            ("enumerate", "three-digit-reverse"): cli._cmd_three_digit_reverse,
+            ("enumerate", "perfect"): cli._cmd_perfect,
+            ("concat",): cli._cmd_concat,
+            ("surd",): cli._cmd_surd,
+        }
+        for path, parser in leaves.items():
+            func = parser.get_default("func")
+            assert callable(func), path
+            if path in named:  # the other enumerate families bind a lambda
+                assert func is named[path], path
+            flags = [a.option_strings for a in parser._actions if a.option_strings]
+            assert (flags[-1] == ["--json"]) == (path != ("search",)), path
+            assert ["--json"] not in flags[:-1], path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--cf", "7;1,3", "--sigma", "2,1,0"],
+            ["witnesses", "--cf", "7;1,3"],
+            ["enumerate", "two-digit", "--k", "2", "--s", "3"],
+            ["enumerate", "three-digit-reverse", "--k", "13", "--a0", "27"],
+            ["enumerate", "perfect", "--sigma", "1,0,3,2", "--k", "2", "--params", "1,3"],
+            ["enumerate", "perfect-reverse", "--k", "3", "--params", "1,2"],
+            ["enumerate", "perfect-cyclic", "--k", "2", "--length", "6", "--ell", "3",
+             "--params", "1,1,2"],
+            ["concat", "--palindrome", "--k", "2", "--cf", "7;1,3", "--cf", "7;1,3"],
+        ],
+    )
+    def test_each_witness_printer_writes_one_record_per_line_with_json(self, capsys, argv):
+        code, text, _ = run(argv, capsys)
+        assert code == 0
+        code, out, _ = run([*argv, "--json"], capsys)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == len(text.splitlines()) >= 1
+        assert text.startswith(records[0]["digits"] + " = ")
 
 
 class TestUsageErrors:
@@ -432,6 +532,24 @@ class TestUsageErrors:
         # each mode still reads its own flag, and its default is 20
         assert run([*probe, "--depth", "20"], capsys)[1] == run(probe, capsys)[1]
         assert run([*stream, "--digits", "20"], capsys)[1] == run(stream, capsys)[1]
+
+    def test_a_given_zero_or_false_default_is_told_apart(self, capsys):
+        # only None and False count as not given: --k 0 is refused, and an
+        # unset store_true flag is not
+        pair = ["--cf1", "7;1,3", "--sigma1", "2,1,0", "--cf2", "7;1,3", "--sigma2", "2,1,0"]
+        code, out, err = run(["concat", *pair, "--k", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: concat without --palindrome does not take --k\n"
+        for mode, argv, flags in (
+            ("--rational", ["--rational", "31/4"], ("json", "convergents", "tails", "canonical")),
+            ("--canonical", ["--cf", "7;1,3,1", "--canonical"], ("json", "convergents", "tails")),
+        ):
+            for flag in flags:
+                code, out, err = run(["eval", *argv, f"--{flag}"], capsys)
+                assert code == 2 and out == ""
+                assert err == f"error: {mode} does not take --{flag}\n"
+            code, out, err = run(["eval", *argv], capsys)
+            assert code == 0 and out and err == ""
 
     def test_surd_depth_must_be_positive(self, capsys):
         # also for a surd with no multiplier (1 + sqrt 2: (2 - 1)/1 = 1),
