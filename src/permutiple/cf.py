@@ -51,6 +51,17 @@ class ContinuedFraction:
         return format_cf(self)
 
 
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_multiplier(k: object) -> None:
+    """Refuse a multiplier k that is not an int >= 2, with ValueError."""
+    if not _is_int(k) or k < 2:
+        raise ValueError("multiplier k must be an integer greater than 1")
+
+
 def _ints(text: str) -> tuple[int, ...]:
     """The integers of a comma list, spaces tolerated."""
     return tuple(int(part) for part in "".join(text.split()).split(","))

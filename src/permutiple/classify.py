@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import factorial, gcd, prod
 from typing import Iterator
 
-from .cf import ContinuedFraction, _euclid, _ints, _Tip, _tip, format_cf
+from .cf import ContinuedFraction, _euclid, _ints, _is_int, _Tip, _tip, format_cf
 
 
 class NotAPermutipleError(ValueError):
@@ -133,12 +132,13 @@ FLAG_ORDER = tuple(f.name for f in fields(ClassificationFlags))
 
 @dataclass(frozen=True)
 class Witness:
-    """A permutiple (cf, sigma, k), proven when built; values and flags derive from its digits.
+    """A permutiple (cf, sigma, k), proven when built; its flags derive from its digits.
 
     A k left as None is read off the same walk of the two strings that
-    proves the identity, so once built ``k`` is always an int.  ``text`` is
-    formatted on first use and kept, so a witness written in several
-    formats is turned into text once.
+    proves the identity, and any other k that is not an int (a bool
+    included) is refused with ValueError before any walk, so once built
+    ``k`` is always an int.  ``text`` is formatted on first use and kept,
+    so a witness written in several formats is turned into text once.
     """
 
     cf: ContinuedFraction
@@ -148,6 +148,8 @@ class Witness:
     def __post_init__(self) -> None:
         if self.k is None:
             object.__setattr__(self, "k", _multiplier(*self._tips[0][0], *self._tips[1][0]))
+        elif not _is_int(self.k):
+            raise ValueError(f"multiplier k must be an int or None, not {self.k!r}")
         self.verify()
 
     @cached_property
@@ -177,14 +179,6 @@ class Witness:
         terms."""
         p, q = self._tips[0][0]
         return format_cf(self.cf), format_permutation(self.sigma), str(p), str(q)
-
-    @cached_property
-    def value(self) -> Fraction:
-        return Fraction(*self._tips[0][0])
-
-    @cached_property
-    def permuted_value(self) -> Fraction:
-        return Fraction(*self._tips[1][0])
 
     @cached_property
     def flags(self) -> ClassificationFlags:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cf import ContinuedFraction
+from .cf import ContinuedFraction, _check_multiplier
 from .classify import Permutation, Witness, canonical_sigma, classify
 
 # Bounds the witnesses one three-digit enumeration holds before it returns
@@ -47,8 +47,7 @@ def three_digit_reverse(k: int, a0: int) -> Witness | None:
     a1 = (k - 1) / t.  Leading digits whose t does not divide k - 1 admit
     no solution, and None is returned.
     """
-    if k < 2:
-        raise ValueError("multiplier k must be an integer greater than 1")
+    _check_multiplier(k)
     if a0 <= k:
         raise ValueError(f"leading digit must exceed k={k}")
     if gcd(a0, k) != 1:
@@ -71,8 +70,7 @@ def enumerate_three_digit_reverse(k: int, a0_max: int) -> list[Witness]:
     ``MAX_LEADING_DIGITS`` leading digits (a0_max - k) are refused with
     ValueError before any witness is built.
     """
-    if k < 2:
-        raise ValueError("multiplier k must be an integer greater than 1")
+    _check_multiplier(k)
     if a0_max - k > MAX_LEADING_DIGITS:
         raise ValueError(
             f"a0_max {a0_max} with k={k} is over {MAX_LEADING_DIGITS} leading digits to try"
@@ -105,8 +103,7 @@ class PerfectParameters:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "orbit_params", tuple(self.orbit_params))
-        if self.k < 2:
-            raise ValueError("multiplier k must be an integer greater than 1")
+        _check_multiplier(self.k)
         if not validate_perfect_permutation(self.sigma):
             raise ValueError(f"{self.sigma} cannot carry a perfect permutiple")
         if len(self.orbit_params) != len(self.sigma.cycles):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cf import _euclid
+from .cf import _euclid, _is_int
 from .classify import FLAG_ORDER, Witness, _witness_list
 
 # Worker processes a scan may start: the pool forks them all at once.
@@ -57,11 +57,6 @@ MAX_MULTISETS = 10**8
 # digits, so the most this admits (11 digits <= 4, 1 398 100 rows) peaks
 # near 160 MB.
 MAX_TABLE_ROWS = 2 * 10**6
-
-
-def _is_int(value: object) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -158,41 +153,37 @@ def _scan_part(args: tuple[SearchConfig, int, int]) -> list[_Hits]:
 
 
 def _table(multiset: tuple[int, ...], store: _Store) -> list[_Row]:
-    """The table of a sorted multiset: taken from its slot in ``store``, at
-    index multiset[-1] of the column ``store[multiset[:-1]]``, or built and
-    kept there."""
-    column = store[multiset[:-1]]
-    table = column[multiset[-1]]
-    if table is None:
-        table = column[multiset[-1]] = _arrangement_table(multiset, store)
-    return table
-
-
-def _arrangement_table(multiset: tuple[int, ...], store: _Store) -> list[_Row]:
     """(p, q, last) for each distinct arrangement of a non-empty sorted
     multiset, in lexicographic order of the arrangements, with p/q its value
-    in lowest terms and last its last digit.
+    in lowest terms and last its last digit.  The table is taken from its
+    slot in ``store``, at index multiset[-1] of the column
+    ``store[multiset[:-1]]``, or built and kept there.
 
     A one-digit multiset (e,) has the one row (e, 1, e).  Otherwise each
     distinct digit d, ascending, goes in front of every row (p, q, last) of
     the table of the multiset less d, in that table's order, with the value
     (d*p + q) / p and the same last digit.  Continuants are coprime, so no
     fraction needs reducing, and no permutation or sort is walked.  A row
-    holds no digits: ``_arrangement`` rebuilds them from p/q.  The tail
-    tables come from ``_table``; the table returned is not kept.
+    holds no digits: ``_arrangement`` rebuilds them from p/q.
     """
+    column = store[multiset[:-1]]
+    table = column[multiset[-1]]
+    if table is not None:
+        return table
     if len(multiset) == 1:
         e = multiset[0]
-        return [(e, 1, e)]
-    rows: list[_Row] = []
-    previous = None
-    for i, d in enumerate(multiset):
-        if d == previous:
-            continue
-        previous = d
-        tails = _table(multiset[:i] + multiset[i + 1 :], store)
-        rows += [(d * p + q, p, last) for p, q, last in tails]
-    return rows
+        table = [(e, 1, e)]
+    else:
+        table = []
+        previous = None
+        for i, d in enumerate(multiset):
+            if d == previous:
+                continue
+            previous = d
+            tails = _table(multiset[:i] + multiset[i + 1 :], store)
+            table += [(d * p + q, p, last) for p, q, last in tails]
+    column[multiset[-1]] = table
+    return table
 
 
 def _arrangement(p: int, q: int, m: int) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from itertools import count, islice
 from math import isqrt
 from typing import Iterator
 
-from .cf import ContinuedFraction, _convergents
+from .cf import ContinuedFraction, _check_multiplier, _convergents, _is_int
 
 
 def _is_square(n: int) -> bool:
@@ -29,6 +29,10 @@ class QuadraticSurd:
     c: int
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.b < 1 or _is_square(self.b):
             raise ValueError(f"b must be a positive non-square, got {self.b}")
         if self.c == 0:
@@ -187,8 +191,7 @@ class DigitStream:
     """
 
     def __init__(self, k: int, params):
-        if k < 2:
-            raise ValueError("multiplier k must be an integer greater than 1")
+        _check_multiplier(k)
         self.k = k
         self._params = map(params, count()) if callable(params) else iter(params)
         self._cache: list[int] = []
@@ -197,11 +200,11 @@ class DigitStream:
         while len(self._cache) <= i:
             index = len(self._cache)
             try:
-                s = int(next(self._params))
+                s = next(self._params)
             except StopIteration:
                 raise ValueError(f"parameter stream exhausted at index {index}") from None
-            if s < 1:
-                raise ValueError(f"parameter s_{index} = {s} is not >= 1")
+            if not _is_int(s) or s < 1:
+                raise ValueError(f"parameter s_{index} = {s!r} is not >= 1")
             self._cache.append(s)
         return self._cache[i]
 
@@ -211,9 +214,6 @@ class DigitStream:
 
     def prefix(self, n: int) -> tuple[int, ...]:
         return tuple(self.digit(j) for j in range(n))
-
-    def permuted_prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.digit(j ^ 1) for j in range(n))
 
 
 def infinite_perfect_stream(k: int, params) -> DigitStream:

@@ -16,6 +16,7 @@ from permutiple import (
     canonical_sigma,
     classify,
     continuant,
+    evaluate,
     find_witnesses,
     is_perfect,
     is_symmetric,
@@ -157,8 +158,8 @@ class TestPredicates:
 class TestClassify:
     def test_perfect_six_digit_example(self):
         w = classify(CF((3, 1, 9, 1, 3, 3)), P((3, 0, 4, 5, 1, 2)), 3)
-        assert w.value == Fraction(547, 140)
-        assert w.value == 3 * w.permuted_value
+        assert evaluate(w.cf) == Fraction(547, 140)
+        assert evaluate(w.cf) == 3 * evaluate(w.permuted)
         assert w.flags.continuant_preserving
         assert w.flags.perfect
         assert w.flags.symmetric
@@ -200,8 +201,9 @@ class TestClassify:
     def test_rejects_non_permutiple(self):
         with pytest.raises(NotAPermutipleError):
             classify(CF((7, 1, 3)), P((0, 1, 2)))
-        with pytest.raises(NotAPermutipleError):
-            classify(CF((7, 1, 3)), REVERSAL_3, k=3)
+        for k in (3, 1):  # a wrong int k, 1 included, is a domain "no"
+            with pytest.raises(NotAPermutipleError, match=f"is 2, not {k}"):
+                classify(CF((7, 1, 3)), REVERSAL_3, k=k)
 
     def test_witness_is_checked_against_its_digits(self):
         w = classify(CF((7, 1, 3)), REVERSAL_3)
@@ -219,6 +221,16 @@ class TestClassify:
         assert not w.cf.is_canonical
         assert w.flags.reverse_multiple
 
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_refuses_a_k_that_is_not_an_int_before_any_walk(self, monkeypatch, k):
+        # 7;1,3 is 2 * 3;1,7, so k = 2.0 would otherwise build a Witness that
+        # exports "k":2.0; a bool or str k is refused the same way
+        walked = []
+        monkeypatch.setattr(classify_module, "_tip", lambda digits: walked.append(digits))
+        with pytest.raises(ValueError, match="must be an int or None") as raised:
+            classify(CF((7, 1, 3)), REVERSAL_3, k)
+        assert type(raised.value) is ValueError and walked == []
+
     def test_flag_lattice_enforced(self):
         with pytest.raises(ValueError):
             ClassificationFlags(False, True, True, True, False)
@@ -226,6 +238,8 @@ class TestClassify:
             ClassificationFlags(True, True, False, True, False)
         with pytest.raises(ValueError):
             ClassificationFlags(False, False, False, True, False)
+        with pytest.raises(ValueError, match="perfect requires landess"):
+            ClassificationFlags(True, True, True, False, False)
 
 
 class TestFindWitnesses:

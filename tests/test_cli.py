@@ -227,6 +227,12 @@ class TestEnumerate:
         )
         assert code == 0 and len(out.strip().splitlines()) == 4
 
+    def test_three_digit_reverse_multiplier_below_2_is_a_usage_error(self, capsys):
+        argv = ["enumerate", "three-digit-reverse", "--k", "1", "--a0-max", "10"]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: multiplier k must be an integer greater than 1\n"
+
     def test_three_digit_reverse_huge_range_is_refused_at_once(self, capsys):
         code, out, err = run(
             ["enumerate", "three-digit-reverse", "--k", "2", "--a0-max", "1000000000"], capsys
@@ -369,6 +375,11 @@ class TestSurd:
     def test_mixed_modes_rejected(self, capsys):
         code, _, err = run(["surd", "--a", "1", "--b", "3", "--c", "1", "--k", "2"], capsys)
         assert code == 2
+
+    def test_stream_mode_needs_params(self, capsys):
+        code, out, err = run(["surd", "--k", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: stream mode needs both --k and --params\n"
 
 
 class TestDecimalStrings:

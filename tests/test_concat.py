@@ -104,8 +104,8 @@ class TestConcatWitness:
         w = witness((7, 1, 3), (3, 1, 7))
         joined = concat_witness(w, w)
         assert joined.cf == CF((7, 1, 3, 7, 1, 3))
-        assert joined.value == Fraction(993, 128)
-        assert joined.permuted_value == Fraction(993, 256)
+        assert evaluate(joined.cf) == Fraction(993, 128)
+        assert evaluate(joined.permuted) == Fraction(993, 256)
         assert joined.flags.reverse_multiple
         assert joined.flags.continuant_preserving
 
@@ -161,7 +161,7 @@ class TestPalindromicConcat:
         joined = palindromic_concat([a, b, a], 2)
         assert joined.cf == CF((7, 1, 3, 7, 2, 1, 3, 7, 1, 3))
         assert joined.flags.reverse_multiple
-        assert joined.value == 2 * evaluate(CF(joined.cf.digits[::-1]))
+        assert evaluate(joined.cf) == 2 * evaluate(CF(joined.cf.digits[::-1]))
 
     def test_non_palindromic_rejected(self):
         a = witness((7, 1, 3), (3, 1, 7))
@@ -191,7 +191,7 @@ class TestMonoidClosure:
         for w1, w2 in itertools.product(corpus, repeat=2):
             joined = concat_witness(w1, w2)
             assert joined.flags.landess
-            assert joined.value == 2 * joined.permuted_value
+            assert evaluate(joined.cf) == 2 * evaluate(joined.permuted)
 
 
 class TestProductsAgainstInversion:

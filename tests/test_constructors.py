@@ -14,6 +14,7 @@ from permutiple import (
     concat_witness,
     constructors,
     enumerate_three_digit_reverse,
+    evaluate,
     export,
     palindromic_concat,
     perfect_cyclic,
@@ -33,11 +34,11 @@ class TestTwoDigit:
     def test_examples(self):
         w = two_digit(3, 2)
         assert w.cf == CF((6, 2))
-        assert w.value == Fraction(13, 2)
-        assert w.permuted_value == Fraction(13, 6)
+        assert evaluate(w.cf) == Fraction(13, 2)
+        assert evaluate(w.permuted) == Fraction(13, 6)
         w = two_digit(2, 2)
         assert w.cf == CF((4, 2))
-        assert w.value == Fraction(9, 2) == 2 * w.permuted_value
+        assert evaluate(w.cf) == Fraction(9, 2) == 2 * evaluate(w.permuted)
 
     def test_parameter_bounds(self):
         with pytest.raises(ValueError):
@@ -80,7 +81,7 @@ class TestThreeDigitReverse:
         # [5;3,1] belongs to k = 4 (see test_noncanonical_output_flagged)
         w = three_digit_reverse(2, 5)
         assert w.cf == CF((5, 1, 2))
-        assert w.value == Fraction(17, 3) == 2 * Fraction(17, 6)
+        assert evaluate(w.cf) == Fraction(17, 3) == 2 * Fraction(17, 6)
 
     def test_enumeration_examples(self):
         leading = [w.cf.digits[0] for w in enumerate_three_digit_reverse(2, 10)]
@@ -207,7 +208,7 @@ class TestPerfectFromParameters:
         w = perfect_from_parameters(params)
         assert w.cf == CF((7, 1, 14, 2))
         assert w.permuted == CF((1, 7, 2, 14))
-        assert w.value == 7 * w.permuted_value
+        assert evaluate(w.cf) == 7 * evaluate(w.permuted)
         assert w.flags.perfect
 
     def test_degenerates_to_two_digit_family(self):
@@ -224,7 +225,7 @@ class TestPerfectFromParameters:
         sigma = P((3, 2, 4, 0, 5, 1))
         w = perfect_from_parameters(PerfectParameters(sigma, 2, (1, 1)))
         assert w.flags.perfect
-        assert w.value == 2 * w.permuted_value
+        assert evaluate(w.cf) == 2 * evaluate(w.permuted)
 
     def test_parameter_scaling_is_per_cycle(self):
         sigma = P((1, 0, 3, 2))
@@ -248,8 +249,8 @@ class TestPerfectReverse:
     def test_four_digit_example(self):
         w = perfect_reverse(2, (3, 1))
         assert w.cf == CF((6, 1, 2, 3))
-        assert w.value == Fraction(67, 10)
-        assert w.permuted_value == Fraction(67, 20)
+        assert evaluate(w.cf) == Fraction(67, 10)
+        assert evaluate(w.permuted) == Fraction(67, 20)
         assert w.flags.perfect and w.flags.reverse_multiple
 
     def test_noncanonical_flagged(self):
@@ -265,6 +266,10 @@ class TestPerfectReverse:
         assert w.cf == CF((6, 5, 12, 4, 15, 2))
         assert w.flags.perfect and w.flags.reverse_multiple and w.flags.landess
 
+    def test_empty_half_is_refused(self):
+        with pytest.raises(ValueError, match="at least one parameter"):
+            perfect_reverse(2, ())
+
 
 class TestPerfectCyclic:
     def test_six_digit_form(self):
@@ -274,9 +279,9 @@ class TestPerfectCyclic:
     def test_value_example(self):
         w = perfect_cyclic(2, 6, 3, (1, 1, 2))
         assert w.cf == CF((2, 1, 4, 1, 2, 2))
-        assert w.value == Fraction(113, 40)
+        assert evaluate(w.cf) == Fraction(113, 40)
         assert w.permuted == CF((1, 2, 2, 2, 1, 4))
-        assert w.permuted_value == Fraction(113, 80)
+        assert evaluate(w.permuted) == Fraction(113, 80)
 
     def test_even_shift_rejected(self):
         with pytest.raises(ValueError):
@@ -296,6 +301,23 @@ class TestPerfectCyclic:
         assert w.flags.perfect
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "3", 1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: three_digit_reverse(k, 7),
+        lambda k: enumerate_three_digit_reverse(k, 10),
+        lambda k: PerfectParameters(P((1, 0)), k, (2,)),
+    ],
+    ids=["three_digit_reverse", "enumerate_three_digit_reverse", "PerfectParameters"],
+)
+def test_constructors_refuse_a_multiplier_that_is_not_an_int_above_1(build, k):
+    # one rule, one message: a float, bool or str k is refused as k = 1 is;
+    # the perfect families all reach it through PerfectParameters
+    with pytest.raises(ValueError, match="^multiplier k must be an integer greater than 1$"):
+        build(k)
+
+
 class TestConstructorWitnessesAgreeWithClassifier:
     def test_all_families_verify_by_evaluation(self):
         witnesses = [
@@ -307,7 +329,7 @@ class TestConstructorWitnessesAgreeWithClassifier:
         ]
         for w in witnesses:
             assert w is not None
-            assert w.value == w.k * w.permuted_value
+            assert evaluate(w.cf) == w.k * evaluate(w.permuted)
             assert nested_eval(w.cf.digits) == w.k * nested_eval(w.permuted.digits)
 
     def test_perfect_families_carry_perfect_family_flags(self):

@@ -30,7 +30,7 @@ from permutiple import (
     tails,
     validate_perfect_permutation,
 )
-from permutiple.search import _arrangement, _arrangement_table, _prefix_hits
+from permutiple.search import _arrangement, _prefix_hits, _table
 
 digit_strings = st.lists(st.integers(1, 40), min_size=1, max_size=9).map(tuple)
 
@@ -128,7 +128,7 @@ def test_convergents_of_permuted_strings_stay_reduced(ds, rng):
 def test_arrangement_table_is_the_sorted_distinct_arrangements(ds):
     multiset = tuple(sorted(ds))
     store = collections.defaultdict(lambda: [None] * 10)
-    table = _arrangement_table(multiset, store)
+    table = _table(multiset, store)
     assert table == [
         (continuant(a), continuant(a[1:]), a[-1])
         for a in sorted(set(itertools.permutations(multiset)))
@@ -144,7 +144,7 @@ def test_rows_rebuild_to_their_arrangements(ds):
     # arrangement, also where that ends in 1 and the expansion is a digit short
     multiset = tuple(sorted(ds))
     store = collections.defaultdict(lambda: [None] * 10)
-    rebuilt = [_arrangement(p, q, len(ds)) for p, q, _ in _arrangement_table(multiset, store)]
+    rebuilt = [_arrangement(p, q, len(ds)) for p, q, _ in _table(multiset, store)]
     assert rebuilt == sorted(set(itertools.permutations(multiset)))
 
 

@@ -19,6 +19,7 @@ from permutiple import (
     check_conjectures,
     classify,
     continuant,
+    evaluate,
     exhaustive_search,
     export,
     find_witnesses,
@@ -318,7 +319,7 @@ class TestExhaustiveSearch:
 
     def test_every_witness_reverifies(self):
         for w in run(SearchConfig(length=(2, 4), max_digit=5)):
-            assert w.value == w.k * w.permuted_value
+            assert evaluate(w.cf) == w.k * evaluate(w.permuted)
             assert w.cf.digits[0] > w.permuted.digits[0]
 
 
@@ -330,7 +331,7 @@ def empty_store(max_digit):
 class TestArrangementTable:
     def test_long_multiset_with_repeated_digits(self):
         multiset = (1, 1, 1, 1, 1, 1, 2, 4)
-        table = search._arrangement_table(multiset, empty_store(4))
+        table = search._table(multiset, empty_store(4))
         arrangements = sorted(set(itertools.permutations(multiset)))
         assert len(table) == 56  # 8! / 6! distinct rows, against 8! = 40 320 orderings
         assert table == [(continuant(a), continuant(a[1:]), a[-1]) for a in arrangements]
@@ -350,7 +351,7 @@ class TestArrangementTable:
             for c, table in enumerate(column):
                 if table is not None:
                     lengths.add(len(rest) + 1)
-                    assert table == search._arrangement_table(rest + (c,), empty_store(4))
+                    assert table == search._table(rest + (c,), empty_store(4))
         assert lengths == {1, 2, 3, 4, 5}
 
     @pytest.mark.parametrize("canonical_only", [True, False])
@@ -526,7 +527,8 @@ class TestExport:
             ]
             assert ContinuedFraction.parse(row[0]) == w.cf
             assert Permutation.parse(row[1]) == w.sigma
-            assert (int(row[3]), int(row[4])) == (w.value.numerator, w.value.denominator)
+            value = evaluate(w.cf)
+            assert (int(row[3]), int(row[4])) == (value.numerator, value.denominator)
 
     def test_each_witness_is_formatted_once_across_formats(self, monkeypatch):
         classify_module = sys.modules["permutiple.classify"]

@@ -52,6 +52,21 @@ class TestQuadraticSurd:
         with pytest.raises(ValueError):
             QuadraticSurd(1, 3, 0)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((1.5, 3, 1), "a"),
+            ((1, 3.0, 1), "b"),
+            ((1, 3, 1.0), "c"),
+            ((True, 3, 1), "a"),
+            ((1, 3, "1"), "c"),
+        ],
+    )
+    def test_refuses_fields_that_are_not_ints(self, fields, name):
+        # a float a would carry into every digit: (2.0, 0.0, 0.0, ...) for a = 1.5
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
+            QuadraticSurd(*fields)
+
     def test_multiplier_examples(self):
         assert surd_multiplier(QuadraticSurd(1, 3, 1)) == 2
         assert surd_multiplier(QuadraticSurd(1, 2, 1)) is None  # quotient 1
@@ -220,7 +235,7 @@ class TestPerfectStream:
     def test_power_parameters_match_documented_digits(self):
         stream = infinite_perfect_stream(2, lambda i: 4**i)
         assert stream.prefix(6) == (2, 1, 8, 4, 32, 16)
-        assert stream.permuted_prefix(8) == tuple(2**j for j in range(8))
+        assert tuple(stream.digit(j ^ 1) for j in range(8)) == tuple(2**j for j in range(8))
 
     def test_constant_parameters_match_surd_expansion(self):
         stream = infinite_perfect_stream(2, lambda i: 1)
@@ -238,10 +253,23 @@ class TestPerfectStream:
         with pytest.raises(ValueError):
             infinite_perfect_stream(2, (0,)).digit(0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
+    def test_refuses_a_multiplier_that_is_not_an_int(self, k):
+        with pytest.raises(ValueError, match="^multiplier k must be an integer greater than 1$"):
+            infinite_perfect_stream(k, (1,))
+
+    @pytest.mark.parametrize("bad", [1.9, "3", True, 2.0])
+    def test_refuses_a_parameter_that_is_not_an_int(self, bad):
+        # read through int(), 1.9 and '3' would give the digits (2, 1, 6, 3)
+        stream = infinite_perfect_stream(2, [1, bad])
+        assert stream.prefix(2) == (2, 1)
+        with pytest.raises(ValueError, match=f"^parameter s_1 = {bad!r} is not >= 1$"):
+            stream.digit(2)
+
     def test_callable_parameters_are_drawn_once_in_order(self):
         calls = []
         stream = infinite_perfect_stream(3, lambda i: calls.append(i) or i + 1)
-        assert stream.permuted_prefix(7) == (1, 3, 2, 6, 3, 9, 4)
+        assert tuple(stream.digit(j ^ 1) for j in range(7)) == (1, 3, 2, 6, 3, 9, 4)
         assert stream.prefix(8) == (3, 1, 6, 2, 9, 3, 12, 4)
         assert calls == [0, 1, 2, 3]
 
@@ -249,7 +277,7 @@ class TestPerfectStream:
         stream = infinite_perfect_stream(3, lambda i: i + 1)
         for length in (2, 4, 6, 8, 10):
             base = truncation(stream, length)
-            permuted = ContinuedFraction(stream.permuted_prefix(length))
+            permuted = ContinuedFraction(tuple(stream.digit(j ^ 1) for j in range(length)))
             assert evaluate(base) == 3 * evaluate(permuted)
 
     def test_even_truncations_classify_as_perfect(self):
@@ -288,7 +316,7 @@ class TestAsymptoticGap:
         k = 2
         for length in range(2, 14):
             base = ContinuedFraction(stream.prefix(length))
-            permuted = ContinuedFraction(stream.permuted_prefix(length))
+            permuted = ContinuedFraction(tuple(stream.digit(j ^ 1) for j in range(length)))
             gap_zero = continuant(base.digits) == continuant(permuted.digits)
             q = convergents(base)[-1][1]
             qp = convergents(permuted)[-1][1]
