@@ -24,8 +24,6 @@ from .classify import (
     classify,
     find_witnesses,
     format_permutation,
-    is_perfect,
-    is_symmetric,
     permute_digits,
 )
 from .concat import (

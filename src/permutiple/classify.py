@@ -33,20 +33,24 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"{self.images!r} is not a permutation of 0..{len(self.images) - 1}")
+        images = tuple(self.images)
+        object.__setattr__(self, "images", images)
+        if not all(map(_is_int, images)) or sorted(images) != list(range(len(images))):
+            raise ValueError(f"{images!r} is not a permutation of 0..{len(images) - 1}")
 
     @classmethod
     def parse(cls, text: str) -> Permutation:
         return cls(_ints(text))
 
     @classmethod
-    @lru_cache
+    @lru_cache(typed=True)
     def reversal(cls, size: int) -> Permutation:
         """The reversal j -> size - 1 - j: one shared object per size (the
-        128 sizes last asked for), so a process that builds many reverse
-        witnesses of one length walks its cycles and perfect layout once."""
+        128 sizes last asked for, keyed by type too, so 2.0 is not 2), and a
+        process that builds many reverse witnesses of one length walks its
+        cycles and perfect layout once."""
+        if not _is_int(size):
+            raise ValueError(f"a reversal of size {size!r} is not a permutation")
         return cls(tuple(range(size - 1, -1, -1)))
 
     def __len__(self) -> int:
@@ -186,8 +190,8 @@ class Witness:
         preserving = p == pp  # the same top continuant
         return ClassificationFlags(
             continuant_preserving=preserving,
-            perfect=is_perfect(self.cf, self.sigma, self.k),
-            symmetric=is_symmetric(self.cf, self.sigma),
+            perfect=_is_perfect(self.cf, self.sigma, self.k),
+            symmetric=_is_symmetric(self.cf, self.sigma),
             # preservation plus p_{n-1} == k*p'_{n-1} and q_{n-1} == q'_{n-1}
             landess=preserving and p1 == self.k * pp1 and q1 == qp1,
             # mirror formula: value(reversed) = p_n / p_{n-1}, so p_n / q_n ==
@@ -200,9 +204,7 @@ class Witness:
 
 def _check_lengths(cf: ContinuedFraction, sigma: Permutation) -> None:
     if len(sigma) != len(cf):
-        raise ValueError(
-            f"permutation on {len(sigma)} symbols does not fit {len(cf)} digits"
-        )
+        raise ValueError(f"permutation on {len(sigma)} symbols does not fit {len(cf)} digits")
 
 
 def permute_digits(cf: ContinuedFraction, sigma: Permutation) -> ContinuedFraction:
@@ -226,22 +228,21 @@ def _multiplier(p: int, q: int, pp: int, qp: int) -> int | None:
     return k if k >= 2 else None
 
 
-def is_perfect(cf: ContinuedFraction, sigma: Permutation, k: int) -> bool:
+def _is_perfect(cf: ContinuedFraction, sigma: Permutation, k: int) -> bool:
     """Alternating exact-ratio pattern: a_j = k*a_sigma(j) at even j and
-    a_sigma(j) = k*a_j at odd j."""
-    _check_lengths(cf, sigma)
+    a_sigma(j) = k*a_j at odd j.  It and ``_is_symmetric`` serve only
+    ``Witness.flags``, on a sigma already fitted to the digits."""
     ds, img = cf.digits, sigma.images
     return all(a == k * ds[i] for a, i in zip(ds[::2], img[::2])) and all(
         ds[i] == k * a for a, i in zip(ds[1::2], img[1::2])
     )
 
 
-def is_symmetric(cf: ContinuedFraction, sigma: Permutation) -> bool:
+def _is_symmetric(cf: ContinuedFraction, sigma: Permutation) -> bool:
     """Symmetric digit products are preserved: a_j*a_{n-j} == a_sigma(j)*a_sigma(n-j).
 
     The pairs j and n - j are one test, so only j <= n // 2 is walked.
     """
-    _check_lengths(cf, sigma)
     ds = cf.digits
     n = len(ds) - 1
     img = sigma.images

@@ -78,17 +78,11 @@ def palindromic_concat(witnesses: Sequence[Witness], k: int) -> Witness:
             raise ValueError(f"mixed multipliers: expected {k}, found {w.k}")
         if not w.flags.reverse_multiple:
             raise ValueError(f"{w.cf} is not a reverse multiple")
-    m = len(pieces) - 1
-    for j in range(len(pieces)):
-        if pieces[j].cf.digits != pieces[m - j].cf.digits:
-            raise ValueError("witness list is not palindromic")
-    digits: tuple[int, ...] = ()
-    for w in pieces:
-        digits = digits + w.cf.digits
-    joined = ContinuedFraction(digits)
-    witness = classify(
-        joined, Permutation.reversal(len(digits)), k, allow_noncanonical=True
-    )
+    strings = [w.cf.digits for w in pieces]
+    if strings != strings[::-1]:
+        raise ValueError("witness list is not palindromic")
+    joined = ContinuedFraction(tuple([a for string in strings for a in string]))
+    witness = classify(joined, Permutation.reversal(len(joined)), k, allow_noncanonical=True)
     if not witness.flags.reverse_multiple:
         raise AssertionError("palindromic concatenation is not a reverse multiple")
     return witness

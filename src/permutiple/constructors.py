@@ -9,8 +9,9 @@ There is one perfect-permutiple builder, ``perfect_from_parameters``.  The
 permutiples are sigma choices for it: the transposition (1, 0), the
 reversal and a rotation.  ``PerfectParameters`` checks k >= 2 and the
 parameters (one positive integer per cycle) for all three; in front of it,
-``two_digit`` checks s >= 2, ``perfect_reverse`` a non-empty half, and
-``perfect_cyclic`` an even length, 0 < ell < length and an odd ell.
+``two_digit`` checks an integer s >= 2, ``perfect_reverse`` a non-empty
+half, and ``perfect_cyclic`` an even integer length and an odd integer ell
+with 0 < ell < length.  A float or bool is refused wherever an integer is.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cf import ContinuedFraction, _check_multiplier
+from .cf import ContinuedFraction, _check_multiplier, _is_int
 from .classify import Permutation, Witness, canonical_sigma, classify
 
 # Bounds the witnesses one three-digit enumeration holds before it returns
@@ -33,7 +34,7 @@ def two_digit(k: int, s: int) -> Witness:
     Both parameters must exceed 1; s == 1 would make the string
     non-canonical and k == 1 is not a multiple.
     """
-    if s < 2:
+    if not _is_int(s) or s < 2:
         raise ValueError("parameter s must be an integer greater than 1")
     return perfect_from_parameters(PerfectParameters(Permutation((1, 0)), k, (s,)))
 
@@ -48,6 +49,8 @@ def three_digit_reverse(k: int, a0: int) -> Witness | None:
     no solution, and None is returned.
     """
     _check_multiplier(k)
+    if not _is_int(a0):
+        raise ValueError(f"leading digit must be an integer, not {a0!r}")
     if a0 <= k:
         raise ValueError(f"leading digit must exceed k={k}")
     if gcd(a0, k) != 1:
@@ -71,6 +74,8 @@ def enumerate_three_digit_reverse(k: int, a0_max: int) -> list[Witness]:
     ValueError before any witness is built.
     """
     _check_multiplier(k)
+    if not _is_int(a0_max):
+        raise ValueError(f"a0_max must be an integer, not {a0_max!r}")
     if a0_max - k > MAX_LEADING_DIGITS:
         raise ValueError(
             f"a0_max {a0_max} with k={k} is over {MAX_LEADING_DIGITS} leading digits to try"
@@ -111,7 +116,7 @@ class PerfectParameters:
                 f"need {len(self.sigma.cycles)} parameters (one per cycle), "
                 f"got {len(self.orbit_params)}"
             )
-        if any(p < 1 for p in self.orbit_params):
+        if not all(_is_int(p) and p >= 1 for p in self.orbit_params):
             raise ValueError("cycle parameters must be positive integers")
 
 
@@ -161,8 +166,10 @@ def perfect_cyclic(k: int, length: int, ell: int, params: tuple[int, ...]) -> Wi
     constant on each rotation orbit; there are gcd(ell, length) orbits,
     which are the residue classes of position mod gcd.
     """
-    if length < 2 or length % 2:
+    if not _is_int(length) or length < 2 or length % 2:
         raise ValueError("length must be an even integer >= 2")
+    if not _is_int(ell):
+        raise ValueError(f"shift ell must be an integer, not {ell!r}")
     if not 0 < ell < length:
         raise ValueError(f"shift ell must satisfy 0 < ell < {length}")
     if ell % 2 == 0:

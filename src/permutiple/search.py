@@ -209,15 +209,16 @@ def _prefix_hits(
     table is fetched once for every c.  Less any other lead d it is
     (R less d) + (c,), whose table sits at index c of the column
     ``store[R less d]``, fetched once per prefix and filled on first use, so
-    no multiset is sliced or hashed per c.  A partner is led by a digit
-    <= a0 // 2, so only leads d with 2d <= c give partner rows.  Each goes
-    into ``by_p`` as its q' (the p of its tail), keyed by p', lead by lead
-    and tail by tail, so each bucket is in lexicographic order of the
-    partners' arrangements.  A base needs a0 >= 2 * R[0]; its value
-    (a0*p_t + q_t) / p_t is read off each row of the table of the multiset
-    less a0.  Leads go up, and a lead's bases are tested before its partner
-    rows go in, so every partner led by a digit <= a0 // 2 is in ``by_p`` by
-    then.
+    no multiset is sliced or hashed per c.  Each c takes two passes.  The
+    first puts the partner rows, those led by a digit d <= c // 2, into
+    ``by_p``: each goes in as its q' (the p of its tail), keyed by p', lead
+    by lead and tail by tail, so each bucket is in lexicographic order of
+    the partners' arrangements.  The second tests the bases, led by
+    a0 >= 2 * R[0], the lead c last: a base's value (a0*p_t + q_t) / p_t is
+    read off each row of the table of the multiset less a0.  A base's
+    partners are led by digits <= a0 // 2.  Those led above that are in
+    ``by_p`` too, but their value is over half the base's, so no k >= 2
+    fits and neither lookup below keeps them.
 
     For a hit, p/q == k * p'/q' in lowest terms, so p' divides p, and p'
     >= min(by_p) bounds p/p'.  Below 2 * min(by_p) the one candidate bucket
@@ -226,28 +227,26 @@ def _prefix_hits(
     buckets p // j for each j | p, where p/q == k * (p/j)/q' says
     j*q' == k*q.  Every row is coprime, so p = d*q + q_t is prime to q and
     so is its divisor j: q divides j*q' exactly when it divides q', the
-    inline test for any j.  Partners led by a digit above
-    a0 // 2 may be among the candidates: their value is over half the
-    base's, so no k >= 2 fits and neither lookup keeps them.  Only a base
-    with a hit and its hit partners are rebuilt to digits, by
-    ``_arrangement``.  A base's hits are in permuted order: a bucket's
-    order, or the merged buckets' hits sorted.  Hits come by c, then by
-    base, with every k >= 2.
+    inline test for any j.  Only a base with a hit and its hit partners are
+    rebuilt to digits, by ``_arrangement``.  A base's hits are in permuted
+    order: a bucket's order, or the merged buckets' hits sorted.  Hits come
+    by c, then by base, with every k >= 2.
     """
     double = 2 * prefix[0]
     first = max(prefix[-1], double)
     if first > max_digit:
         return []
     m = len(prefix) + 1
-    leads = []  # (d, R less d, its column) for each distinct digit d of R
+    leads = []  # (d, R less d, its column) for each distinct digit d of R, ascending
     previous = None
     for i, d in enumerate(prefix):
         if d != previous:
             previous = d
             rest = prefix[:i] + prefix[i + 1 :]
             leads.append((d, rest, store[rest]))
+    bases = [lead for lead in leads if lead[0] >= double]
     # the lead c, last: 0 stands for c, and every slot holds R's table
-    leads.append((0, prefix, [_table(prefix, store)] * (max_digit + 1)))
+    bases.append((0, prefix, [_table(prefix, store)] * (max_digit + 1)))
     floor = 2 if canonical_only else 0  # a canonical base ends in a digit >= 2
     out: list[_Hits] = []
     for c in range(first, max_digit + 1):
@@ -255,52 +254,50 @@ def _prefix_hits(
         by_p: dict[int, list[int]] = {}  # p' -> the q' of each partner row
         least = twice = math.inf  # the smallest p' in by_p, and twice that
         for d, rest, column in leads:
+            if d > half:
+                break
+            for p, q, _ in column[c] or _table(rest + (c,), store):
+                pp = d * p + q
+                bucket = by_p.get(pp)
+                if bucket is None:
+                    by_p[pp] = [p]
+                    if pp < least:
+                        least, twice = pp, 2 * pp
+                else:
+                    bucket.append(p)
+        for d, rest, column in bases:
             if d == c:
                 continue  # R's largest digit is the lead c, taken last
             d = d or c
-            if half < d < double:
-                continue  # neither a partner's lead nor a base's
-            tails = column[c] or _table(rest + (c,), store)
-            if d >= double:
-                for pt, qt, last in tails:
-                    if last < floor:
-                        continue
-                    p = d * pt + qt
-                    if p < twice:
-                        bucket = by_p.get(p)
-                        if bucket is None:
-                            continue
-                        for qp in bucket:  # p/pt == k * p/qp: qp == k*pt, k >= 2
-                            if qp > pt and not qp % pt:
-                                break
-                        else:
-                            continue  # no hit: nothing built, and no call made
-                        hits = [
-                            (_arrangement(p, qp, m), qp // pt)
-                            for qp in bucket
-                            if qp > pt and not qp % pt
-                        ]
-                    else:  # p/pt == k * (p/j)/qp: j*qp == k*pt, k >= 2, j prime to pt
-                        hits = sorted(
-                            (_arrangement(p // j, qp, m), j * qp // pt)
-                            for j in range(1, p // least + 1)
-                            if p % j == 0
-                            for qp in by_p.get(p // j, ())
-                            if j * qp > pt and not qp % pt
-                        )
-                        if not hits:
-                            continue
-                    out.append((_arrangement(p, pt, m), hits))
-            if d <= half:
-                for p, q, _ in tails:
-                    pp = d * p + q
-                    bucket = by_p.get(pp)
+            for pt, qt, last in column[c] or _table(rest + (c,), store):
+                if last < floor:
+                    continue
+                p = d * pt + qt
+                if p < twice:
+                    bucket = by_p.get(p)
                     if bucket is None:
-                        by_p[pp] = [p]
-                        if pp < least:
-                            least, twice = pp, 2 * pp
+                        continue
+                    for qp in bucket:  # p/pt == k * p/qp: qp == k*pt, k >= 2
+                        if qp > pt and not qp % pt:
+                            break
                     else:
-                        bucket.append(p)
+                        continue  # no hit: nothing built, and no call made
+                    hits = [
+                        (_arrangement(p, qp, m), qp // pt)
+                        for qp in bucket
+                        if qp > pt and not qp % pt
+                    ]
+                else:  # p/pt == k * (p/j)/qp: j*qp == k*pt, k >= 2, j prime to pt
+                    hits = sorted(
+                        (_arrangement(p // j, qp, m), j * qp // pt)
+                        for j in range(1, p // least + 1)
+                        if p % j == 0
+                        for qp in by_p.get(p // j, ())
+                        if j * qp > pt and not qp % pt
+                    )
+                    if not hits:
+                        continue
+                out.append((_arrangement(p, pt, m), hits))
     return out
 
 
@@ -388,7 +385,9 @@ def check_conjectures(
     stream: Iterable[Witness], which: Iterable[str], bounds: str = ""
 ) -> dict[str, ConjectureReport]:
     """Evaluate the requested conjecture predicates over one witness stream;
-    an id asked for twice is evaluated once."""
+    an id asked for twice is evaluated once, and a bare string is refused."""
+    if isinstance(which, str):
+        raise ValueError(f"conjecture ids must be a collection of ids, not the string {which!r}")
     ids = list(dict.fromkeys(which))
     for conjecture in ids:
         if conjecture not in _CONJECTURES:

@@ -138,9 +138,7 @@ class SurdProbeReport:
     or a constant shift within the inspected depth.
     """
 
-    surd: QuadraticSurd
     k: int
-    depth: int
     digits: tuple[int, ...]
     scaled_digits: tuple[int, ...]
     multiset_agree: bool
@@ -153,11 +151,11 @@ def verify_surd_permutiple(s: QuadraticSurd, depth: int = 20) -> SurdProbeReport
 
     Requires surd_multiplier(s) to be an integer >= 2.  Reports whether the
     digit multisets over the matched (even-length) window agree, and the
-    first position alignment found, if any.  ``depth`` must be at least 1
-    and at most ``MAX_DEPTH``.
+    first position alignment found, if any.  ``depth`` must be an int from 1
+    to ``MAX_DEPTH``.
     """
-    if depth < 1:
-        raise ValueError(f"probe depth must be a positive integer, got {depth}")
+    if not _is_int(depth) or depth < 1:
+        raise ValueError(f"probe depth must be a positive integer, got {depth!r}")
     if depth > MAX_DEPTH:
         raise ValueError(f"probe depth {depth} is over {MAX_DEPTH} digits")
     k = surd_multiplier(s)
@@ -170,9 +168,7 @@ def verify_surd_permutiple(s: QuadraticSurd, depth: int = 20) -> SurdProbeReport
     multiset_agree = Counter(digits[:window]) == Counter(scaled[:window])
     verdict = f"consistent to depth {depth}" if alignment else f"inconsistent at depth {depth}"
     return SurdProbeReport(
-        surd=s,
         k=k,
-        depth=depth,
         digits=digits,
         scaled_digits=scaled,
         multiset_agree=multiset_agree,
@@ -226,6 +222,8 @@ def continuant_gaps(stream: DigitStream, limit: int) -> Iterator[int]:
     """|top continuant difference| between the stream and its permuted
     stream at truncation lengths 2..limit+1 (one entry per n = 1..limit),
     each computed only when it is asked for."""
+    if not _is_int(limit):
+        raise ValueError(f"gap limit must be an integer, not {limit!r}")
     if limit < 0:
         raise ValueError(f"gap limit {limit} is negative")
     indices = range(limit + 1)
@@ -243,4 +241,6 @@ def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...
 
 def truncation(stream: DigitStream, length: int) -> ContinuedFraction:
     """Finite digit string holding the first ``length`` stream digits."""
+    if not _is_int(length):
+        raise ValueError(f"truncation length must be an integer, not {length!r}")
     return ContinuedFraction(stream.prefix(length))

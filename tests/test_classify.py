@@ -18,8 +18,6 @@ from permutiple import (
     continuant,
     evaluate,
     find_witnesses,
-    is_perfect,
-    is_symmetric,
     permute_digits,
     perfect_reverse,
 )
@@ -38,6 +36,20 @@ class TestPermutation:
             P((0, 0, 1))
         with pytest.raises(ValueError):
             P((1, 3, 0))
+
+    @pytest.mark.parametrize("images", [(True, False), (0.0, 1), (1, 0.0), (0, 2.0, 1), ("0",)])
+    def test_refuses_images_that_are_not_ints(self, images):
+        # equal to 0..n-1 as values, but no sigma: a witness on (True, False)
+        # was exported as "sigma":"True,False"
+        with pytest.raises(ValueError, match=r"is not a permutation of 0\.\."):
+            P(images)
+
+    @pytest.mark.parametrize("size", [2.0, True, "2", None])
+    def test_reversal_refuses_a_size_that_is_not_an_int(self, size):
+        assert P.reversal(2).images == (1, 0)  # cached first: 2.0 still misses it
+        message = f"^a reversal of size {size!r} is not a permutation$"
+        with pytest.raises(ValueError, match=message):
+            P.reversal(size)
 
     def test_parse_format(self):
         assert P.parse("2,1,0") == REVERSAL_3
@@ -96,19 +108,20 @@ class TestPredicates:
         assert continuant(cf.digits) == 1161
 
     def test_perfect(self):
-        assert is_perfect(CF((7, 1, 14, 2)), P((1, 0, 3, 2)), 7)
-        assert is_perfect(CF((3, 1, 9, 1, 3, 3)), P((3, 0, 4, 5, 1, 2)), 3)
-        assert not is_perfect(CF((7, 2, 1, 3)), P.reversal(4), 2)
+        assert classify(CF((7, 1, 14, 2)), P((1, 0, 3, 2)), 7).flags.perfect
+        assert classify(CF((3, 1, 9, 1, 3, 3)), P((3, 0, 4, 5, 1, 2)), 3).flags.perfect
+        assert not classify(CF((7, 2, 1, 3)), P.reversal(4), 2).flags.perfect
 
     def test_symmetric(self):
         cf = CF((4, 2, 1, 8, 1, 2))
-        assert is_symmetric(cf, canonical_sigma(cf.digits, (1, 2, 4, 2, 1, 8)))
+        assert classify(cf, canonical_sigma(cf.digits, (1, 2, 4, 2, 1, 8))).flags.symmetric
         cf = CF((9, 3, 2, 8, 2))
-        assert not is_symmetric(cf, canonical_sigma(cf.digits, (2, 3, 9, 2, 8)))
+        assert not classify(cf, canonical_sigma(cf.digits, (2, 3, 9, 2, 8))).flags.symmetric
+        # most of these are no permutiple, so the flag's own test reads them
         rng = random.Random(9)
         for _ in range(50):
             ds = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 6)))
-            assert is_symmetric(CF(ds), P.reversal(len(ds)))
+            assert classify_module._is_symmetric(CF(ds), P.reversal(len(ds)))
 
     def test_landess(self):
         cf = CF((2, 1, 5, 1, 2))

@@ -177,6 +177,17 @@ class TestPalindromicConcat:
         with pytest.raises(ValueError, match="not palindromic"):
             palindromic_concat([a, c], 2)
 
+    def test_four_pieces_test_the_middle_pair_too(self):
+        # the outer pair agrees, so a check of it alone would let this through
+        a = witness((7, 1, 3), (3, 1, 7))
+        b = witness((7, 2, 1, 3), (3, 1, 2, 7))
+        c = witness((5, 1, 2), (2, 1, 5))
+        with pytest.raises(ValueError, match="not palindromic"):
+            palindromic_concat([a, b, c, a], 2)
+        joined = palindromic_concat([a, b, b, a], 2)
+        assert joined.cf == CF((7, 1, 3, 7, 2, 1, 3, 7, 2, 1, 3, 7, 1, 3))
+        assert joined.flags.reverse_multiple
+
     def test_mixed_multiplier_rejected(self):
         a = witness((7, 1, 3), (3, 1, 7))
         with pytest.raises(ValueError, match="multiplier"):

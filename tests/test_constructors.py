@@ -318,6 +318,41 @@ def test_constructors_refuse_a_multiplier_that_is_not_an_int_above_1(build, k):
         build(k)
 
 
+NOT_POSITIVE = "^cycle parameters must be positive integers$"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: three_digit_reverse(2, 7.0), "^leading digit must be an integer, not 7.0$"),
+        (lambda: three_digit_reverse(2, True), "^leading digit must be an integer, not True$"),
+        (lambda: enumerate_three_digit_reverse(2, 10.5), "^a0_max must be an integer, not 10.5$"),
+        (lambda: perfect_cyclic(2, 6.0, 3, (1, 1, 2)), "^length must be an even integer >= 2$"),
+        (lambda: perfect_cyclic(2, 6, 3.0, (1, 1, 2)), "^shift ell must be an integer, not 3.0$"),
+        (lambda: PerfectParameters(P((1, 0)), 2, (1.5,)), NOT_POSITIVE),
+        (lambda: PerfectParameters(P((1, 0)), 2, (2.0,)), NOT_POSITIVE),
+        (lambda: perfect_reverse(2, (True, 3)), NOT_POSITIVE),  # once built as 2;3,6,1
+        (lambda: two_digit(2, 2.0), "^parameter s must be an integer greater than 1$"),
+    ],
+    ids=[
+        "three_digit_reverse-float",
+        "three_digit_reverse-bool",
+        "enumerate_three_digit_reverse",
+        "perfect_cyclic-length",
+        "perfect_cyclic-ell",
+        "PerfectParameters-fraction",
+        "PerfectParameters-float",
+        "perfect_reverse-bool",
+        "two_digit",
+    ],
+)
+def test_constructors_refuse_other_arguments_that_are_not_ints(build, message):
+    # a float or bool here was a TypeError deep in range() or divmod(), or
+    # built a witness whose digits are not ints
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestConstructorWitnessesAgreeWithClassifier:
     def test_all_families_verify_by_evaluation(self):
         witnesses = [

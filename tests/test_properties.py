@@ -22,14 +22,13 @@ from permutiple import (
     evaluate,
     exhaustive_search,
     from_rational,
-    is_perfect,
-    is_symmetric,
     perfect_from_parameters,
     perfect_reverse,
     permute_digits,
     tails,
     validate_perfect_permutation,
 )
+from permutiple.classify import _is_perfect, _is_symmetric
 from permutiple.search import _arrangement, _prefix_hits, _table
 
 digit_strings = st.lists(st.integers(1, 40), min_size=1, max_size=9).map(tuple)
@@ -110,7 +109,7 @@ def test_concat_is_associative(d1, d2, d3):
 @given(st.lists(st.integers(1, 15), min_size=1, max_size=7).map(tuple))
 def test_reversal_permutation_is_always_symmetric(ds):
     cf = ContinuedFraction(ds)
-    assert is_symmetric(cf, Permutation.reversal(len(ds)))
+    assert _is_symmetric(cf, Permutation.reversal(len(ds)))
 
 
 @given(st.lists(st.integers(1, 15), min_size=2, max_size=6).map(tuple), st.randoms())
@@ -241,8 +240,8 @@ def test_symmetric_and_perfect_match_the_position_loops(half, k, rng):
     if rng.random() < 0.5:
         rng.shuffle(img)
     cf, sigma = ContinuedFraction(tuple(ds)), Permutation(tuple(img))
-    assert is_symmetric(cf, sigma) == _symmetric_at_every_position(ds, img)
-    assert is_perfect(cf, sigma, k) == _perfect_by_position(ds, img, k)
+    assert _is_symmetric(cf, sigma) == _symmetric_at_every_position(ds, img)
+    assert _is_perfect(cf, sigma, k) == _perfect_by_position(ds, img, k)
 
 
 @st.composite

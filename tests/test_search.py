@@ -425,6 +425,11 @@ class TestConjectures:
         with pytest.raises(ValueError):
             check_conjectures([], ["c9"])
 
+    def test_a_bare_string_is_refused_not_read_as_characters(self):
+        # "c2" was walked as "c", "2" and refused as "unknown conjecture id 'c'"
+        with pytest.raises(ValueError, match="not the string 'c2'"):
+            check_conjectures([], "c2")
+
     def test_repeated_id_is_counted_once(self, monkeypatch):
         monkeypatch.setitem(search._CONJECTURES, "c2", ("every permutiple doubles", lambda w: w.k == 2))
         stream = run(SearchConfig(length=2, max_digit=8))

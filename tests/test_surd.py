@@ -12,6 +12,7 @@ from permutiple import (
     asymptotic_continuant_gap,
     classify,
     continuant,
+    continuant_gaps,
     convergents,
     evaluate,
     expansion_digits,
@@ -199,8 +200,10 @@ class TestVerifyProbe:
             verify_surd_permutiple(QuadraticSurd(1, 2, 1), depth=10)
 
     def test_depth_must_be_positive(self):
-        for depth in (0, -3):
-            with pytest.raises(ValueError):
+        # an int: 2.5 reached islice's own message, and True probed to depth 1
+        for depth in (0, -3, 2.5, True, 20.0):
+            message = f"^probe depth must be a positive integer, got {depth!r}$"
+            with pytest.raises(ValueError, match=message):
                 verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=depth)
 
     def test_depth_is_bounded(self, monkeypatch):
@@ -292,6 +295,22 @@ class TestPerfectStream:
 
 
 class TestAsymptoticGap:
+    @pytest.mark.parametrize("limit", [2.5, 4.0, True])
+    def test_limit_must_be_an_int(self, limit):
+        stream = infinite_perfect_stream(2, lambda i: 1)
+        message = f"^gap limit must be an integer, not {limit!r}$"
+        with pytest.raises(ValueError, match=message):
+            list(continuant_gaps(stream, limit))
+        with pytest.raises(ValueError, match=message):
+            asymptotic_continuant_gap(stream, limit)
+
+    @pytest.mark.parametrize("length", [2.0, True, "4"])
+    def test_truncation_length_must_be_an_int(self, length):
+        stream = infinite_perfect_stream(2, lambda i: 1)
+        message = f"^truncation length must be an integer, not {length!r}$"
+        with pytest.raises(ValueError, match=message):
+            truncation(stream, length)
+
     def test_constant_stream_gaps(self):
         stream = infinite_perfect_stream(2, lambda i: 1)
         assert asymptotic_continuant_gap(stream, 4) == (0, 4, 0, 15)
