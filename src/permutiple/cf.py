@@ -56,10 +56,13 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_multiplier(k: object) -> None:
-    """Refuse a multiplier k that is not an int >= 2, with ValueError."""
-    if not _is_int(k) or k < 2:
-        raise ValueError("multiplier k must be an integer greater than 1")
+def _check_int(value: object, name: str, low: int | None = None) -> None:
+    """The one rule for an integer argument: refuse, with ValueError, a value
+    that is not an int (a bool is not one) or is below ``low`` when given."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, not {value!r}")
 
 
 def _ints(text: str) -> tuple[int, ...]:

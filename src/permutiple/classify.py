@@ -19,7 +19,7 @@ from itertools import islice
 from math import factorial, gcd, prod
 from typing import Iterator
 
-from .cf import ContinuedFraction, _euclid, _ints, _is_int, _Tip, _tip, format_cf
+from .cf import ContinuedFraction, _check_int, _euclid, _ints, _is_int, _Tip, _tip, format_cf
 
 
 class NotAPermutipleError(ValueError):
@@ -48,9 +48,8 @@ class Permutation:
         """The reversal j -> size - 1 - j: one shared object per size (the
         128 sizes last asked for, keyed by type too, so 2.0 is not 2), and a
         process that builds many reverse witnesses of one length walks its
-        cycles and perfect layout once."""
-        if not _is_int(size):
-            raise ValueError(f"a reversal of size {size!r} is not a permutation")
+        cycles and perfect layout once.  Size 0 is the empty permutation."""
+        _check_int(size, "reversal size", 0)
         return cls(tuple(range(size - 1, -1, -1)))
 
     def __len__(self) -> int:
@@ -152,8 +151,8 @@ class Witness:
     def __post_init__(self) -> None:
         if self.k is None:
             object.__setattr__(self, "k", _multiplier(*self._tips[0][0], *self._tips[1][0]))
-        elif not _is_int(self.k):
-            raise ValueError(f"multiplier k must be an int or None, not {self.k!r}")
+        else:
+            _check_int(self.k, "multiplier k")
         self.verify()
 
     @cached_property

@@ -13,6 +13,7 @@ import sys
 
 from .cf import (
     ContinuedFraction,
+    _check_int,
     _ints,
     _layout,
     canonicalize,
@@ -50,8 +51,8 @@ from .search import (
     witness_record,
 )
 from .surd import (
-    MAX_DEPTH,
     QuadraticSurd,
+    _check_depth,
     continuant_gaps,
     infinite_perfect_stream,
     is_reduced,
@@ -234,10 +235,7 @@ def _count(args, flag: str) -> int:
     n = getattr(args, flag)
     if n is None:
         return 20
-    if n < 1:
-        raise ValueError(f"--{flag} must be a positive integer, got {n}")
-    if n > MAX_DEPTH:
-        raise ValueError(f"--{flag} {n} is over {MAX_DEPTH} digits")
+    _check_depth(n, f"--{flag}")
     return n
 
 
@@ -300,6 +298,8 @@ def _cmd_surd(args) -> int:
             raise ValueError("stream mode needs both --k and --params")
         _refuse(args, "stream mode", ("depth",))
         n = _count(args, "digits")
+        if args.gaps is not None:
+            _check_int(args.gaps, "--gaps", 1)
         stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
         refusal = f"--digits {n}: the digit at j = {{}} has too many digits to print"
         # The permuted prefix reads digit j ^ 1, which for odd n reaches digit
@@ -308,7 +308,7 @@ def _cmd_surd(args) -> int:
         digits = _layout(strings[:n])
         permuted = _layout([strings[j ^ 1] for j in range(n)])
         gaps = None
-        if args.gaps:
+        if args.gaps is not None:
             refusal = f"--gaps {args.gaps}: the gap at n = {{}} has too many digits to print"
             gaps = _decimal_strings(continuant_gaps(stream, args.gaps), 1, refusal)
         if args.json:

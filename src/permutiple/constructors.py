@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cf import ContinuedFraction, _check_multiplier, _is_int
+from .cf import ContinuedFraction, _check_int, _is_int
 from .classify import Permutation, Witness, canonical_sigma, classify
 
 # Bounds the witnesses one three-digit enumeration holds before it returns
@@ -34,8 +34,7 @@ def two_digit(k: int, s: int) -> Witness:
     Both parameters must exceed 1; s == 1 would make the string
     non-canonical and k == 1 is not a multiple.
     """
-    if not _is_int(s) or s < 2:
-        raise ValueError("parameter s must be an integer greater than 1")
+    _check_int(s, "parameter s", 2)
     return perfect_from_parameters(PerfectParameters(Permutation((1, 0)), k, (s,)))
 
 
@@ -48,9 +47,8 @@ def three_digit_reverse(k: int, a0: int) -> Witness | None:
     a1 = (k - 1) / t.  Leading digits whose t does not divide k - 1 admit
     no solution, and None is returned.
     """
-    _check_multiplier(k)
-    if not _is_int(a0):
-        raise ValueError(f"leading digit must be an integer, not {a0!r}")
+    _check_int(k, "multiplier k", 2)
+    _check_int(a0, "leading digit")
     if a0 <= k:
         raise ValueError(f"leading digit must exceed k={k}")
     if gcd(a0, k) != 1:
@@ -73,9 +71,8 @@ def enumerate_three_digit_reverse(k: int, a0_max: int) -> list[Witness]:
     ``MAX_LEADING_DIGITS`` leading digits (a0_max - k) are refused with
     ValueError before any witness is built.
     """
-    _check_multiplier(k)
-    if not _is_int(a0_max):
-        raise ValueError(f"a0_max must be an integer, not {a0_max!r}")
+    _check_int(k, "multiplier k", 2)
+    _check_int(a0_max, "a0_max")
     if a0_max - k > MAX_LEADING_DIGITS:
         raise ValueError(
             f"a0_max {a0_max} with k={k} is over {MAX_LEADING_DIGITS} leading digits to try"
@@ -108,7 +105,7 @@ class PerfectParameters:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "orbit_params", tuple(self.orbit_params))
-        _check_multiplier(self.k)
+        _check_int(self.k, "multiplier k", 2)
         if not validate_perfect_permutation(self.sigma):
             raise ValueError(f"{self.sigma} cannot carry a perfect permutiple")
         if len(self.orbit_params) != len(self.sigma.cycles):
@@ -168,8 +165,7 @@ def perfect_cyclic(k: int, length: int, ell: int, params: tuple[int, ...]) -> Wi
     """
     if not _is_int(length) or length < 2 or length % 2:
         raise ValueError("length must be an even integer >= 2")
-    if not _is_int(ell):
-        raise ValueError(f"shift ell must be an integer, not {ell!r}")
+    _check_int(ell, "shift ell")
     if not 0 < ell < length:
         raise ValueError(f"shift ell must satisfy 0 < ell < {length}")
     if ell % 2 == 0:

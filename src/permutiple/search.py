@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cf import _euclid, _is_int
+from .cf import _check_int, _euclid, _is_int
 from .classify import FLAG_ORDER, Witness, _witness_list
 
 # Worker processes a scan may start: the pool forks them all at once.
@@ -86,15 +86,14 @@ class SearchConfig:
             raise ValueError(f"length must be an integer or a pair of them, not {length!r}")
         for name in ("max_digit", "k_min", "k_max", "workers"):
             value = getattr(self, name)
-            if not (_is_int(value) or (value is None and name.startswith("k_"))):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value is not None or not name.startswith("k_"):
+                _check_int(value, name)
         low, high = self._bounds()  # checked before lengths() builds the range
         if low > high:
             raise ValueError(f"empty length range {self.length!r}: low exceeds high")
         if low < 2:
             raise ValueError("searched lengths must be >= 2")
-        if self.max_digit < 2:
-            raise ValueError("max_digit must be >= 2")
+        _check_int(self.max_digit, "max_digit", 2)
         # Both counts grow with the length, so walking the lengths up to the
         # longest and stopping at the first over a bound never computes
         # either far past it.
@@ -112,12 +111,11 @@ class SearchConfig:
                     " of shorter tables"
                 )
             rows = rows * d + d
-        if self.k_min is not None and self.k_min < 2:
-            raise ValueError("k_min must be >= 2 when given")
+        if self.k_min is not None:
+            _check_int(self.k_min, "k_min", 2)
         if self.k_max is not None and self.k_max < (self.k_min or 2):
             raise ValueError(f"empty multiplier range: k_max {self.k_max} < {self.k_min or 2}")
-        if self.workers < 1:
-            raise ValueError("workers must be a positive integer")
+        _check_int(self.workers, "workers", 1)
         if self.workers > MAX_WORKERS:
             raise ValueError(f"workers must be <= {MAX_WORKERS}")
 

@@ -12,7 +12,7 @@ from itertools import count, islice
 from math import isqrt
 from typing import Iterator
 
-from .cf import ContinuedFraction, _check_multiplier, _convergents, _is_int
+from .cf import ContinuedFraction, _check_int, _convergents, _is_int
 
 
 def _is_square(n: int) -> bool:
@@ -30,9 +30,7 @@ class QuadraticSurd:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            _check_int(getattr(self, name), name)
         if self.b < 1 or _is_square(self.b):
             raise ValueError(f"b must be a positive non-square, got {self.b}")
         if self.c == 0:
@@ -93,6 +91,14 @@ MAX_STATES = 10_000
 MAX_DEPTH = 10**5
 
 
+def _check_depth(value: object, name: str) -> None:
+    """Refuse a probe depth or printed digit count outside 1..``MAX_DEPTH``."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value > MAX_DEPTH:
+        raise ValueError(f"{name} {value} is over {MAX_DEPTH} digits")
+
+
 def periodic_expansion(s: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(preperiod, period) of the digit expansion of a quadratic surd.
 
@@ -114,6 +120,7 @@ def periodic_expansion(s: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ..
 
 def expansion_digits(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
     """First ``depth`` digits of the expansion."""
+    _check_int(depth, "expansion depth", 0)
     return tuple(a for a, _ in islice(_expansion(s), depth))
 
 
@@ -154,10 +161,7 @@ def verify_surd_permutiple(s: QuadraticSurd, depth: int = 20) -> SurdProbeReport
     first position alignment found, if any.  ``depth`` must be an int from 1
     to ``MAX_DEPTH``.
     """
-    if not _is_int(depth) or depth < 1:
-        raise ValueError(f"probe depth must be a positive integer, got {depth!r}")
-    if depth > MAX_DEPTH:
-        raise ValueError(f"probe depth {depth} is over {MAX_DEPTH} digits")
+    _check_depth(depth, "probe depth")
     k = surd_multiplier(s)
     if k is None:
         raise ValueError(f"(b - a^2)/c is not an integer >= 2 for {s}")
@@ -187,7 +191,7 @@ class DigitStream:
     """
 
     def __init__(self, k: int, params):
-        _check_multiplier(k)
+        _check_int(k, "multiplier k", 2)
         self.k = k
         self._params = map(params, count()) if callable(params) else iter(params)
         self._cache: list[int] = []
@@ -205,10 +209,12 @@ class DigitStream:
         return self._cache[i]
 
     def digit(self, j: int) -> int:
+        _check_int(j, "digit index", 0)
         s = self._param(j // 2)
         return s if j % 2 else self.k * s
 
     def prefix(self, n: int) -> tuple[int, ...]:
+        _check_int(n, "prefix length", 0)
         return tuple(self.digit(j) for j in range(n))
 
 
@@ -220,18 +226,14 @@ def infinite_perfect_stream(k: int, params) -> DigitStream:
 
 def continuant_gaps(stream: DigitStream, limit: int) -> Iterator[int]:
     """|top continuant difference| between the stream and its permuted
-    stream at truncation lengths 2..limit+1 (one entry per n = 1..limit),
-    each computed only when it is asked for."""
-    if not _is_int(limit):
-        raise ValueError(f"gap limit must be an integer, not {limit!r}")
-    if limit < 0:
-        raise ValueError(f"gap limit {limit} is negative")
+    stream at truncation lengths 2..limit+1 (one entry per n = 1..limit):
+    the limit is checked at the call, each gap computed only when asked for."""
+    _check_int(limit, "gap limit", 0)
     indices = range(limit + 1)
     base = _convergents(stream.digit(j) for j in indices)
     permuted = _convergents(stream.digit(j ^ 1) for j in indices)
-    next(base), next(permuted)  # length 1 has no gap entry
-    for (b, _), (p, _) in zip(base, permuted):
-        yield abs(b - p)
+    pairs = islice(zip(base, permuted), 1, None)  # length 1 has no gap entry
+    return (abs(b - p) for (b, _), (p, _) in pairs)
 
 
 def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...]:
@@ -241,6 +243,5 @@ def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...
 
 def truncation(stream: DigitStream, length: int) -> ContinuedFraction:
     """Finite digit string holding the first ``length`` stream digits."""
-    if not _is_int(length):
-        raise ValueError(f"truncation length must be an integer, not {length!r}")
+    _check_int(length, "truncation length")
     return ContinuedFraction(stream.prefix(length))

@@ -19,6 +19,7 @@ from permutiple import (
     parse_rational,
     tails,
 )
+from permutiple.cf import _check_int
 
 CF = ContinuedFraction
 
@@ -108,6 +109,22 @@ class TestContinuedFractionType:
                 parse_rational(text)
         assert format_rational(Fraction(31, 4)) == "31/4"
         assert format_rational(Fraction(2)) == "2/1"
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [2.5, True, "2", None])
+    def test_refuses_what_is_not_an_int(self, value):
+        for low in (None, 0):
+            with pytest.raises(ValueError) as raised:
+                _check_int(value, "count", low)
+            assert str(raised.value) == f"count must be an integer, not {value!r}"
+
+    def test_refuses_a_value_below_low_and_accepts_low(self):
+        with pytest.raises(ValueError) as raised:
+            _check_int(1, "multiplier k", 2)
+        assert str(raised.value) == "multiplier k must be >= 2, not 1"
+        assert _check_int(2, "multiplier k", 2) is None
+        assert _check_int(-5, "a") is None  # no low: any int
 
 
 class TestEvaluate:

@@ -44,10 +44,13 @@ class TestPermutation:
         with pytest.raises(ValueError, match=r"is not a permutation of 0\.\."):
             P(images)
 
-    @pytest.mark.parametrize("size", [2.0, True, "2", None])
+    @pytest.mark.parametrize("size", [2.0, True, "2", None, -3])
     def test_reversal_refuses_a_size_that_is_not_an_int(self, size):
         assert P.reversal(2).images == (1, 0)  # cached first: 2.0 still misses it
-        message = f"^a reversal of size {size!r} is not a permutation$"
+        # range(-4, -1, -1) is empty: -3 was the empty permutation, which is 0's
+        assert P.reversal(0) == P(())
+        rule = ">= 0" if type(size) is int else "an integer"
+        message = f"^reversal size must be {rule}, not {size!r}$"
         with pytest.raises(ValueError, match=message):
             P.reversal(size)
 
@@ -240,7 +243,8 @@ class TestClassify:
         # exports "k":2.0; a bool or str k is refused the same way
         walked = []
         monkeypatch.setattr(classify_module, "_tip", lambda digits: walked.append(digits))
-        with pytest.raises(ValueError, match="must be an int or None") as raised:
+        message = f"^multiplier k must be an integer, not {k!r}$"
+        with pytest.raises(ValueError, match=message) as raised:
             classify(CF((7, 1, 3)), REVERSAL_3, k)
         assert type(raised.value) is ValueError and walked == []
 

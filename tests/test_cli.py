@@ -231,7 +231,7 @@ class TestEnumerate:
         argv = ["enumerate", "three-digit-reverse", "--k", "1", "--a0-max", "10"]
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
-        assert err == "error: multiplier k must be an integer greater than 1\n"
+        assert err == "error: multiplier k must be >= 2, not 1\n"
 
     def test_three_digit_reverse_huge_range_is_refused_at_once(self, capsys):
         code, out, err = run(
@@ -581,6 +581,16 @@ class TestUsageErrors:
             assert code == 2
             assert err == f"error: --digits must be a positive integer, got {digits}\n"
             assert out == ""
+
+    def test_surd_stream_gaps_must_be_positive(self, capsys):
+        # --gaps 0 printed what no --gaps prints, and -1 reached the library
+        for gaps in ("0", "-1"):
+            for flags in ([], ["--json"]):
+                argv = ["surd", "--k", "2", "--params", "1,2", "--digits", "4", "--gaps", gaps]
+                code, out, err = run([*argv, *flags], capsys)
+                assert code == 2, (gaps, flags)
+                assert err == f"error: --gaps must be >= 1, not {gaps}\n"
+                assert out == ""
 
     def test_surd_depth_and_digits_are_bounded(self, capsys):
         over = str(MAX_DEPTH + 1)

@@ -169,6 +169,14 @@ class TestPeriodicExpansion:
             unrolled = preperiod + period * 4
             assert expansion_digits(s, depth) == unrolled[:depth]
 
+    @pytest.mark.parametrize("depth", [2.5, True, -1])
+    def test_depth_is_an_int_from_0(self, depth):
+        # 2.5 reached islice's own message, and True gave (2,)
+        assert expansion_digits(QuadraticSurd(1, 3, 1), 0) == ()
+        rule = ">= 0" if type(depth) is int else "an integer"
+        with pytest.raises(ValueError, match=f"^expansion depth must be {rule}, not {depth!r}$"):
+            expansion_digits(QuadraticSurd(1, 3, 1), depth)
+
 
 class TestVerifyProbe:
     def test_consistent_example(self):
@@ -258,7 +266,7 @@ class TestPerfectStream:
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
     def test_refuses_a_multiplier_that_is_not_an_int(self, k):
-        with pytest.raises(ValueError, match="^multiplier k must be an integer greater than 1$"):
+        with pytest.raises(ValueError, match=f"^multiplier k must be an integer, not {k!r}$"):
             infinite_perfect_stream(k, (1,))
 
     @pytest.mark.parametrize("bad", [1.9, "3", True, 2.0])
@@ -268,6 +276,18 @@ class TestPerfectStream:
         assert stream.prefix(2) == (2, 1)
         with pytest.raises(ValueError, match=f"^parameter s_1 = {bad!r} is not >= 1$"):
             stream.digit(2)
+
+    @pytest.mark.parametrize("value", [2.0, True, -1, -2])
+    def test_refuses_an_index_or_length_that_is_not_an_int_from_0(self, value):
+        # a negative index read from the end of the parameter cache: after
+        # prefix(4), digit(-1) gave 2 and digit(-2) gave 4
+        stream = infinite_perfect_stream(2, [1, 2, 3])
+        assert stream.prefix(4) == (2, 1, 4, 2) and stream.prefix(0) == ()
+        rule = ">= 0" if type(value) is int else "an integer"
+        with pytest.raises(ValueError, match=f"^digit index must be {rule}, not {value!r}$"):
+            stream.digit(value)
+        with pytest.raises(ValueError, match=f"^prefix length must be {rule}, not {value!r}$"):
+            stream.prefix(value)
 
     def test_callable_parameters_are_drawn_once_in_order(self):
         calls = []
@@ -295,12 +315,14 @@ class TestPerfectStream:
 
 
 class TestAsymptoticGap:
-    @pytest.mark.parametrize("limit", [2.5, 4.0, True])
+    @pytest.mark.parametrize("limit", [2.5, 4.0, True, -1])
     def test_limit_must_be_an_int(self, limit):
         stream = infinite_perfect_stream(2, lambda i: 1)
-        message = f"^gap limit must be an integer, not {limit!r}$"
+        assert list(continuant_gaps(stream, 0)) == []
+        rule = ">= 0" if type(limit) is int else "an integer"
+        message = f"^gap limit must be {rule}, not {limit!r}$"
         with pytest.raises(ValueError, match=message):
-            list(continuant_gaps(stream, limit))
+            continuant_gaps(stream, limit)  # at the call, not at the first next()
         with pytest.raises(ValueError, match=message):
             asymptotic_continuant_gap(stream, limit)
 
