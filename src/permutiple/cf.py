@@ -3,14 +3,15 @@
 A digit string [a0; a1, ..., an] is stored as a tuple of integers, every
 digit at least 1.  Values are `fractions.Fraction`, which keeps numerator
 and denominator reduced, so every identity checked downstream is exact no
-matter how large the continuants grow.
+matter how large the continuants grow.  Only the two functions that build
+one, `evaluate` and `parse_rational`, import `fractions`, so a scan, which
+compares continuants and builds none, never loads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,8 @@ def _layout(strings: list[str]) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    from fractions import Fraction
+
     compact = "".join(text.split())
     num, slash, den = compact.partition("/")
     if slash and int(den) == 0:
@@ -139,6 +142,8 @@ def continuant(xs: Iterable[int]) -> int:
 
 def evaluate(cf: ContinuedFraction) -> Fraction:
     """Exact value of the digit string, evaluated as written (canonical or not)."""
+    from fractions import Fraction
+
     return Fraction(*_tip(cf.digits)[0])
 
 

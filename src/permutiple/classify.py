@@ -13,11 +13,11 @@ one walk of each string.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import factorial, gcd, prod
-from typing import Iterator
 
 from .cf import ContinuedFraction, _check_int, _euclid, _ints, _is_int, _Tip, _tip, format_cf
 

@@ -33,15 +33,6 @@ from .classify import (
     find_witnesses,
 )
 from .concat import concat_witness, palindromic_concat
-from .constructors import (
-    PerfectParameters,
-    enumerate_three_digit_reverse,
-    perfect_cyclic,
-    perfect_from_parameters,
-    perfect_reverse,
-    three_digit_reverse,
-    two_digit,
-)
 from .search import (
     CONJECTURE_IDS,
     SearchConfig,
@@ -49,16 +40,6 @@ from .search import (
     exhaustive_search,
     export,
     witness_record,
-)
-from .surd import (
-    QuadraticSurd,
-    _check_depth,
-    continuant_gaps,
-    infinite_perfect_stream,
-    is_reduced,
-    periodic_expansion,
-    surd_multiplier,
-    verify_surd_permutiple,
 )
 
 
@@ -201,22 +182,37 @@ def _cmd_conjecture(args) -> int:
     return 0 if report.holds_within_bounds else 1
 
 
-def _cmd_three_digit_reverse(args) -> int:
-    if args.a0 is None:
-        found, lead = enumerate_three_digit_reverse(args.k, args.a0_max), f"a0 <= {args.a0_max}"
+def _cmd_enumerate(args) -> int:
+    from .constructors import (
+        PerfectParameters,
+        enumerate_three_digit_reverse,
+        perfect_cyclic,
+        perfect_from_parameters,
+        perfect_reverse,
+        three_digit_reverse,
+        two_digit,
+    )
+
+    if args.family == "three-digit-reverse":
+        if args.a0 is None:
+            found, lead = enumerate_three_digit_reverse(args.k, args.a0_max), f"a0 <= {args.a0_max}"
+        else:
+            witness = three_digit_reverse(args.k, args.a0)
+            found, lead = [] if witness is None else [witness], f"a0={args.a0}"
+        if not found:
+            print(f"no 3-digit reverse multiple with k={args.k}, {lead}")
+            return 1
+        return _emit(found, args.json)
+    if args.family == "two-digit":
+        witness = two_digit(args.k, args.s)
+    elif args.family == "perfect":
+        sigma = Permutation.parse(args.sigma)
+        witness = perfect_from_parameters(PerfectParameters(sigma, args.k, _ints(args.params)))
+    elif args.family == "perfect-reverse":
+        witness = perfect_reverse(args.k, _ints(args.params))
     else:
-        witness = three_digit_reverse(args.k, args.a0)
-        found, lead = [] if witness is None else [witness], f"a0={args.a0}"
-    if not found:
-        print(f"no 3-digit reverse multiple with k={args.k}, {lead}")
-        return 1
-    return _emit(found, args.json)
-
-
-def _cmd_perfect(args) -> int:
-    sigma = Permutation.parse(args.sigma)
-    params = PerfectParameters(sigma, args.k, _ints(args.params))
-    return _emit([perfect_from_parameters(params)], args.json)
+        witness = perfect_cyclic(args.k, args.length, args.ell, _ints(args.params))
+    return _emit([witness], args.json)
 
 
 def _refuse(args, mode: str, flags: tuple[str, ...]) -> None:
@@ -232,6 +228,8 @@ def _refuse(args, mode: str, flags: tuple[str, ...]) -> None:
 def _count(args, flag: str) -> int:
     """The value of ``--depth`` or ``--digits``: 20 when not given, else an
     integer in 1..MAX_DEPTH."""
+    from .surd import _check_depth
+
     n = getattr(args, flag)
     if n is None:
         return 20
@@ -289,6 +287,16 @@ def _decimal_strings(values, first: int, refusal: str) -> list[str]:
 
 
 def _cmd_surd(args) -> int:
+    from .surd import (
+        QuadraticSurd,
+        continuant_gaps,
+        infinite_perfect_stream,
+        is_reduced,
+        periodic_expansion,
+        surd_multiplier,
+        verify_surd_permutiple,
+    )
+
     stream_mode = args.k is not None or args.params is not None
     probe_mode = args.a is not None or args.b is not None or args.c is not None
     if stream_mode and probe_mode:
@@ -425,32 +433,32 @@ def build_parser() -> argparse.ArgumentParser:
     f = fam.add_parser("two-digit")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--s", type=int, required=True)
-    _json_last(f, lambda a: _emit([two_digit(a.k, a.s)], a.json))
+    _json_last(f, _cmd_enumerate)
 
     f = fam.add_parser("three-digit-reverse")
     f.add_argument("--k", type=int, required=True)
     lead = f.add_mutually_exclusive_group(required=True)
     lead.add_argument("--a0", type=int)
     lead.add_argument("--a0-max", type=int)
-    _json_last(f, _cmd_three_digit_reverse)
+    _json_last(f, _cmd_enumerate)
 
     f = fam.add_parser("perfect")
     f.add_argument("--sigma", required=True)
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--params", required=True, help="one positive integer per cycle")
-    _json_last(f, _cmd_perfect)
+    _json_last(f, _cmd_enumerate)
 
     f = fam.add_parser("perfect-reverse")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--params", required=True, help="s0,s1,... for the first half")
-    _json_last(f, lambda a: _emit([perfect_reverse(a.k, _ints(a.params))], a.json))
+    _json_last(f, _cmd_enumerate)
 
     f = fam.add_parser("perfect-cyclic")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--length", type=int, required=True)
     f.add_argument("--ell", type=int, required=True)
     f.add_argument("--params", required=True, help="one positive integer per rotation orbit")
-    _json_last(f, lambda a: _emit([perfect_cyclic(a.k, a.length, a.ell, _ints(a.params))], a.json))
+    _json_last(f, _cmd_enumerate)
 
     p = sub.add_parser("concat", help="concatenate witnesses")
     p.add_argument("--cf1")

@@ -11,8 +11,8 @@ a digit string used by these closure arguments.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cf import ContinuedFraction, _tip
 from .classify import Permutation, Witness, classify

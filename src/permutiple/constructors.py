@@ -50,7 +50,7 @@ def three_digit_reverse(k: int, a0: int) -> Witness | None:
     _check_int(k, "multiplier k", 2)
     _check_int(a0, "leading digit")
     if a0 <= k:
-        raise ValueError(f"leading digit must exceed k={k}")
+        raise ValueError(f"leading digit must exceed k={k}, not {a0}")
     if gcd(a0, k) != 1:
         raise ValueError(f"leading digit {a0} must be relatively prime to k={k}")
     a2, t = divmod(a0, k)
@@ -164,10 +164,10 @@ def perfect_cyclic(k: int, length: int, ell: int, params: tuple[int, ...]) -> Wi
     which are the residue classes of position mod gcd.
     """
     if not _is_int(length) or length < 2 or length % 2:
-        raise ValueError("length must be an even integer >= 2")
+        raise ValueError(f"length must be an even integer >= 2, not {length!r}")
     _check_int(ell, "shift ell")
     if not 0 < ell < length:
-        raise ValueError(f"shift ell must satisfy 0 < ell < {length}")
+        raise ValueError(f"shift ell must satisfy 0 < ell < {length}, not {ell}")
     if ell % 2 == 0:
         raise ValueError("no perfect cyclic permutiple exists for an even shift")
     sigma = Permutation(tuple((j + ell) % length for j in range(length)))

@@ -32,16 +32,15 @@ and identical for any worker count.
 from __future__ import annotations
 
 import collections
-import csv
 import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterable, Iterator
 
 from .cf import _check_int, _euclid, _is_int
 from .classify import FLAG_ORDER, Witness, _witness_list
@@ -425,6 +424,8 @@ def _write_jsonl(witnesses: Iterable[Witness], handle: io.TextIOBase) -> int:
 
 
 def _write_csv(witnesses: Iterable[Witness], handle: io.TextIOBase) -> int:
+    import csv  # loaded only when the csv format is asked for
+
     writer = csv.writer(handle)
     writer.writerow(["digits", "sigma", "k", "p", "q", "flags"])
     count = 0
@@ -454,5 +455,5 @@ def export(witnesses: Iterable[Witness], fmt: str = "jsonl", destination="-") ->
         return writer(checked, destination)
     if destination == "-":
         return writer(checked, sys.stdout)
-    with open(Path(destination), "w", newline="") as handle:
+    with open(os.fspath(destination), "w", newline="") as handle:
         return writer(checked, handle)

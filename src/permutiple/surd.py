@@ -7,10 +7,10 @@ Every comparison against a square root is decided by one exact floor
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, islice
 from math import isqrt
-from typing import Iterator
 
 from .cf import ContinuedFraction, _check_int, _convergents, _is_int
 
@@ -242,6 +242,6 @@ def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...
 
 
 def truncation(stream: DigitStream, length: int) -> ContinuedFraction:
-    """Finite digit string holding the first ``length`` stream digits."""
-    _check_int(length, "truncation length")
+    """Finite digit string holding the first ``length`` stream digits, length >= 1."""
+    _check_int(length, "truncation length", 1)
     return ContinuedFraction(stream.prefix(length))

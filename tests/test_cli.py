@@ -437,16 +437,14 @@ class TestParser:
             ("witnesses",): cli._cmd_witnesses,
             ("search",): cli._cmd_search,
             ("conjecture",): cli._cmd_conjecture,
-            ("enumerate", "three-digit-reverse"): cli._cmd_three_digit_reverse,
-            ("enumerate", "perfect"): cli._cmd_perfect,
             ("concat",): cli._cmd_concat,
             ("surd",): cli._cmd_surd,
         }
         for path, parser in leaves.items():
             func = parser.get_default("func")
-            assert callable(func), path
-            if path in named:  # the other enumerate families bind a lambda
-                assert func is named[path], path
+            # every enumerate family binds the one handler that loads the families
+            assert func is named.get(path, cli._cmd_enumerate), path
+            assert path in named or path[0] == "enumerate", path
             flags = [a.option_strings for a in parser._actions if a.option_strings]
             assert (flags[-1] == ["--json"]) == (path != ("search",)), path
             assert ["--json"] not in flags[:-1], path
@@ -637,6 +635,23 @@ class TestUsageErrors:
         code += "sys.exit('multiprocessing' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+    def test_a_conjecture_run_loads_no_module_it_does_not_use(self):
+        # the closed-form families, the surd case, Fraction values and the csv
+        # writer load only in the commands that run them
+        src = str(Path(permutiple.__file__).parents[1])
+        code = (
+            "import permutiple.cli, sys; permutiple.cli.build_parser(); "
+            "rc = permutiple.cli.main(['conjecture', 'c2', '--len', '3', '--max-digit', '6']); "
+            "unused = ('permutiple.constructors', 'permutiple.surd', 'fractions', 'csv'); "
+            "print(rc, *[name for name in unused if name in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0"
 
     def test_jobs_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("PERMUTIPLE_JOBS", "3")

@@ -328,7 +328,7 @@ NOT_POSITIVE = "^cycle parameters must be positive integers$"
         (lambda: three_digit_reverse(2, 7.0), "^leading digit must be an integer, not 7.0$"),
         (lambda: three_digit_reverse(2, True), "^leading digit must be an integer, not True$"),
         (lambda: enumerate_three_digit_reverse(2, 10.5), "^a0_max must be an integer, not 10.5$"),
-        (lambda: perfect_cyclic(2, 6.0, 3, (1, 1, 2)), "^length must be an even integer >= 2$"),
+        (lambda: perfect_cyclic(2, 6.0, 3, (1, 1, 2)), "^length must be an even integer >= 2, not 6.0$"),
         (lambda: perfect_cyclic(2, 6, 3.0, (1, 1, 2)), "^shift ell must be an integer, not 3.0$"),
         (lambda: PerfectParameters(P((1, 0)), 2, (1.5,)), NOT_POSITIVE),
         (lambda: PerfectParameters(P((1, 0)), 2, (2.0,)), NOT_POSITIVE),
@@ -350,6 +350,24 @@ NOT_POSITIVE = "^cycle parameters must be positive integers$"
 def test_constructors_refuse_other_arguments_that_are_not_ints(build, message):
     # a float or bool here was a TypeError deep in range() or divmod(), or
     # built a witness whose digits are not ints
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: three_digit_reverse(5, 4), "^leading digit must exceed k=5, not 4$"),
+        (lambda: perfect_cyclic(2, 5, 1, (1,)), "^length must be an even integer >= 2, not 5$"),
+        (lambda: perfect_cyclic(2, 0, 1, (1,)), "^length must be an even integer >= 2, not 0$"),
+        (lambda: perfect_cyclic(2, 6, 0, (1, 1, 2)), "^shift ell must satisfy 0 < ell < 6, not 0$"),
+        (lambda: perfect_cyclic(2, 6, 7, (1,)), "^shift ell must satisfy 0 < ell < 6, not 7$"),
+    ],
+    ids=["three_digit_reverse", "perfect_cyclic-odd-length", "perfect_cyclic-zero-length",
+         "perfect_cyclic-ell-low", "perfect_cyclic-ell-high"],
+)
+def test_range_refusals_name_the_value_they_refuse(build, message):
+    # as every integer-argument refusal does
     with pytest.raises(ValueError, match=message):
         build()
 

@@ -333,6 +333,12 @@ class TestAsymptoticGap:
         with pytest.raises(ValueError, match=message):
             truncation(stream, length)
 
+    @pytest.mark.parametrize("length", [-1, 0])
+    def test_truncation_length_below_one_is_refused_by_name(self, length):
+        stream = infinite_perfect_stream(2, lambda i: 1)
+        with pytest.raises(ValueError, match=f"^truncation length must be >= 1, not {length}$"):
+            truncation(stream, length)
+
     def test_constant_stream_gaps(self):
         stream = infinite_perfect_stream(2, lambda i: 1)
         assert asymptotic_continuant_gap(stream, 4) == (0, 4, 0, 15)
