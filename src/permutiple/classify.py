@@ -383,9 +383,10 @@ def find_witnesses(
     # A partner's value lies in (smallest digit, largest lead + 1], so
     # p/q <= k * (largest lead + 1) and k * smallest digit < p/q.
     ks = range(max(2, -(-p // (q * (leads[-1] + 1)))), p // (q * multiset[0]) + 1)
-    if len(ks) > MAX_K_CANDIDATES:
+    tried = ks.stop - ks.start  # len() of a range over sys.maxsize raises OverflowError
+    if tried > MAX_K_CANDIDATES:
         raise ValueError(
-            f"{cf} needs {len(ks)} multipliers tried, over the limit of {MAX_K_CANDIDATES}"
+            f"{cf} needs {tried} multipliers tried, over the limit of {MAX_K_CANDIDATES}"
         )
     present = set(digits)
     hits = []

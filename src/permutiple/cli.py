@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cf import (
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--len-max", type=int)
     scan.add_argument("--k-min", type=int)
     scan.add_argument("--k-max", type=int)
-    scan.add_argument("--jobs", type=int, default=os.environ.get("PERMUTIPLE_JOBS", "1"))
+    scan.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("eval", help="evaluate a digit string exactly")
     source = p.add_mutually_exclusive_group(required=True)

@@ -83,10 +83,6 @@ class SearchConfig:
             or (isinstance(length, tuple) and len(length) == 2 and all(map(_is_int, length)))
         ):
             raise ValueError(f"length must be an integer or a pair of them, not {length!r}")
-        for name in ("max_digit", "k_min", "k_max", "workers"):
-            value = getattr(self, name)
-            if value is not None or not name.startswith("k_"):
-                _check_int(value, name)
         low, high = self._bounds()  # checked before lengths() builds the range
         if low > high:
             raise ValueError(f"empty length range {self.length!r}: low exceeds high")
@@ -112,8 +108,10 @@ class SearchConfig:
             rows = rows * d + d
         if self.k_min is not None:
             _check_int(self.k_min, "k_min", 2)
-        if self.k_max is not None and self.k_max < (self.k_min or 2):
-            raise ValueError(f"empty multiplier range: k_max {self.k_max} < {self.k_min or 2}")
+        if self.k_max is not None:
+            _check_int(self.k_max, "k_max")
+            if self.k_max < (self.k_min or 2):
+                raise ValueError(f"empty multiplier range: k_max {self.k_max} < {self.k_min or 2}")
         _check_int(self.workers, "workers", 1)
         if self.workers > MAX_WORKERS:
             raise ValueError(f"workers must be <= {MAX_WORKERS}")

@@ -333,6 +333,12 @@ class TestFindWitnesses:
         with pytest.raises(ValueError, match="7 multipliers"):
             find_witnesses(CF((10, 1, 2)))
 
+    def test_refuses_strings_over_sys_maxsize_k_candidates(self):
+        # a range that long has no len(); the count is stop - start
+        message = "^100000000000000000000;1,2 needs 66666666666666666667 multipliers tried"
+        with pytest.raises(ValueError, match=message):
+            find_witnesses(CF((10**20, 1, 2)))
+
     def test_all_sigmas_refuses_strings_over_the_list_limit(self, monkeypatch):
         # one hit, and 2!^4 image lists realize it
         cf = CF((4, 3, 6, 2, 4, 3, 6, 2))

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from math import factorial
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -482,6 +481,7 @@ class TestUsageErrors:
     def test_brute_force_limit_is_usage_error(self, capsys):
         for argv in (
             ["witnesses", "--cf", "10000000;1,2"],  # over a million k to try
+            ["witnesses", "--cf", "99999999999999999999;2"],  # over sys.maxsize k to try
             ["search", "--len", "12", "--max-digit", "4"],  # over 2 * 10**6 rows of shorter tables
             ["witnesses", "--cf", "7;1,3,1"],  # not canonical: refused, not folded
         ):
@@ -653,19 +653,14 @@ class TestUsageErrors:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0"
 
-    def test_jobs_default_from_environment(self, monkeypatch):
-        monkeypatch.setenv("PERMUTIPLE_JOBS", "3")
-        args = build_parser().parse_args(["search", "--len", "2", "--max-digit", "4"])
-        assert args.jobs == 3
-
-    def test_non_integer_jobs_environment_is_usage_error(self, monkeypatch, capsys):
+    def test_scan_settings_come_from_argv_alone(self, monkeypatch, capsys):
+        # the retired PERMUTIPLE_JOBS variable, even a value no int parses,
+        # leaves the worker count and the bytes as they are
+        argv = ["search", "--len", "2", "--max-digit", "4"]
+        assert build_parser().parse_args(argv).jobs == 1
+        plain = run(argv, capsys)
         monkeypatch.setenv("PERMUTIPLE_JOBS", "x")
-        for argv in (["search", "--len", "2", "--max-digit", "4"], ["conjecture", "c2"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main(argv)
-            assert excinfo.value.code == 2
-        code, out, _ = run(["eval", "--cf", "7;1,3"], capsys)
-        assert code == 0 and out.strip() == "31/4"
+        assert run(argv, capsys) == plain and plain[0] == 0 and plain[1]
 
 
 # Flags per subcommand, with every family of `enumerate` as its own entry.
@@ -700,8 +695,8 @@ _TOKENS = ["", "0", "-1", "1", "2", "3", "x", "1/0", "0/0", "3/2", "7;1,3", "5;3
 # reach runs that succeed.
 _SCANS = {("search",): ["--len", "2"], ("conjecture",): ["c2"]}
 
-# Worker counts for `--jobs` and PERMUTIPLE_JOBS: each is refused before a
-# pool exists or is at most 2, so no draw starts a large pool.
+# Worker counts for `--jobs`: each is refused before a pool exists or is at
+# most 2, so no draw starts a large pool.
 _JOBS = ["-1", "0", "1", "2", "x", "", str(MAX_WORKERS + 1)]
 
 # `--out` targets, resolved in the test's temporary directory; "missing/"
@@ -731,15 +726,11 @@ def out_dir(tmp_path_factory):
 
 class TestFuzz:
     @settings(max_examples=400, deadline=None)
-    @given(_argv(), st.sampled_from([None, *_JOBS]))
-    def test_exit_codes_hold_for_any_argv(self, out_dir, argv, env_jobs):
+    @given(_argv())
+    def test_exit_codes_hold_for_any_argv(self, out_dir, argv):
         argv = [str(out_dir / a) if a in _OUTS[1:] else a for a in argv]
-        with mock.patch.dict(os.environ):
-            os.environ.pop("PERMUTIPLE_JOBS", None)
-            if env_jobs is not None:
-                os.environ["PERMUTIPLE_JOBS"] = env_jobs
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
         assert code in (0, 1, 2), argv

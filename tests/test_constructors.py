@@ -362,9 +362,11 @@ def test_constructors_refuse_other_arguments_that_are_not_ints(build, message):
         (lambda: perfect_cyclic(2, 0, 1, (1,)), "^length must be an even integer >= 2, not 0$"),
         (lambda: perfect_cyclic(2, 6, 0, (1, 1, 2)), "^shift ell must satisfy 0 < ell < 6, not 0$"),
         (lambda: perfect_cyclic(2, 6, 7, (1,)), "^shift ell must satisfy 0 < ell < 6, not 7$"),
+        # refused before a rotation of 10**11 positions is built
+        (lambda: perfect_cyclic(2, 10**11, 1, (1,)), "^length 100000000000 is over 100000 digits$"),
     ],
     ids=["three_digit_reverse", "perfect_cyclic-odd-length", "perfect_cyclic-zero-length",
-         "perfect_cyclic-ell-low", "perfect_cyclic-ell-high"],
+         "perfect_cyclic-ell-low", "perfect_cyclic-ell-high", "perfect_cyclic-long-length"],
 )
 def test_range_refusals_name_the_value_they_refuse(build, message):
     # as every integer-argument refusal does
