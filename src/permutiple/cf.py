@@ -66,6 +66,20 @@ def _check_int(value: object, name: str, low: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {low}, not {value!r}")
 
 
+# Most digits a surd probe, a printed stream prefix or a perfect cyclic
+# string may ask for: each costs in step with the count, and 10**6 digits
+# take seconds and over 100 MB.
+MAX_DEPTH = 10**5
+
+
+def _check_depth(value: object, name: str) -> None:
+    """The one rule for a digit count: refuse one outside 1..``MAX_DEPTH``."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value > MAX_DEPTH:
+        raise ValueError(f"{name} {value} is over {MAX_DEPTH} digits")
+
+
 def _ints(text: str) -> tuple[int, ...]:
     """The integers of a comma list, spaces tolerated."""
     return tuple(int(part) for part in "".join(text.split()).split(","))

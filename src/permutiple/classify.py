@@ -181,7 +181,11 @@ class Witness:
         continuants of the walk, coprime, so they are the value in lowest
         terms."""
         p, q = self._tips[0][0]
-        return format_cf(self.cf), format_permutation(self.sigma), str(p), str(q)
+        try:
+            return format_cf(self.cf), format_permutation(self.sigma), str(p), str(q)
+        except ValueError:  # over sys.get_int_max_str_digits(); p >= every digit, so p is over
+            n = len(self.cf)
+            raise ValueError(f"the {n}-digit string's value has too many digits to print") from None
 
     @cached_property
     def flags(self) -> ClassificationFlags:
@@ -262,11 +266,13 @@ def classify(
     side is always evaluated as written.
     """
     _check_lengths(cf, sigma)  # a sigma that does not fit is reported first
-    if not cf.is_canonical and not allow_noncanonical:
-        raise ValueError(
-            f"base string {cf} is not canonical; pass allow_noncanonical=True to accept it"
-        )
+    _check_canonical(cf, allow_noncanonical)
     return Witness(cf, sigma, k)
+
+
+def _check_canonical(cf: ContinuedFraction, allow_noncanonical: bool) -> None:
+    if not cf.is_canonical and not allow_noncanonical:
+        raise ValueError(f"base string {cf} is not canonical")
 
 
 def canonical_sigma(base: tuple[int, ...], permuted: tuple[int, ...]) -> Permutation:
@@ -368,8 +374,7 @@ def find_witnesses(
     from it proves the identity.  Strings with more than
     ``MAX_K_CANDIDATES`` multipliers to try are refused with ValueError.
     """
-    if not cf.is_canonical and not allow_noncanonical:
-        raise ValueError(f"base string {cf} is not canonical")
+    _check_canonical(cf, allow_noncanonical)
     digits = cf.digits
     m = len(digits)
     multiset = sorted(digits)

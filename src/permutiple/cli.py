@@ -7,11 +7,11 @@ conjecture counterexample found), 2 usage or parameter errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cf import (
     ContinuedFraction,
+    _check_depth,
     _check_int,
     _ints,
     _layout,
@@ -35,6 +35,8 @@ from .concat import concat_witness, palindromic_concat
 from .search import (
     CONJECTURE_IDS,
     SearchConfig,
+    _CONJECTURES,
+    _compact_json,
     check_conjectures,
     exhaustive_search,
     export,
@@ -86,7 +88,7 @@ def _cmd_eval(args) -> int:
             record["convergents"] = [[str(p), str(q)] for p, q in convergents(cf)]
         if args.tails:
             record["tails"] = [format_rational(g) for g in tails(cf)]
-        print(json.dumps(record, separators=(",", ":")))
+        print(_compact_json(record))
         return 0
     print(format_rational(evaluate(cf)))
     if args.convergents:
@@ -114,10 +116,10 @@ def _cmd_witnesses(args) -> int:
     return _emit(found, args.json)
 
 
-def _scan_config(args, default_length, max_digit, **options) -> SearchConfig:
-    """The bounds of a `search` or `conjecture` scan.  Its length is --len, or
-    the --len-min/--len-max range (low defaults to 2, high to low), or else
-    ``default_length``."""
+def _scan_config(args, default_length=None, default_max_digit=None, **options) -> SearchConfig:
+    """The bounds of a `search` or `conjecture` scan: --max-digit or else
+    ``default_max_digit``, and --len, or the --len-min/--len-max range (low
+    defaults to 2, high to low), or else ``default_length``."""
     ranged = args.len_min is not None or args.len_max is not None
     if args.len is not None and ranged:
         raise ValueError("give --len or --len-min/--len-max, not both")
@@ -130,7 +132,7 @@ def _scan_config(args, default_length, max_digit, **options) -> SearchConfig:
         raise ValueError("give --len or --len-min/--len-max")
     return SearchConfig(
         length=length,
-        max_digit=max_digit,
+        max_digit=default_max_digit if args.max_digit is None else args.max_digit,
         k_min=args.k_min,
         k_max=args.k_max,
         workers=args.jobs,
@@ -140,11 +142,7 @@ def _scan_config(args, default_length, max_digit, **options) -> SearchConfig:
 
 def _cmd_search(args) -> int:
     config = _scan_config(
-        args,
-        None,
-        args.max_digit,
-        canonical_only=not args.include_noncanonical,
-        dedupe=not args.all_sigmas,
+        args, canonical_only=not args.include_noncanonical, dedupe=not args.all_sigmas
     )
     count = export(exhaustive_search(config), args.format, args.out)
     print(f"{count} witnesses", file=sys.stderr)
@@ -152,28 +150,17 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    length, max_digit = (4, 20) if args.id in ("c1", "c4") else ((2, 5), 12)
-    config = _scan_config(args, length, max_digit if args.max_digit is None else args.max_digit)
-    lengths = config.lengths()
-    bounds = (
-        f"lengths {lengths[0]}..{lengths[-1]}, digits <= {config.max_digit}"
-        if len(lengths) > 1
-        else f"length {lengths[0]}, digits <= {config.max_digit}"
-    )
-    report = check_conjectures(exhaustive_search(config), [args.id], bounds=bounds)[args.id]
+    config = _scan_config(args, *_CONJECTURES[args.id][2])
+    report = check_conjectures(exhaustive_search(config), [args.id], config.bounds_text())[args.id]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "conjecture": report.conjecture,
-                    "bounds": report.bounds,
-                    "examined": report.examined,
-                    "counterexamples": [witness_record(w) for w in report.counterexamples],
-                    "wall_time": round(report.wall_time, 3),
-                },
-                separators=(",", ":"),
-            )
-        )
+        record = {
+            "conjecture": report.conjecture,
+            "bounds": report.bounds,
+            "examined": report.examined,
+            "counterexamples": [witness_record(w) for w in report.counterexamples],
+            "wall_time": round(report.wall_time, 3),
+        }
+        print(_compact_json(record))
     else:
         print(report.summary())
         for w in report.counterexamples:
@@ -227,8 +214,6 @@ def _refuse(args, mode: str, flags: tuple[str, ...]) -> None:
 def _count(args, flag: str) -> int:
     """The value of ``--depth`` or ``--digits``: 20 when not given, else an
     integer in 1..MAX_DEPTH."""
-    from .surd import _check_depth
-
     n = getattr(args, flag)
     if n is None:
         return 20
@@ -322,7 +307,7 @@ def _cmd_surd(args) -> int:
             record = {"k": args.k, "digits": digits, "permuted": permuted}
             if gaps is not None:
                 record["gaps"] = gaps
-            print(json.dumps(record, separators=(",", ":")))
+            print(_compact_json(record))
         else:
             print(f"digits {digits}")
             print(f"permuted {permuted}")
@@ -351,7 +336,7 @@ def _cmd_surd(args) -> int:
             record["alignment"] = report.alignment
             record["multiset_agree"] = report.multiset_agree
             record["verdict"] = report.verdict
-        print(json.dumps(record, separators=(",", ":")))
+        print(_compact_json(record))
         return 0 if k is not None else 1
     print(f"surd {surd}")
     print(f"reduced {str(is_reduced(surd)).lower()}")

@@ -10,9 +10,9 @@ permutiples are sigma choices for it: the transposition (1, 0), the
 reversal and a rotation.  ``PerfectParameters`` checks k >= 2 and the
 parameters (one positive integer per cycle) for all three; in front of it,
 ``two_digit`` checks an integer s >= 2, ``perfect_reverse`` a non-empty
-half, and ``perfect_cyclic`` an even integer length of at most 10**5
-digits and an odd integer ell with 0 < ell < length.  A float or bool is
-refused wherever an integer is.
+half, and ``perfect_cyclic`` an even integer length of at most
+``cf.MAX_DEPTH`` and an odd integer ell with 0 < ell < length.  A float
+or bool is refused wherever an integer is.
 """
 
 from __future__ import annotations
@@ -20,17 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cf import ContinuedFraction, _check_int, _is_int
+from .cf import ContinuedFraction, _check_depth, _check_int, _is_int
 from .classify import Permutation, Witness, canonical_sigma, classify
 
 # Bounds the witnesses one three-digit enumeration holds before it returns
 # any, through a0_max - k, the leading digits it covers (at most one witness
 # each): past this they would take minutes and hundreds of megabytes.
 MAX_LEADING_DIGITS = 10**5
-# Longest string ``perfect_cyclic`` builds: it lists a rotation of every
-# position before any size check of the witness, so 10**11 fills memory.
-# The bound is ``surd.MAX_DEPTH``'s, stated here so this module loads alone.
-_MAX_LENGTH = 10**5
 
 
 def two_digit(k: int, s: int) -> Witness:
@@ -170,8 +166,7 @@ def perfect_cyclic(k: int, length: int, ell: int, params: tuple[int, ...]) -> Wi
     """
     if not _is_int(length) or length < 2 or length % 2:
         raise ValueError(f"length must be an even integer >= 2, not {length!r}")
-    if length > _MAX_LENGTH:
-        raise ValueError(f"length {length} is over {_MAX_LENGTH} digits")
+    _check_depth(length, "length")  # checked before a rotation of every position is listed
     _check_int(ell, "shift ell")
     if not 0 < ell < length:
         raise ValueError(f"shift ell must satisfy 0 < ell < {length}, not {ell}")

@@ -123,6 +123,12 @@ class SearchConfig:
         low, high = self._bounds()
         return tuple(range(low, high + 1))
 
+    def bounds_text(self) -> str:
+        """The bounds as a report states them: "lengths 2..5, digits <= 12"."""
+        low, high = self._bounds()
+        length = f"length {low}" if low == high else f"lengths {low}..{high}"
+        return f"{length}, digits <= {self.max_digit}"
+
 
 # (base digits, its (permuted, k) hits ordered by permuted string)
 _Hits = tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
@@ -325,20 +331,27 @@ def exhaustive_search(config: SearchConfig) -> Iterator[Witness]:
         yield from _by_length(config, pool.map(_scan_part, tasks))
 
 
-# conjecture id -> (statement, predicate every witness must satisfy)
-_CONJECTURES: dict[str, tuple[str, Callable[[Witness], bool]]] = {
+# conjecture id -> (statement, predicate every witness must satisfy, default (length, max_digit))
+_CONJECTURES: dict[str, tuple[str, Callable[[Witness], bool], tuple]] = {
     "c1": (
         "every 4-digit permutiple is symmetric",
         lambda w: len(w.cf) != 4 or w.flags.symmetric,
+        (4, 20),
     ),
-    "c2": ("every permutiple is continuant-preserving", lambda w: w.flags.continuant_preserving),
+    "c2": (
+        "every permutiple is continuant-preserving",
+        lambda w: w.flags.continuant_preserving,
+        ((2, 5), 12),
+    ),
     "c3": (
         "every symmetric permutiple is a landess permutiple",
         lambda w: not w.flags.symmetric or w.flags.landess,
+        ((2, 5), 12),
     ),
     "c4": (
         "every 4-digit permutiple is perfect or a reverse multiple",
         lambda w: len(w.cf) != 4 or w.flags.perfect or w.flags.reverse_multiple,
+        (4, 20),
     ),
 }
 
@@ -414,10 +427,15 @@ def witness_record(w: Witness) -> dict:
     }
 
 
+def _compact_json(record: dict) -> str:
+    """The one JSON layout every output writes: no spaces between items."""
+    return json.dumps(record, separators=(",", ":"))
+
+
 def _write_jsonl(witnesses: Iterable[Witness], handle: io.TextIOBase) -> int:
     count = 0
     for count, w in enumerate(witnesses, 1):
-        handle.write(json.dumps(witness_record(w), separators=(",", ":")) + "\n")
+        handle.write(_compact_json(witness_record(w)) + "\n")
     return count
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from math import isqrt
 
-from .cf import ContinuedFraction, _check_int, _convergents, _is_int
+from .cf import MAX_DEPTH, ContinuedFraction, _check_depth, _check_int, _convergents, _is_int
 
 
 def _is_square(n: int) -> bool:
@@ -85,18 +85,6 @@ def _expansion(s: QuadraticSurd) -> Iterator[tuple[int, tuple[int, int]]]:
 # the period of sqrt(D) can grow like sqrt(D) log D, so a large b would
 # otherwise never close.
 MAX_STATES = 10_000
-# Most digits a probe (``verify_surd_permutiple``'s depth) or a printed stream
-# prefix may ask for: the cost grows in step with the count, and 10**6 digits
-# take seconds and over 100 MB.
-MAX_DEPTH = 10**5
-
-
-def _check_depth(value: object, name: str) -> None:
-    """Refuse a probe depth or printed digit count outside 1..``MAX_DEPTH``."""
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    if value > MAX_DEPTH:
-        raise ValueError(f"{name} {value} is over {MAX_DEPTH} digits")
 
 
 def periodic_expansion(s: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -230,12 +230,29 @@ class TestClassify:
         assert dataclasses.replace(w) == w
 
     def test_rejects_noncanonical_base_by_default(self):
-        with pytest.raises(ValueError, match="canonical"):
+        with pytest.raises(ValueError, match="^base string 5;3,1 is not canonical$"):
             classify(CF((5, 3, 1)), REVERSAL_3, 4)
+        with pytest.raises(ValueError, match="^base string 5;3,1 is not canonical$"):
+            find_witnesses(CF((5, 3, 1)))
         w = classify(CF((5, 3, 1)), REVERSAL_3, 4, allow_noncanonical=True)
         assert w.k == 4
         assert not w.cf.is_canonical
         assert w.flags.reverse_multiple
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_text_too_long_to_print_names_the_string_length(self):
+        w = perfect_reverse(2, (1,) * 2000)  # a 4000-digit string, its value about 1144 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                w.text
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(excinfo.value) == "the 4000-digit string's value has too many digits to print"
+        assert w.text[0].startswith("2;1,2,1")  # printable again under the old limit
 
     @pytest.mark.parametrize("k", [2.0, True, "2"])
     def test_refuses_a_k_that_is_not_an_int_before_any_walk(self, monkeypatch, k):

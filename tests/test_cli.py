@@ -82,6 +82,11 @@ class TestClassify:
         record = json.loads(out)
         assert record["flags"]["landess"] is True
 
+    def test_non_canonical_base_is_refused_in_the_same_words_by_both_commands(self, capsys):
+        for argv in (["classify", "--cf", "5;1", "--sigma", "1,0"], ["witnesses", "--cf", "5;1"]):
+            code, out, err = run(argv, capsys)
+            assert (code, out, err) == (2, "", "error: base string 5;1 is not canonical\n"), argv
+
     def test_printed_cf_round_trips(self, capsys):
         from permutiple import ContinuedFraction
 
@@ -265,6 +270,23 @@ class TestEnumerate:
         )
         assert code == 0 and out.startswith("2;1,4,1,2,2 = 2 * 1;2,2,2,1,4")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_unprintable_witness_value_is_refused_in_the_witness_terms(self, capsys, mode):
+        # at the lowest limit Python allows, 640 digits, the value of this
+        # 4000-digit string (about 1144 digits) cannot be printed
+        argv = ["enumerate", "perfect-cyclic", "--k", "2", "--length", "4000", "--ell", "1"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run([*argv, "--params", "1", *mode], capsys)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert err == "error: the 4000-digit string's value has too many digits to print\n"
+
 
 class TestConcat:
     def test_pairwise(self, capsys):
@@ -307,6 +329,21 @@ class TestConjecture:
         assert record["conjecture"] == "c1"
         assert record["counterexamples"] == []
         assert record["examined"] > 0
+
+    @pytest.mark.parametrize(
+        "conjecture, bounds, examined",
+        [
+            ("c1", "length 4, digits <= 20", 368),
+            ("c2", "lengths 2..5, digits <= 12", 352),
+            ("c3", "lengths 2..5, digits <= 12", 352),
+            ("c4", "length 4, digits <= 20", 368),
+        ],
+    )
+    def test_default_bounds_are_pinned(self, capsys, conjecture, bounds, examined):
+        code, out, _ = run(["conjecture", conjecture, "--json"], capsys)
+        record = json.loads(out)
+        assert code == 0 and record["counterexamples"] == []
+        assert (record["bounds"], record["examined"]) == (bounds, examined)
 
     def test_unknown_id_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

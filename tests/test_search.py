@@ -72,6 +72,12 @@ class TestSearchConfig:
         assert SearchConfig(length=3, max_digit=5).lengths() == (3,)
         assert SearchConfig(length=(2, 5), max_digit=5).lengths() == (2, 3, 4, 5)
 
+    def test_bounds_text(self):
+        assert SearchConfig(length=4, max_digit=20).bounds_text() == "length 4, digits <= 20"
+        assert SearchConfig(length=(3, 3), max_digit=7).bounds_text() == "length 3, digits <= 7"
+        text = SearchConfig(length=(2, 5), max_digit=12).bounds_text()
+        assert text == "lengths 2..5, digits <= 12"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(length=1, max_digit=5)
@@ -431,7 +437,10 @@ class TestConjectures:
             check_conjectures([], "c2")
 
     def test_repeated_id_is_counted_once(self, monkeypatch):
-        monkeypatch.setitem(search._CONJECTURES, "c2", ("every permutiple doubles", lambda w: w.k == 2))
+        scan = search._CONJECTURES["c2"][2]
+        monkeypatch.setitem(
+            search._CONJECTURES, "c2", ("every permutiple doubles", lambda w: w.k == 2, scan)
+        )
         stream = run(SearchConfig(length=2, max_digit=8))
         reports = check_conjectures(stream, ["c2", "c2"])
         assert list(reports) == ["c2"]
@@ -444,7 +453,8 @@ class TestConjectures:
         # no stated conjecture fails at tiny bounds, so c2 is swapped for a
         # predicate that the k = 3 and k = 4 witnesses of length 2 fail
         statement = "every permutiple doubles"
-        monkeypatch.setitem(search._CONJECTURES, "c2", (statement, lambda w: w.k == 2))
+        scan = search._CONJECTURES["c2"][2]  # the row keeps c2's default scan
+        monkeypatch.setitem(search._CONJECTURES, "c2", (statement, lambda w: w.k == 2, scan))
         stream = run(SearchConfig(length=2, max_digit=8))
         report = check_conjectures(stream, ["c2"], bounds="tiny")["c2"]
         assert not report.holds_within_bounds
