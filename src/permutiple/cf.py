@@ -11,22 +11,75 @@ compares continuants and builds none, never loads it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(value: object, name: str, low: int | None = None) -> None:
+    """The one rule for an integer argument: refuse, with ValueError, a value
+    that is not an int (a bool is not one) or is below ``low`` when given."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, not {value!r}")
+
+
+class _Record:
+    """Base of the package's value records: a record is its ``_fields``.
+
+    Records are equal when their classes and field values are, hash like
+    the tuple of their field values, print as ``Name(field=value, ...)``
+    and refuse assignment and deletion with AttributeError.  A subclass
+    names its fields in ``_fields`` and sets each once in its own
+    ``__init__`` with ``object.__setattr__``.  A record pickles as its
+    class and field values, so unpickling runs ``__init__`` and its checks
+    again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class ContinuedFraction(_Record):
     """Digit string of a finite simple continued fraction."""
 
-    digits: tuple[int, ...]
+    __slots__ = _fields = ("digits",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if not self.digits:
+    def __init__(self, digits: Iterable[int]) -> None:
+        digits = tuple(digits)
+        if not digits:
             raise ValueError("a continued fraction needs at least one digit")
-        for a in self.digits:
+        for a in digits:
             if isinstance(a, bool) or not isinstance(a, int) or a < 1:
                 raise ValueError(f"invalid digit {a!r}: digits are integers >= 1")
+        object.__setattr__(self, "digits", digits)
 
     @classmethod
     def parse(cls, text: str) -> ContinuedFraction:
@@ -52,24 +105,12 @@ class ContinuedFraction:
         return format_cf(self)
 
 
-def _is_int(value: object) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_int(value: object, name: str, low: int | None = None) -> None:
-    """The one rule for an integer argument: refuse, with ValueError, a value
-    that is not an int (a bool is not one) or is below ``low`` when given."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, not {value!r}")
-
-
 # Most digits a surd probe, a printed stream prefix or a perfect cyclic
 # string may ask for: each costs in step with the count, and 10**6 digits
 # take seconds and over 100 MB.
 MAX_DEPTH = 10**5
+# Digits a surd probe compares, and a stream prefix prints, when no count is given.
+DEFAULT_DEPTH = 20
 
 
 def _check_depth(value: object, name: str) -> None:
@@ -106,7 +147,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return _ratio(value.numerator, value.denominator)
+
+
+def _ratio(p: object, q: object) -> str:
+    """The one ``p/q`` layout of a value, from its terms as ints or decimal strings."""
+    return f"{p}/{q}"
+
+
+def _ratio_record(p: object, q: object) -> dict[str, str]:
+    """The one JSON object of a value, its terms as decimal strings, so a
+    consumer with bounded integers cannot truncate them."""
+    return {"p": str(p), "q": str(q)}
 
 
 def _convergents(digits: Iterable[int]) -> Iterator[tuple[int, int]]:

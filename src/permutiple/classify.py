@@ -13,30 +13,38 @@ one walk of each string.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import factorial, gcd, prod
 
-from .cf import ContinuedFraction, _check_int, _euclid, _ints, _is_int, _Tip, _tip, format_cf
+from .cf import (
+    ContinuedFraction,
+    _check_int,
+    _euclid,
+    _ints,
+    _is_int,
+    _Record,
+    _Tip,
+    _tip,
+    format_cf,
+)
 
 
 class NotAPermutipleError(ValueError):
     """The digit string is not an integer multiple (k >= 2) of the permuted string."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """Bijection on positions {0, ..., n}, stored as the image list."""
 
-    images: tuple[int, ...]
+    _fields = ("images",)  # no __slots__: the cached properties need a __dict__
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images: Iterable[int]) -> None:
+        images = tuple(images)
         if not all(map(_is_int, images)) or sorted(images) != list(range(len(images))):
             raise ValueError(f"{images!r} is not a permutation of 0..{len(images) - 1}")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def parse(cls, text: str) -> Permutation:
@@ -108,33 +116,45 @@ def format_permutation(sigma: Permutation) -> str:
     return ",".join([str(i) for i in sigma.images])
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
-    continuant_preserving: bool
-    perfect: bool
-    symmetric: bool
-    landess: bool
-    reverse_multiple: bool
+class ClassificationFlags(_Record):
+    __slots__ = _fields = (
+        "continuant_preserving",
+        "perfect",
+        "symmetric",
+        "landess",
+        "reverse_multiple",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        continuant_preserving: bool,
+        perfect: bool,
+        symmetric: bool,
+        landess: bool,
+        reverse_multiple: bool,
+    ) -> None:
         # Lattice sanity: these implications always hold for genuine
         # permutiples, so violating combinations signal a bug upstream.
-        if self.perfect and not self.symmetric:
+        if perfect and not symmetric:
             raise ValueError("flag lattice violated: perfect requires symmetric")
-        if self.perfect and not self.landess:
+        if perfect and not landess:
             raise ValueError("flag lattice violated: perfect requires landess")
-        if self.landess and not self.continuant_preserving:
+        if landess and not continuant_preserving:
             raise ValueError("flag lattice violated: landess requires continuant preservation")
+        object.__setattr__(self, "continuant_preserving", continuant_preserving)
+        object.__setattr__(self, "perfect", perfect)
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "landess", landess)
+        object.__setattr__(self, "reverse_multiple", reverse_multiple)
 
     def true_names(self) -> tuple[str, ...]:
         return tuple(name for name in FLAG_ORDER if getattr(self, name))
 
 
-FLAG_ORDER = tuple(f.name for f in fields(ClassificationFlags))
+FLAG_ORDER = ClassificationFlags._fields
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A permutiple (cf, sigma, k), proven when built; its flags derive from its digits.
 
     A k left as None is read off the same walk of the two strings that
@@ -144,15 +164,16 @@ class Witness:
     so a witness written in several formats is turned into text once.
     """
 
-    cf: ContinuedFraction
-    sigma: Permutation
-    k: int | None = None
+    _fields = ("cf", "sigma", "k")  # no __slots__: the cached properties need a __dict__
 
-    def __post_init__(self) -> None:
-        if self.k is None:
-            object.__setattr__(self, "k", _multiplier(*self._tips[0][0], *self._tips[1][0]))
+    def __init__(self, cf: ContinuedFraction, sigma: Permutation, k: int | None = None) -> None:
+        object.__setattr__(self, "cf", cf)
+        object.__setattr__(self, "sigma", sigma)
+        if k is None:
+            k = _multiplier(*self._tips[0][0], *self._tips[1][0])
         else:
-            _check_int(self.k, "multiplier k")
+            _check_int(k, "multiplier k")
+        object.__setattr__(self, "k", k)
         self.verify()
 
     @cached_property

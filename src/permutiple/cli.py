@@ -10,11 +10,14 @@ import argparse
 import sys
 
 from .cf import (
+    DEFAULT_DEPTH,
     ContinuedFraction,
     _check_depth,
     _check_int,
     _ints,
     _layout,
+    _ratio,
+    _ratio_record,
     canonicalize,
     convergents,
     evaluate,
@@ -49,7 +52,7 @@ def _witness_line(w: Witness) -> str:
     parts = [
         f"{digits} = {w.k} * {format_cf(w.permuted)}",
         f"sigma {sigma}",
-        f"value {p}/{q}",
+        f"value {_ratio(p, q)}",
         f"flags {','.join(w.flags.true_names()) or '-'}",
     ]
     if not w.cf.is_canonical:
@@ -82,7 +85,7 @@ def _cmd_eval(args) -> int:
         value = evaluate(cf)
         record = {
             "digits": format_cf(cf),
-            "value": {"p": str(value.numerator), "q": str(value.denominator)},
+            "value": _ratio_record(value.numerator, value.denominator),
         }
         if args.convergents:
             record["convergents"] = [[str(p), str(q)] for p, q in convergents(cf)]
@@ -92,7 +95,7 @@ def _cmd_eval(args) -> int:
         return 0
     print(format_rational(evaluate(cf)))
     if args.convergents:
-        print(" ".join(f"{p}/{q}" for p, q in convergents(cf)))
+        print(" ".join(_ratio(p, q) for p, q in convergents(cf)))
     if args.tails:
         print(" ".join(format_rational(g) for g in tails(cf)))
     return 0
@@ -212,11 +215,11 @@ def _refuse(args, mode: str, flags: tuple[str, ...]) -> None:
 
 
 def _count(args, flag: str) -> int:
-    """The value of ``--depth`` or ``--digits``: 20 when not given, else an
-    integer in 1..MAX_DEPTH."""
+    """The value of ``--depth`` or ``--digits``: DEFAULT_DEPTH when not
+    given, else an integer in 1..MAX_DEPTH."""
     n = getattr(args, flag)
     if n is None:
-        return 20
+        return DEFAULT_DEPTH
     _check_depth(n, f"--{flag}")
     return n
 
@@ -458,10 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
-    p.add_argument("--depth", type=int, help="probe mode: digits compared (default 20)")
+    p.add_argument(
+        "--depth", type=int, help=f"probe mode: digits compared (default {DEFAULT_DEPTH})"
+    )
     p.add_argument("--k", type=int, help="stream mode: multiplier")
     p.add_argument("--params", help="stream mode: const:<v>, pow:<base>, or a comma list")
-    p.add_argument("--digits", type=int, help="stream mode: digits printed (default 20)")
+    p.add_argument(
+        "--digits", type=int, help=f"stream mode: digits printed (default {DEFAULT_DEPTH})"
+    )
     p.add_argument("--gaps", type=int)
     _json_last(p, _cmd_surd)
 

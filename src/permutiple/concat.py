@@ -12,20 +12,21 @@ a digit string used by these closure arguments.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .cf import ContinuedFraction, _tip
+from .cf import ContinuedFraction, _Record, _tip
 from .classify import Permutation, Witness, classify
 
 
-@dataclass(frozen=True)
-class BracketViews:
+class BracketViews(_Record):
     """Continuants of a digit string and of its one-sided truncations."""
 
-    full: int
-    drop_first: int
-    drop_last: int
-    drop_both: int
+    __slots__ = _fields = ("full", "drop_first", "drop_last", "drop_both")
+
+    def __init__(self, full: int, drop_first: int, drop_last: int, drop_both: int) -> None:
+        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "drop_first", drop_first)
+        object.__setattr__(self, "drop_last", drop_last)
+        object.__setattr__(self, "drop_both", drop_both)
 
 
 def bracket_views(cf: ContinuedFraction) -> BracketViews:

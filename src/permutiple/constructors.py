@@ -17,10 +17,10 @@ or bool is refused wherever an integer is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import gcd
 
-from .cf import ContinuedFraction, _check_depth, _check_int, _is_int
+from .cf import ContinuedFraction, _check_depth, _check_int, _is_int, _Record
 from .classify import Permutation, Witness, canonical_sigma, classify
 
 # Bounds the witnesses one three-digit enumeration holds before it returns
@@ -96,26 +96,26 @@ def validate_perfect_permutation(sigma: Permutation) -> bool:
     return len(sigma) > 0 and None not in sigma.perfect_layout
 
 
-@dataclass(frozen=True)
-class PerfectParameters:
+class PerfectParameters(_Record):
     """One free positive parameter per cycle of a perfect-capable sigma."""
 
-    sigma: Permutation
-    k: int
-    orbit_params: tuple[int, ...]
+    __slots__ = _fields = ("sigma", "k", "orbit_params")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orbit_params", tuple(self.orbit_params))
-        _check_int(self.k, "multiplier k", 2)
-        if not validate_perfect_permutation(self.sigma):
-            raise ValueError(f"{self.sigma} cannot carry a perfect permutiple")
-        if len(self.orbit_params) != len(self.sigma.cycles):
+    def __init__(self, sigma: Permutation, k: int, orbit_params: Iterable[int]) -> None:
+        orbit_params = tuple(orbit_params)
+        _check_int(k, "multiplier k", 2)
+        if not validate_perfect_permutation(sigma):
+            raise ValueError(f"{sigma} cannot carry a perfect permutiple")
+        if len(orbit_params) != len(sigma.cycles):
             raise ValueError(
-                f"need {len(self.sigma.cycles)} parameters (one per cycle), "
-                f"got {len(self.orbit_params)}"
+                f"need {len(sigma.cycles)} parameters (one per cycle), got {len(orbit_params)}"
             )
-        if not all(_is_int(p) and p >= 1 for p in self.orbit_params):
-            raise ValueError("cycle parameters must be positive integers")
+        for i, param in enumerate(orbit_params):
+            if not _is_int(param) or param < 1:  # its name is formatted only to refuse it
+                _check_int(param, f"cycle parameter {i}", 1)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "orbit_params", orbit_params)
 
 
 def perfect_from_parameters(params: PerfectParameters) -> Witness:

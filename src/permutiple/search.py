@@ -40,9 +40,8 @@ import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 
-from .cf import _check_int, _euclid, _is_int
+from .cf import _check_int, _euclid, _is_int, _ratio_record, _Record
 from .classify import FLAG_ORDER, Witness, _witness_list
 
 # Worker processes a scan may start: the pool forks them all at once.
@@ -58,8 +57,7 @@ MAX_MULTISETS = 10**8
 MAX_TABLE_ROWS = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Record):
     """Bounds and execution knobs for one exhaustive scan.
 
     ``length`` is a digit count (n+1) or an inclusive (low, high) range;
@@ -68,16 +66,33 @@ class SearchConfig:
     sigma; without it every realizing permutation is emitted.
     """
 
-    length: int | tuple[int, int]
-    max_digit: int
-    k_min: int | None = None
-    k_max: int | None = None
-    canonical_only: bool = True
-    workers: int = 1
-    dedupe: bool = True
+    __slots__ = _fields = (
+        "length",
+        "max_digit",
+        "k_min",
+        "k_max",
+        "canonical_only",
+        "workers",
+        "dedupe",
+    )
 
-    def __post_init__(self) -> None:
-        length = self.length
+    def __init__(
+        self,
+        length: int | tuple[int, int],
+        max_digit: int,
+        k_min: int | None = None,
+        k_max: int | None = None,
+        canonical_only: bool = True,
+        workers: int = 1,
+        dedupe: bool = True,
+    ) -> None:
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "max_digit", max_digit)
+        object.__setattr__(self, "k_min", k_min)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "canonical_only", canonical_only)
+        object.__setattr__(self, "workers", workers)
+        object.__setattr__(self, "dedupe", dedupe)
         if not (
             _is_int(length)
             or (isinstance(length, tuple) and len(length) == 2 and all(map(_is_int, length)))
@@ -358,19 +373,32 @@ _CONJECTURES: dict[str, tuple[str, Callable[[Witness], bool], tuple]] = {
 CONJECTURE_IDS = tuple(_CONJECTURES)
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(_Record):
     """Outcome of scanning one conjecture over a witness stream.
 
     An empty counterexample list means the conjecture held within the
-    searched bounds; it is never a proof.
+    searched bounds; it is never a proof.  Unlike the other records it is
+    filled in as the scan runs, so it takes assignment and has no hash.
     """
 
-    conjecture: str
-    bounds: str
-    examined: int = 0
-    counterexamples: list[Witness] = field(default_factory=list)
-    wall_time: float = 0.0
+    _fields = ("conjecture", "bounds", "examined", "counterexamples", "wall_time")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        conjecture: str,
+        bounds: str,
+        examined: int = 0,
+        counterexamples: list[Witness] | None = None,
+        wall_time: float = 0.0,
+    ) -> None:
+        self.conjecture = conjecture
+        self.bounds = bounds
+        self.examined = examined
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.wall_time = wall_time
 
     @property
     def holds_within_bounds(self) -> bool:
@@ -415,14 +443,13 @@ def check_conjectures(
 
 def witness_record(w: Witness) -> dict:
     """Fixed-schema JSON object for one witness, from its ``Witness.text``;
-    p and q are decimal strings so consumers with bounded integers cannot
-    truncate them."""
+    its value is the ``{"p", "q"}`` object of ``cf._ratio_record``."""
     digits, sigma, p, q = w.text
     return {
         "digits": digits,
         "sigma": sigma,
         "k": w.k,
-        "value": {"p": p, "q": q},
+        "value": _ratio_record(p, q),
         "flags": {name: getattr(w.flags, name) for name in FLAG_ORDER},
     }
 

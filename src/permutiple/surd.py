@@ -8,11 +8,19 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import count, islice
 from math import isqrt
 
-from .cf import MAX_DEPTH, ContinuedFraction, _check_depth, _check_int, _convergents, _is_int
+from .cf import (
+    DEFAULT_DEPTH,
+    MAX_DEPTH,
+    ContinuedFraction,
+    _check_depth,
+    _check_int,
+    _convergents,
+    _is_int,
+    _Record,
+)
 
 
 def _is_square(n: int) -> bool:
@@ -20,21 +28,22 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(_Record):
     """The irrational value (a + sqrt(b)) / c with b a positive non-square."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = _fields = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            _check_int(getattr(self, name), name)
-        if self.b < 1 or _is_square(self.b):
-            raise ValueError(f"b must be a positive non-square, got {self.b}")
-        if self.c == 0:
+    def __init__(self, a: int, b: int, c: int) -> None:
+        _check_int(a, "a")
+        _check_int(b, "b")
+        _check_int(c, "c")
+        if b < 1 or _is_square(b):
+            raise ValueError(f"b must be a positive non-square, got {b}")
+        if c == 0:
             raise ValueError("c must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def __str__(self) -> str:
         return f"({self.a}+sqrt({self.b}))/{self.c}"
@@ -124,8 +133,7 @@ def _find_alignment(base: tuple[int, ...], scaled: tuple[int, ...]) -> str | Non
     return None
 
 
-@dataclass(frozen=True)
-class SurdProbeReport:
+class SurdProbeReport(_Record):
     """Empirical comparison of a surd's digits with those of its k-th part.
 
     The verdict is a finite-window observation, never a proof: it says
@@ -133,15 +141,26 @@ class SurdProbeReport:
     or a constant shift within the inspected depth.
     """
 
-    k: int
-    digits: tuple[int, ...]
-    scaled_digits: tuple[int, ...]
-    multiset_agree: bool
-    alignment: str | None
-    verdict: str
+    __slots__ = _fields = ("k", "digits", "scaled_digits", "multiset_agree", "alignment", "verdict")
+
+    def __init__(
+        self,
+        k: int,
+        digits: tuple[int, ...],
+        scaled_digits: tuple[int, ...],
+        multiset_agree: bool,
+        alignment: str | None,
+        verdict: str,
+    ) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "scaled_digits", scaled_digits)
+        object.__setattr__(self, "multiset_agree", multiset_agree)
+        object.__setattr__(self, "alignment", alignment)
+        object.__setattr__(self, "verdict", verdict)
 
 
-def verify_surd_permutiple(s: QuadraticSurd, depth: int = 20) -> SurdProbeReport:
+def verify_surd_permutiple(s: QuadraticSurd, depth: int = DEFAULT_DEPTH) -> SurdProbeReport:
     """Expand s and s/k to ``depth`` digits and compare them.
 
     Requires surd_multiplier(s) to be an integer >= 2.  Reports whether the
@@ -191,8 +210,8 @@ class DigitStream:
                 s = next(self._params)
             except StopIteration:
                 raise ValueError(f"parameter stream exhausted at index {index}") from None
-            if not _is_int(s) or s < 1:
-                raise ValueError(f"parameter s_{index} = {s!r} is not >= 1")
+            if not _is_int(s) or s < 1:  # its name is formatted only to refuse it
+                _check_int(s, f"parameter s_{index}", 1)
             self._cache.append(s)
         return self._cache[i]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -13,6 +12,7 @@ from permutiple import (
     ContinuedFraction,
     NotAPermutipleError,
     Permutation,
+    Witness,
     canonical_sigma,
     classify,
     continuant,
@@ -224,10 +224,10 @@ class TestClassify:
     def test_witness_is_checked_against_its_digits(self):
         w = classify(CF((7, 1, 3)), REVERSAL_3)
         with pytest.raises(NotAPermutipleError):  # 9;1,3 is not 2 * 3;1,9
-            dataclasses.replace(w, cf=CF((9, 1, 3)))
+            Witness(CF((9, 1, 3)), w.sigma, w.k)
         with pytest.raises(NotAPermutipleError, match="is 2, not 3"):
-            dataclasses.replace(w, k=3)
-        assert dataclasses.replace(w) == w
+            Witness(w.cf, w.sigma, 3)
+        assert Witness(w.cf, w.sigma, w.k) == w
 
     def test_rejects_noncanonical_base_by_default(self):
         with pytest.raises(ValueError, match="^base string 5;3,1 is not canonical$"):

@@ -627,6 +627,17 @@ class TestUsageErrors:
                 assert err == f"error: --gaps must be >= 1, not {gaps}\n"
                 assert out == ""
 
+    def test_a_parameter_below_1_is_refused_in_one_wording(self, capsys):
+        # the perfect family and the perfect stream state one rule and name the value
+        for argv, message in (
+            (
+                ["enumerate", "perfect", "--sigma", "1,0", "--k", "2", "--params", "0"],
+                "cycle parameter 0 must be >= 1, not 0",
+            ),
+            (["surd", "--k", "2", "--params", "0", "--digits", "2"], "parameter s_0 must be >= 1, not 0"),
+        ):
+            assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
     def test_surd_depth_and_digits_are_bounded(self, capsys):
         over = str(MAX_DEPTH + 1)
         for argv in (
@@ -675,12 +686,14 @@ class TestUsageErrors:
 
     def test_a_conjecture_run_loads_no_module_it_does_not_use(self):
         # the closed-form families, the surd case, Fraction values and the csv
-        # writer load only in the commands that run them
+        # writer load only in the commands that run them, and no command
+        # loads dataclasses or the inspect module it would bring
         src = str(Path(permutiple.__file__).parents[1])
         code = (
             "import permutiple.cli, sys; permutiple.cli.build_parser(); "
             "rc = permutiple.cli.main(['conjecture', 'c2', '--len', '3', '--max-digit', '6']); "
-            "unused = ('permutiple.constructors', 'permutiple.surd', 'fractions', 'csv'); "
+            "unused = ('permutiple.constructors', 'permutiple.surd', 'fractions', 'csv', "
+            "'dataclasses', 'inspect'); "
             "print(rc, *[name for name in unused if name in sys.modules])"
         )
         env = {**os.environ, "PYTHONPATH": src}

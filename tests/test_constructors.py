@@ -319,9 +319,6 @@ def test_constructors_refuse_a_multiplier_that_is_not_an_int_above_1(build, k):
         build(k)
 
 
-NOT_POSITIVE = "^cycle parameters must be positive integers$"
-
-
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -330,9 +327,9 @@ NOT_POSITIVE = "^cycle parameters must be positive integers$"
         (lambda: enumerate_three_digit_reverse(2, 10.5), "^a0_max must be an integer, not 10.5$"),
         (lambda: perfect_cyclic(2, 6.0, 3, (1, 1, 2)), "^length must be an even integer >= 2, not 6.0$"),
         (lambda: perfect_cyclic(2, 6, 3.0, (1, 1, 2)), "^shift ell must be an integer, not 3.0$"),
-        (lambda: PerfectParameters(P((1, 0)), 2, (1.5,)), NOT_POSITIVE),
-        (lambda: PerfectParameters(P((1, 0)), 2, (2.0,)), NOT_POSITIVE),
-        (lambda: perfect_reverse(2, (True, 3)), NOT_POSITIVE),  # once built as 2;3,6,1
+        (lambda: PerfectParameters(P((1, 0)), 2, (1.5,)), "^cycle parameter 0 must be an integer, not 1.5$"),
+        (lambda: PerfectParameters(P((1, 0)), 2, (2.0,)), "^cycle parameter 0 must be an integer, not 2.0$"),
+        (lambda: perfect_reverse(2, (True, 3)), "^cycle parameter 0 must be an integer, not True$"),  # once built as 2;3,6,1
         (lambda: two_digit(2, 2.0), "^parameter s must be an integer, not 2.0$"),
     ],
     ids=[

@@ -59,3 +59,18 @@ def test_deferred_modules_load_on_first_use_in_a_fresh_interpreter():
         [sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # the records are plain classes: dataclasses would load inspect, and with
+    # it ast, dis and tokenize, at every start-up
+    src = str(Path(permutiple.__file__).parents[1])
+    code = (
+        "import sys, permutiple.constructors, permutiple.surd; "
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (0, "\n"), done.stderr

@@ -274,7 +274,7 @@ class TestPerfectStream:
         # read through int(), 1.9 and '3' would give the digits (2, 1, 6, 3)
         stream = infinite_perfect_stream(2, [1, bad])
         assert stream.prefix(2) == (2, 1)
-        with pytest.raises(ValueError, match=f"^parameter s_1 = {bad!r} is not >= 1$"):
+        with pytest.raises(ValueError, match=f"^parameter s_1 must be an integer, not {bad!r}$"):
             stream.digit(2)
 
     @pytest.mark.parametrize("value", [2.0, True, -1, -2])
