@@ -25,7 +25,6 @@ from .cf import (
     _ints,
     _is_int,
     _Record,
-    _Tip,
     _tip,
     format_cf,
 )
@@ -44,7 +43,7 @@ class Permutation(_Record):
         images = tuple(images)
         if not all(map(_is_int, images)) or sorted(images) != list(range(len(images))):
             raise ValueError(f"{images!r} is not a permutation of 0..{len(images) - 1}")
-        object.__setattr__(self, "images", images)
+        self._set(images)
 
     @classmethod
     def parse(cls, text: str) -> Permutation:
@@ -141,11 +140,7 @@ class ClassificationFlags(_Record):
             raise ValueError("flag lattice violated: perfect requires landess")
         if landess and not continuant_preserving:
             raise ValueError("flag lattice violated: landess requires continuant preservation")
-        object.__setattr__(self, "continuant_preserving", continuant_preserving)
-        object.__setattr__(self, "perfect", perfect)
-        object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "landess", landess)
-        object.__setattr__(self, "reverse_multiple", reverse_multiple)
+        self._set(continuant_preserving, perfect, symmetric, landess, reverse_multiple)
 
     def true_names(self) -> tuple[str, ...]:
         return tuple(name for name in FLAG_ORDER if getattr(self, name))
@@ -160,29 +155,23 @@ class Witness(_Record):
     A k left as None is read off the same walk of the two strings that
     proves the identity, and any other k that is not an int (a bool
     included) is refused with ValueError before any walk, so once built
-    ``k`` is always an int.  ``text`` is formatted on first use and kept,
-    so a witness written in several formats is turned into text once.
+    ``k`` is always an int.  ``permuted``, the string sigma makes of the
+    digits, and the walks of both strings are kept from the build.
+    ``text`` is formatted on first use and kept, so a witness written in
+    several formats is turned into text once.
     """
 
-    _fields = ("cf", "sigma", "k")  # no __slots__: the cached properties need a __dict__
+    _fields = ("cf", "sigma", "k")  # no __slots__: the kept walks and cached text need a __dict__
 
     def __init__(self, cf: ContinuedFraction, sigma: Permutation, k: int | None = None) -> None:
-        object.__setattr__(self, "cf", cf)
-        object.__setattr__(self, "sigma", sigma)
-        if k is None:
-            k = _multiplier(*self._tips[0][0], *self._tips[1][0])
-        else:
+        if k is not None:
             _check_int(k, "multiplier k")
-        object.__setattr__(self, "k", k)
+        permuted = permute_digits(cf, sigma)
+        tips = _tip(cf.digits), _tip(permuted.digits)
+        self._set(cf, sigma, _multiplier(*tips[0][0], *tips[1][0]) if k is None else k)
+        # not fields: kept in the instance dict, as a cached property keeps its value
+        self.__dict__.update(permuted=permuted, _tips=tips)
         self.verify()
-
-    @cached_property
-    def permuted(self) -> ContinuedFraction:
-        return permute_digits(self.cf, self.sigma)
-
-    @cached_property
-    def _tips(self) -> tuple[_Tip, _Tip]:
-        return _tip(self.cf.digits), _tip(self.permuted.digits)
 
     def verify(self) -> Witness:
         """Return self if value(cf) == k * value(permuted), else raise NotAPermutipleError."""

@@ -39,6 +39,7 @@ from .search import (
     CONJECTURE_IDS,
     SearchConfig,
     _CONJECTURES,
+    _WRITERS,
     _compact_json,
     check_conjectures,
     exhaustive_search,
@@ -63,7 +64,7 @@ def _witness_line(w: Witness) -> str:
 def _emit(witnesses, as_json: bool) -> int:
     """Print each witness as one line, or as JSONL through ``export``; exit code 0."""
     if as_json:
-        export(witnesses, "jsonl")
+        export(witnesses)
     else:
         for w in witnesses:
             print(_witness_line(w))
@@ -147,7 +148,8 @@ def _cmd_search(args) -> int:
     config = _scan_config(
         args, canonical_only=not args.include_noncanonical, dedupe=not args.all_sigmas
     )
-    count = export(exhaustive_search(config), args.format, args.out)
+    chosen = {} if args.format is None else {"fmt": args.format}  # else export's default
+    count = export(exhaustive_search(config), destination=args.out, **chosen)
     print(f"{count} witnesses", file=sys.stderr)
     return 0
 
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[scan], help="exhaustive search within digit bounds")
     p.add_argument("--max-digit", type=int, required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.add_argument("--format", choices=tuple(_WRITERS))
     p.add_argument("--all-sigmas", action="store_true", help="one witness per permutation")
     p.add_argument("--include-noncanonical", action="store_true")
     p.set_defaults(func=_cmd_search)

@@ -23,10 +23,7 @@ class BracketViews(_Record):
     __slots__ = _fields = ("full", "drop_first", "drop_last", "drop_both")
 
     def __init__(self, full: int, drop_first: int, drop_last: int, drop_both: int) -> None:
-        object.__setattr__(self, "full", full)
-        object.__setattr__(self, "drop_first", drop_first)
-        object.__setattr__(self, "drop_last", drop_last)
-        object.__setattr__(self, "drop_both", drop_both)
+        self._set(full, drop_first, drop_last, drop_both)
 
 
 def bracket_views(cf: ContinuedFraction) -> BracketViews:

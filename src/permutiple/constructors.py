@@ -113,9 +113,7 @@ class PerfectParameters(_Record):
         for i, param in enumerate(orbit_params):
             if not _is_int(param) or param < 1:  # its name is formatted only to refuse it
                 _check_int(param, f"cycle parameter {i}", 1)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "orbit_params", orbit_params)
+        self._set(sigma, k, orbit_params)
 
 
 def perfect_from_parameters(params: PerfectParameters) -> Witness:

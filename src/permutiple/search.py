@@ -86,28 +86,21 @@ class SearchConfig(_Record):
         workers: int = 1,
         dedupe: bool = True,
     ) -> None:
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "max_digit", max_digit)
-        object.__setattr__(self, "k_min", k_min)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "canonical_only", canonical_only)
-        object.__setattr__(self, "workers", workers)
-        object.__setattr__(self, "dedupe", dedupe)
         if not (
             _is_int(length)
             or (isinstance(length, tuple) and len(length) == 2 and all(map(_is_int, length)))
         ):
             raise ValueError(f"length must be an integer or a pair of them, not {length!r}")
-        low, high = self._bounds()  # checked before lengths() builds the range
+        low, high = self._bounds(length)  # checked before lengths() builds the range
         if low > high:
-            raise ValueError(f"empty length range {self.length!r}: low exceeds high")
+            raise ValueError(f"empty length range {length!r}: low exceeds high")
         if low < 2:
-            raise ValueError("searched lengths must be >= 2")
-        _check_int(self.max_digit, "max_digit", 2)
+            raise ValueError(f"searched lengths must be >= 2, not {low}")
+        _check_int(max_digit, "max_digit", 2)
         # Both counts grow with the length, so walking the lengths up to the
         # longest and stopping at the first over a bound never computes
         # either far past it.
-        d = self.max_digit
+        d = max_digit
         multisets = rows = d  # of length 1
         for m in range(2, high + 1):
             multisets = multisets * (d + m - 1) // m  # C(d + m - 1, m)
@@ -121,26 +114,28 @@ class SearchConfig(_Record):
                     " of shorter tables"
                 )
             rows = rows * d + d
-        if self.k_min is not None:
-            _check_int(self.k_min, "k_min", 2)
-        if self.k_max is not None:
-            _check_int(self.k_max, "k_max")
-            if self.k_max < (self.k_min or 2):
-                raise ValueError(f"empty multiplier range: k_max {self.k_max} < {self.k_min or 2}")
-        _check_int(self.workers, "workers", 1)
-        if self.workers > MAX_WORKERS:
-            raise ValueError(f"workers must be <= {MAX_WORKERS}")
+        if k_min is not None:
+            _check_int(k_min, "k_min", 2)
+        if k_max is not None:
+            _check_int(k_max, "k_max")
+            if k_max < (k_min or 2):
+                raise ValueError(f"empty multiplier range: k_max {k_max} < {k_min or 2}")
+        _check_int(workers, "workers", 1)
+        if workers > MAX_WORKERS:
+            raise ValueError(f"workers must be <= {MAX_WORKERS}, not {workers}")
+        self._set(length, max_digit, k_min, k_max, canonical_only, workers, dedupe)
 
-    def _bounds(self) -> tuple[int, int]:
-        return (self.length, self.length) if isinstance(self.length, int) else self.length
+    @staticmethod
+    def _bounds(length: int | tuple[int, int]) -> tuple[int, int]:
+        return (length, length) if isinstance(length, int) else length
 
     def lengths(self) -> tuple[int, ...]:
-        low, high = self._bounds()
+        low, high = self._bounds(self.length)
         return tuple(range(low, high + 1))
 
     def bounds_text(self) -> str:
         """The bounds as a report states them: "lengths 2..5, digits <= 12"."""
-        low, high = self._bounds()
+        low, high = self._bounds(self.length)
         length = f"length {low}" if low == high else f"lengths {low}..{high}"
         return f"{length}, digits <= {self.max_digit}"
 
@@ -394,11 +389,8 @@ class ConjectureReport(_Record):
         counterexamples: list[Witness] | None = None,
         wall_time: float = 0.0,
     ) -> None:
-        self.conjecture = conjecture
-        self.bounds = bounds
-        self.examined = examined
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        self.wall_time = wall_time
+        fresh = [] if counterexamples is None else counterexamples
+        self._set(conjecture, bounds, examined, fresh, wall_time)
 
     @property
     def holds_within_bounds(self) -> bool:
@@ -478,9 +470,13 @@ def _write_csv(witnesses: Iterable[Witness], handle: io.TextIOBase) -> int:
     return count
 
 
+# export format name -> its writer; the CLI's --format choices are its keys
+_WRITERS = {"jsonl": _write_jsonl, "csv": _write_csv}
+
+
 def export(witnesses: Iterable[Witness], fmt: str = "jsonl", destination="-") -> int:
-    """Write witnesses to a path, an open handle, or '-' for stdout, and
-    return how many were written.
+    """Write witnesses in format ``fmt``, one of ``_WRITERS``, to a path, an
+    open handle, or '-' for stdout, and return how many were written.
 
     Each witness is checked again on the way out (``Witness.verify`` on the
     continuants it walked when built), so a k altered since is refused.
@@ -488,11 +484,8 @@ def export(witnesses: Iterable[Witness], fmt: str = "jsonl", destination="-") ->
     however many formats it is written in.
     """
     checked = (w.verify() for w in witnesses)
-    if fmt == "jsonl":
-        writer = _write_jsonl
-    elif fmt == "csv":
-        writer = _write_csv
-    else:
+    writer = _WRITERS.get(fmt) if isinstance(fmt, str) else None  # a list is refused too
+    if writer is None:
         raise ValueError(f"unknown export format {fmt!r}")
     if hasattr(destination, "write"):
         return writer(checked, destination)

@@ -41,9 +41,7 @@ class QuadraticSurd(_Record):
             raise ValueError(f"b must be a positive non-square, got {b}")
         if c == 0:
             raise ValueError("c must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self._set(a, b, c)
 
     def __str__(self) -> str:
         return f"({self.a}+sqrt({self.b}))/{self.c}"
@@ -116,8 +114,8 @@ def periodic_expansion(s: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def expansion_digits(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
-    """First ``depth`` digits of the expansion."""
-    _check_int(depth, "expansion depth", 0)
+    """First ``depth`` digits of the expansion, 0 to ``MAX_DEPTH``."""
+    _check_depth(depth, "expansion depth", 0)
     return tuple(a for a, _ in islice(_expansion(s), depth))
 
 
@@ -152,12 +150,7 @@ class SurdProbeReport(_Record):
         alignment: str | None,
         verdict: str,
     ) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "scaled_digits", scaled_digits)
-        object.__setattr__(self, "multiset_agree", multiset_agree)
-        object.__setattr__(self, "alignment", alignment)
-        object.__setattr__(self, "verdict", verdict)
+        self._set(k, digits, scaled_digits, multiset_agree, alignment, verdict)
 
 
 def verify_surd_permutiple(s: QuadraticSurd, depth: int = DEFAULT_DEPTH) -> SurdProbeReport:
@@ -221,7 +214,7 @@ class DigitStream:
         return s if j % 2 else self.k * s
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        _check_int(n, "prefix length", 0)
+        _check_depth(n, "prefix length", 0)
         return tuple(self.digit(j) for j in range(n))
 
 
@@ -249,6 +242,6 @@ def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...
 
 
 def truncation(stream: DigitStream, length: int) -> ContinuedFraction:
-    """Finite digit string holding the first ``length`` stream digits, length >= 1."""
-    _check_int(length, "truncation length", 1)
+    """Finite digit string holding the first ``length`` stream digits, 1 to ``MAX_DEPTH``."""
+    _check_depth(length, "truncation length", 1)
     return ContinuedFraction(stream.prefix(length))

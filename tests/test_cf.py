@@ -8,7 +8,13 @@ import pytest
 from conftest import gauss_step, matrix_continuant, nested_eval
 
 from permutiple import (
+    BracketViews,
+    ClassificationFlags,
+    ConjectureReport,
     ContinuedFraction,
+    Permutation,
+    SearchConfig,
+    Witness,
     canonicalize,
     continuant,
     convergents,
@@ -19,7 +25,9 @@ from permutiple import (
     parse_rational,
     tails,
 )
-from permutiple.cf import _check_int
+from permutiple.cf import _check_int, _Record
+from permutiple.constructors import PerfectParameters
+from permutiple.surd import QuadraticSurd, SurdProbeReport
 
 CF = ContinuedFraction
 
@@ -286,3 +294,43 @@ class TestFromRational:
         for _ in range(200):
             ds = random_digits(rng, canonical=True)
             assert from_rational(evaluate(CF(ds))) == CF(ds)
+
+
+class _Pair(_Record):
+    __slots__ = _fields = ("first", "second")
+
+    def __init__(self, *values):
+        self._set(*values)
+
+
+class TestRecordWriter:
+    def test_set_writes_the_fields_in_order(self):
+        pair = _Pair(1, (2,))
+        assert (pair.first, pair.second) == (1, (2,))
+        assert repr(pair) == "_Pair(first=1, second=(2,))"
+
+    @pytest.mark.parametrize("values", [(), (1,), (1, 2, 3)])
+    def test_set_refuses_one_value_too_few_or_too_many(self, values):
+        with pytest.raises(ValueError, match="^zip\\(\\) argument"):
+            _Pair(*values)
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            ContinuedFraction,
+            Permutation,
+            ClassificationFlags,
+            Witness,
+            BracketViews,
+            SearchConfig,
+            ConjectureReport,
+            PerfectParameters,
+            QuadraticSurd,
+            SurdProbeReport,
+        ],
+    )
+    def test_every_record_takes_one_value_per_field(self, cls):
+        n = len(cls._fields)
+        for count in (n - 1, n + 1):
+            with pytest.raises(ValueError, match="^zip\\(\\) argument"):
+                object.__new__(cls)._set(*range(count))

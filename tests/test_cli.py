@@ -184,6 +184,13 @@ class TestSearch:
         assert err == f"{count} witnesses\n"
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_format_choices_are_the_export_writers(self, capsys):
+        search = dict(TestParser._leaves(build_parser()))[("search",)]
+        (action,) = [a for a in search._actions if a.option_strings == ["--format"]]
+        assert action.choices == tuple(permutiple.search._WRITERS)
+        argv = ["search", "--len", "3", "--max-digit", "8"]
+        assert run(argv, capsys) == run([*argv, "--format", "jsonl"], capsys)
+
     def test_missing_length_is_usage_error(self, capsys):
         code, _, err = run(["search", "--max-digit", "5"], capsys)
         assert code == 2
@@ -635,6 +642,18 @@ class TestUsageErrors:
                 "cycle parameter 0 must be >= 1, not 0",
             ),
             (["surd", "--k", "2", "--params", "0", "--digits", "2"], "parameter s_0 must be >= 1, not 0"),
+        ):
+            assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+    def test_an_out_of_range_length_or_job_count_is_named(self, capsys):
+        for argv, message in (
+            (["search", "--len", "1", "--max-digit", "3"], "searched lengths must be >= 2, not 1"),
+            (["conjecture", "c2", "--len-min", "0"], "searched lengths must be >= 2, not 0"),
+            (
+                ["search", "--len", "2", "--max-digit", "3", "--jobs", "65"],
+                "workers must be <= 64, not 65",
+            ),
+            (["conjecture", "c1", "--jobs", "65"], "workers must be <= 64, not 65"),
         ):
             assert run(argv, capsys) == (2, "", f"error: {message}\n")
 

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -124,6 +125,15 @@ class TestSearchConfig:
         # otherwise reach the k bounds in _by_length and drop k = 2 hits at 3/<=5
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SearchConfig(**{"length": 3, "max_digit": 5, field: value})
+
+    def test_out_of_range_lengths_and_workers_are_named(self):
+        for length, low in ((1, 1), ((0, 3), 0), ((-5, -5), -5)):
+            with pytest.raises(ValueError, match=f"^searched lengths must be >= 2, not {low}$"):
+                SearchConfig(length=length, max_digit=5)
+        for workers in (MAX_WORKERS + 1, 10**5):
+            message = f"^workers must be <= {MAX_WORKERS}, not {workers}$"
+            with pytest.raises(ValueError, match=message):
+                SearchConfig(length=2, max_digit=3, workers=workers)
 
     def test_refuses_work_that_cannot_finish(self):
         SearchConfig(length=2, max_digit=3, workers=MAX_WORKERS)
@@ -507,6 +517,16 @@ class TestExport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             export([], "xml", io.StringIO())
+        for fmt in (["jsonl"], None, "JSONL"):
+            with pytest.raises(ValueError, match=f"^unknown export format {re.escape(repr(fmt))}$"):
+                export([self.witness()], fmt, io.StringIO())
+
+    def test_formats_are_the_writer_table(self):
+        assert tuple(search._WRITERS) == ("jsonl", "csv")
+        default, jsonl = io.StringIO(), io.StringIO()
+        assert export([self.witness()], destination=default) == 1  # JSONL by default
+        export([self.witness()], "jsonl", jsonl)
+        assert default.getvalue() == jsonl.getvalue()
 
     def test_corrupted_witness_cannot_be_exported(self):
         w = self.witness()

@@ -177,6 +177,15 @@ class TestPeriodicExpansion:
         with pytest.raises(ValueError, match=f"^expansion depth must be {rule}, not {depth!r}$"):
             expansion_digits(QuadraticSurd(1, 3, 1), depth)
 
+    def test_depth_is_bounded(self, monkeypatch):
+        s = QuadraticSurd(1, 3, 1)
+        assert len(expansion_digits(s, MAX_DEPTH)) == MAX_DEPTH
+        monkeypatch.setattr(surd, "_expansion", None)  # refused before the walk is entered
+        for depth in (MAX_DEPTH + 1, 10**9):
+            message = f"^expansion depth {depth} is over {MAX_DEPTH} digits$"
+            with pytest.raises(ValueError, match=message):
+                expansion_digits(s, depth)
+
 
 class TestVerifyProbe:
     def test_consistent_example(self):
@@ -289,6 +298,15 @@ class TestPerfectStream:
         with pytest.raises(ValueError, match=f"^prefix length must be {rule}, not {value!r}$"):
             stream.prefix(value)
 
+    def test_prefix_length_is_bounded(self):
+        calls = []
+        stream = infinite_perfect_stream(2, lambda i: calls.append(i) or 1)
+        for n in (MAX_DEPTH + 1, 10**9):
+            with pytest.raises(ValueError, match=f"^prefix length {n} is over {MAX_DEPTH} digits$"):
+                stream.prefix(n)
+        assert calls == []  # refused before any digit is computed
+        assert stream.prefix(MAX_DEPTH) == (2, 1) * (MAX_DEPTH // 2)
+
     def test_callable_parameters_are_drawn_once_in_order(self):
         calls = []
         stream = infinite_perfect_stream(3, lambda i: calls.append(i) or i + 1)
@@ -338,6 +356,16 @@ class TestAsymptoticGap:
         stream = infinite_perfect_stream(2, lambda i: 1)
         with pytest.raises(ValueError, match=f"^truncation length must be >= 1, not {length}$"):
             truncation(stream, length)
+
+    def test_truncation_length_is_bounded(self):
+        calls = []
+        stream = infinite_perfect_stream(2, lambda i: calls.append(i) or 1)
+        for length in (MAX_DEPTH + 1, 10**9):
+            message = f"^truncation length {length} is over {MAX_DEPTH} digits$"
+            with pytest.raises(ValueError, match=message):
+                truncation(stream, length)
+        assert calls == []  # refused before any digit is computed
+        assert len(truncation(stream, MAX_DEPTH)) == MAX_DEPTH
 
     def test_constant_stream_gaps(self):
         stream = infinite_perfect_stream(2, lambda i: 1)
