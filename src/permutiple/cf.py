@@ -10,7 +10,9 @@ compares continuants and builds none, never loads it.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 
 def _is_int(value: object) -> bool:
@@ -127,6 +129,32 @@ def _check_depth(value: object, name: str, low: int | None = None) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if value > MAX_DEPTH:
         raise ValueError(f"{name} {value} is over {MAX_DEPTH} digits")
+
+
+def _printable(value: int) -> bool:
+    """The one print limit: whether Python writes ``value``, an int >= 0, in
+    decimal.  It refuses one of more than ``sys.get_int_max_str_digits()``
+    digits (0, or a Python without the function, is no limit), that is one
+    at or over 10**limit.  Python sets no limit under 640 digits, and a value
+    under 8**limit is under 10**limit, so only a value of over 3 * 640 bits
+    reads the limit, and only one of over 3 * limit bits is compared with
+    the power, which is kept while the limit stands."""
+    if value.bit_length() <= 1920:
+        return True
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # not in early 3.10s
+    return not limit or value.bit_length() <= 3 * limit or value < _power_of_ten(limit)
+
+
+@lru_cache(maxsize=1)
+def _power_of_ten(exponent: int) -> int:
+    return 10**exponent
+
+
+# The refusal of a string whose value p/q cannot be printed, by its length.
+# p is at least q, every digit, and every term of a convergent or tail of the
+# string (each a continuant of some of its digits), so one check of p is
+# enough for all of them.
+_UNPRINTABLE_VALUE = "the {}-digit string's value has too many digits to print"
 
 
 def _ints(text: str) -> tuple[int, ...]:

@@ -24,8 +24,10 @@ from .cf import (
     _euclid,
     _ints,
     _is_int,
+    _printable,
     _Record,
     _tip,
+    _UNPRINTABLE_VALUE,
     format_cf,
 )
 
@@ -189,13 +191,11 @@ class Witness(_Record):
         """The digit string, the image list, and the value's numerator and
         denominator in decimal, as every output writes them; p and q are the
         continuants of the walk, coprime, so they are the value in lowest
-        terms."""
+        terms.  A value too long to print is refused, by the string's length."""
         p, q = self._tips[0][0]
-        try:
-            return format_cf(self.cf), format_permutation(self.sigma), str(p), str(q)
-        except ValueError:  # over sys.get_int_max_str_digits(); p >= every digit, so p is over
-            n = len(self.cf)
-            raise ValueError(f"the {n}-digit string's value has too many digits to print") from None
+        if not _printable(p):
+            raise ValueError(_UNPRINTABLE_VALUE.format(len(self.cf)))
+        return format_cf(self.cf), format_permutation(self.sigma), str(p), str(q)
 
     @cached_property
     def flags(self) -> ClassificationFlags:

@@ -13,11 +13,12 @@ from .cf import (
     DEFAULT_DEPTH,
     ContinuedFraction,
     _check_depth,
-    _check_int,
     _ints,
     _layout,
+    _printable,
     _ratio,
     _ratio_record,
+    _UNPRINTABLE_VALUE,
     canonicalize,
     convergents,
     evaluate,
@@ -82,8 +83,10 @@ def _cmd_eval(args) -> int:
         _refuse(args, "--canonical", ("json", "convergents", "tails"))
         print(format_cf(canonicalize(cf)))
         return 0
+    value = evaluate(cf)
+    if not _printable(value.numerator):  # then no convergent or tail term is too long
+        raise ValueError(_UNPRINTABLE_VALUE.format(len(cf)))
     if args.json:
-        value = evaluate(cf)
         record = {
             "digits": format_cf(cf),
             "value": _ratio_record(value.numerator, value.denominator),
@@ -94,7 +97,7 @@ def _cmd_eval(args) -> int:
             record["tails"] = [format_rational(g) for g in tails(cf)]
         print(_compact_json(record))
         return 0
-    print(format_rational(evaluate(cf)))
+    print(format_rational(value))
     if args.convergents:
         print(" ".join(_ratio(p, q) for p, q in convergents(cf)))
     if args.tails:
@@ -260,16 +263,12 @@ def _parse_stream_params(expr: str):
 
 def _decimal_strings(values, first: int, refusal: str) -> list[str]:
     """Each of ``values`` (ints >= 0) in decimal, all formatted before
-    anything is printed.  Each value is first compared with 10**limit, where
-    limit is ``sys.get_int_max_str_digits()`` (0 for none): v >= 10**limit
-    exactly when ``str(v)`` would refuse it.  The first such value stops the
-    walk before any later, larger value is computed and before any value is
+    anything is printed.  The first value too long to print stops the walk
+    before any later, larger value is computed and before any value is
     formatted; its index, counted from ``first``, fills ``refusal``."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # not in early 3.10s
-    bound = 10**limit if limit else None
     held = []
     for index, value in enumerate(values, first):
-        if bound is not None and value >= bound:
+        if not _printable(value):
             raise ValueError(refusal.format(index))
         held.append(value)
     return [str(value) for value in held]
@@ -296,7 +295,7 @@ def _cmd_surd(args) -> int:
         _refuse(args, "stream mode", ("depth",))
         n = _count(args, "digits")
         if args.gaps is not None:
-            _check_int(args.gaps, "--gaps", 1)
+            _check_depth(args.gaps, "--gaps", 1)
         stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
         refusal = f"--digits {n}: the digit at j = {{}} has too many digits to print"
         # The permuted prefix reads digit j ^ 1, which for odd n reaches digit
@@ -336,11 +335,8 @@ def _cmd_surd(args) -> int:
             "period": list(period),
         }
         if report is not None:
-            record["digits"] = list(report.digits)
-            record["scaled_digits"] = list(report.scaled_digits)
-            record["alignment"] = report.alignment
-            record["multiset_agree"] = report.multiset_agree
-            record["verdict"] = report.verdict
+            digits, scaled = list(report.digits), list(report.scaled_digits)
+            record.update(digits=digits, scaled_digits=scaled, fails_at=report.fails_at)
         print(_compact_json(record))
         return 0 if k is not None else 1
     print(f"surd {surd}")
@@ -353,8 +349,8 @@ def _cmd_surd(args) -> int:
     print(f"k {k}")
     print("digits " + ",".join(map(str, report.digits)))
     print("scaled " + ",".join(map(str, report.scaled_digits)))
-    agreement = "agree" if report.multiset_agree else "differ"
-    print(f"probe {report.verdict} | alignment {report.alignment or '-'} | multisets {agreement}")
+    j = report.fails_at
+    print("probe adjacent swap " + ("holds at every digit" if j is None else f"fails at digit {j}"))
     return 0
 
 
@@ -464,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
     p.add_argument(
-        "--depth", type=int, help=f"probe mode: digits compared (default {DEFAULT_DEPTH})"
+        "--depth", type=int, help=f"probe mode: digits printed (default {DEFAULT_DEPTH})"
     )
     p.add_argument("--k", type=int, help="stream mode: multiplier")
     p.add_argument("--params", help="stream mode: const:<v>, pow:<base>, or a comma list")

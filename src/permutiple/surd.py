@@ -1,12 +1,12 @@
 """Quadratic surds, periodic expansions, and infinite perfect digit streams.
 
 Every comparison against a square root is decided by one exact floor
-(``math.isqrt``); no floating point enters any decision.
+(``math.isqrt``); no floating point enters any decision, and whether a
+surd is a k-permutiple under the adjacent swap is decided for every digit.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from itertools import count, islice
 from math import isqrt
@@ -119,66 +119,62 @@ def expansion_digits(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
     return tuple(a for a, _ in islice(_expansion(s), depth))
 
 
-def _find_alignment(base: tuple[int, ...], scaled: tuple[int, ...]) -> str | None:
-    d = len(base)
-    if d >= 2 and all(scaled[j] == base[j ^ 1] for j in range(d // 2 * 2)):
-        return "adjacent-swap"
-    for t in range(1, d // 2 + 1):
-        for shift in (t, -t):
-            window = range(max(0, -shift), min(d, d - shift))
-            if window and all(scaled[j] == base[j + shift] for j in window):
-                return f"shift:{shift:+d}"
-    return None
+def _unroll(preperiod: tuple[int, ...], period: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The first n digits of the expansion with this preperiod and period."""
+    return (preperiod + period * (n // len(period) + 1))[:n]
+
+
+def _swap_failure(u_form: tuple, v_form: tuple) -> int | None:
+    """The first j where v_j != u_(j xor 1), or None when there is none, for
+    u and v given as (preperiod, period).  From n0 = max(len(pre_u) + 2,
+    len(pre_v)) on, the swapped u repeats every 2 len(per_u) digits and v
+    every len(per_v); two such sequences that agree for the sum of their
+    periods agree for ever (Fine and Wilf).  So the digits below
+    n0 + 2 len(per_u) + len(per_v) settle every digit, and no lcm of the
+    periods is unrolled."""
+    (pre_u, per_u), (pre_v, per_v) = u_form, v_form
+    n = max(len(pre_u) + 2, len(pre_v)) + 2 * len(per_u) + len(per_v)
+    u, v = _unroll(*u_form, n + 1), _unroll(*v_form, n)  # j xor 1 reaches n
+    return next((j for j in range(n) if v[j] != u[j ^ 1]), None)
 
 
 class SurdProbeReport(_Record):
-    """Empirical comparison of a surd's digits with those of its k-th part.
+    """The exact verdict on s = k * (s with its adjacent digits swapped).
 
-    The verdict is a finite-window observation, never a proof: it says
-    whether the two expansions line up under the adjacent-swap permutation
-    or a constant shift within the inspected depth.
+    ``fails_at`` is the first index j where digit j of s/k differs from
+    digit j xor 1 of s, or None when the swap holds at every digit.
+    ``digits`` and ``scaled_digits`` are the first digits of s and s/k,
+    shown beside the verdict; their count never changes it.
     """
 
-    __slots__ = _fields = ("k", "digits", "scaled_digits", "multiset_agree", "alignment", "verdict")
+    __slots__ = _fields = ("k", "digits", "scaled_digits", "fails_at")
 
     def __init__(
-        self,
-        k: int,
-        digits: tuple[int, ...],
-        scaled_digits: tuple[int, ...],
-        multiset_agree: bool,
-        alignment: str | None,
-        verdict: str,
+        self, k: int, digits: tuple[int, ...], scaled_digits: tuple[int, ...], fails_at: int | None
     ) -> None:
-        self._set(k, digits, scaled_digits, multiset_agree, alignment, verdict)
+        self._set(k, digits, scaled_digits, fails_at)
 
 
 def verify_surd_permutiple(s: QuadraticSurd, depth: int = DEFAULT_DEPTH) -> SurdProbeReport:
-    """Expand s and s/k to ``depth`` digits and compare them.
+    """Decide exactly whether s/k, k = surd_multiplier(s) >= 2, is s with
+    each adjacent pair of digits swapped: v_j == u_(j xor 1) for every j,
+    for the expansions u of s and v of s/k.
 
-    Requires surd_multiplier(s) to be an integer >= 2.  Reports whether the
-    digit multisets over the matched (even-length) window agree, and the
-    first position alignment found, if any.  ``depth`` must be an int from 1
-    to ``MAX_DEPTH``.
+    Both come from ``periodic_expansion`` (a period over ``MAX_STATES`` is
+    refused), so the digits checked, at most 3 * MAX_STATES + 2, settle
+    every digit.  A constant shift between u and v is no such identity: it
+    says only that they share an eventual period, as any two numbers
+    related by an integer Moebius map do (Serret).  ``depth``, 1 to
+    ``MAX_DEPTH``, is only how many digits the report shows.
     """
     _check_depth(depth, "probe depth")
     k = surd_multiplier(s)
     if k is None:
         raise ValueError(f"(b - a^2)/c is not an integer >= 2 for {s}")
-    digits = expansion_digits(s, depth)
-    scaled = expansion_digits(QuadraticSurd(s.a, s.b, s.c * k), depth)
-    alignment = _find_alignment(digits, scaled)
-    window = 2 * (depth // 2)
-    multiset_agree = Counter(digits[:window]) == Counter(scaled[:window])
-    verdict = f"consistent to depth {depth}" if alignment else f"inconsistent at depth {depth}"
-    return SurdProbeReport(
-        k=k,
-        digits=digits,
-        scaled_digits=scaled,
-        multiset_agree=multiset_agree,
-        alignment=alignment,
-        verdict=verdict,
-    )
+    u_form = periodic_expansion(s)
+    v_form = periodic_expansion(QuadraticSurd(s.a, s.b, s.c * k))
+    fails_at = _swap_failure(u_form, v_form)
+    return SurdProbeReport(k, _unroll(*u_form, depth), _unroll(*v_form, depth), fails_at)
 
 
 class DigitStream:
@@ -209,7 +205,8 @@ class DigitStream:
         return self._cache[i]
 
     def digit(self, j: int) -> int:
-        _check_int(j, "digit index", 0)
+        """Digit j, 0 to ``MAX_DEPTH``: reading it draws every parameter up to j // 2."""
+        _check_depth(j, "digit index", 0)
         s = self._param(j // 2)
         return s if j % 2 else self.k * s
 
@@ -227,11 +224,16 @@ def infinite_perfect_stream(k: int, params) -> DigitStream:
 def continuant_gaps(stream: DigitStream, limit: int) -> Iterator[int]:
     """|top continuant difference| between the stream and its permuted
     stream at truncation lengths 2..limit+1 (one entry per n = 1..limit):
-    the limit is checked at the call, each gap computed only when asked for."""
-    _check_int(limit, "gap limit", 0)
+    the limit, 0 to ``MAX_DEPTH``, is checked at the call, each gap computed
+    only when asked for."""
+    _check_depth(limit, "gap limit", 0)
     indices = range(limit + 1)
-    base = _convergents(stream.digit(j) for j in indices)
-    permuted = _convergents(stream.digit(j ^ 1) for j in indices)
+    k = stream.k
+    base = _convergents(map(stream.digit, indices))
+    # digit j ^ 1 is digit j over k at even j and times k at odd j, so no
+    # digit past index limit is read
+    digits = enumerate(map(stream.digit, indices))
+    permuted = _convergents(d * k if j % 2 else d // k for j, d in digits)
     pairs = islice(zip(base, permuted), 1, None)  # length 1 has no gap entry
     return (abs(b - p) for (b, _), (p, _) in pairs)
 

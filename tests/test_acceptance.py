@@ -361,8 +361,8 @@ def test_criterion_6_concatenation_closure():
 def test_criterion_7_surd_module():
     report = verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=40)
     assert report.k == 2
-    assert report.alignment == "adjacent-swap"
-    assert report.verdict == "consistent to depth 40"
+    assert report.fails_at is None  # the adjacent swap holds at every digit
+    assert report.digits == (2, 1) * 20 and report.scaled_digits == (1, 2) * 20
 
     stream = infinite_perfect_stream(2, lambda i: 4**i)
     expected = []
@@ -379,10 +379,9 @@ def test_criterion_7_surd_module():
 
     golden = verify_surd_permutiple(QuadraticSurd(1, 5, 2), depth=40)
     assert golden.k == 2
-    assert golden.alignment is None  # recorded observation, not a failure
-    assert golden.verdict == "inconsistent at depth 40"
+    assert golden.fails_at == 0  # (1+sqrt(5))/4 = [0; 1, 4, 4, ...]; recorded, not a failure
     announce(
         "criterion 7",
-        "surd probe consistent at depth 40, stream digits exact for 40 digits, "
-        "gaps vanish at odd indices, golden-ratio probe recorded inconsistent",
+        "adjacent swap of 1+sqrt(3) holds at every digit, stream digits exact for 40 digits, "
+        "gaps vanish at odd indices, golden-ratio swap fails at digit 0",
     )

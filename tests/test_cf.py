@@ -1,6 +1,7 @@
 import enum
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -25,7 +26,7 @@ from permutiple import (
     parse_rational,
     tails,
 )
-from permutiple.cf import _check_int, _Record
+from permutiple.cf import _check_int, _printable, _Record
 from permutiple.constructors import PerfectParameters
 from permutiple.surd import QuadraticSurd, SurdProbeReport
 
@@ -133,6 +134,34 @@ class TestCheckInt:
         assert str(raised.value) == "multiplier k must be >= 2, not 1"
         assert _check_int(2, "multiplier k", 2) is None
         assert _check_int(-5, "a") is None  # no low: any int
+
+
+class TestPrintable:
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("limit", [640, 641, 1000, 4300])
+    def test_agrees_with_str_at_each_boundary(self, limit):
+        def prints(value):
+            try:
+                str(value)
+            except ValueError:
+                return False
+            return True
+
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for edge in (2**1920, 8**limit, 10**limit):
+                for value in (edge - 1, edge, edge + 1, 3 * edge):
+                    assert _printable(value) == prints(value), (limit, value)
+            assert not _printable(10**limit) and _printable(10**limit - 1)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_no_limit_prints_everything(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        assert _printable(10**10000)
 
 
 class TestEvaluate:

@@ -38,6 +38,28 @@ class TestEval:
         assert lines[1] == "7/1 8/1 31/4"
         assert lines[2] == "3/4 1/3"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--convergents"], ["--tails"], ["--json"], ["--json", "--convergents", "--tails"]],
+    )
+    def test_a_value_too_long_to_print_is_refused_by_the_string_length(self, capsys, flags):
+        # at the lowest limit Python allows, 640 digits, the value of 2000 twos
+        # (765 digits) cannot be printed, and Python's own error named nothing;
+        # that of 1600 twos (612 digits) can, with every convergent and tail
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(["eval", "--cf", "2;" + ",".join(["2"] * 1999), *flags], capsys)
+            printed = run(["eval", "--cf", "2;" + ",".join(["2"] * 1599), *flags], capsys)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert err == "error: the 2000-digit string's value has too many digits to print\n"
+        assert printed[0] == 0 and printed[1] and printed[2] == ""
+
     def test_canonical(self, capsys):
         code, out, _ = run(["eval", "--cf", "5;3,1", "--canonical"], capsys)
         assert code == 0 and out.strip() == "5;4"
@@ -362,9 +384,26 @@ class TestSurd:
     def test_probe(self, capsys):
         code, out, _ = run(["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", "10"], capsys)
         assert code == 0
-        assert "k 2" in out
-        assert "consistent to depth 10" in out
-        assert "period 2,1" in out
+        assert out.splitlines() == [
+            "surd (1+sqrt(3))/1",
+            "reduced true",
+            "preperiod -",
+            "period 2,1",
+            "k 2",
+            "digits 2,1,2,1,2,1,2,1,2,1",
+            "scaled 1,2,1,2,1,2,1,2,1,2",
+            "probe adjacent swap holds at every digit",
+        ]
+
+    def test_depth_only_sets_the_digits_printed(self, capsys):
+        # the depth-4 window called (11+sqrt(139))/6 consistent
+        argv = ["surd", "--a", "11", "--b", "139", "--c", "6"]
+        for depth in ("1", "4", "20", str(MAX_DEPTH)):
+            code, out, _ = run([*argv, "--depth", depth], capsys)
+            assert code == 0 and out.splitlines()[-1] == "probe adjacent swap fails at digit 4"
+            code, out, _ = run([*argv, "--depth", depth, "--json"], capsys)
+            record = json.loads(out)
+            assert record["fails_at"] == 4 and len(record["digits"]) == int(depth)
 
     def test_probe_without_multiplier(self, capsys):
         code, out, _ = run(["surd", "--a", "1", "--b", "2", "--c", "1"], capsys)
@@ -374,9 +413,17 @@ class TestSurd:
     def test_golden_ratio_probe(self, capsys):
         code, out, _ = run(["surd", "--a", "1", "--b", "5", "--c", "2", "--json"], capsys)
         assert code == 0
-        record = json.loads(out)
-        assert record["verdict"] == "inconsistent at depth 20"
-        assert record["k"] == 2
+        # (1+sqrt(5))/4 = [0; 1, 4, 4, ...]: the swap fails at digit 0
+        assert json.loads(out) == {
+            "surd": "(1+sqrt(5))/2",
+            "k": 2,
+            "reduced": True,
+            "preperiod": [],
+            "period": [1],
+            "digits": [1] * 20,
+            "scaled_digits": [0, 1] + [4] * 18,
+            "fails_at": 0,
+        }
 
     def test_stream(self, capsys):
         code, out, _ = run(
@@ -663,6 +710,7 @@ class TestUsageErrors:
             ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", over],
             ["surd", "--a", "1", "--b", "2", "--c", "1", "--depth", over],  # no multiplier
             ["surd", "--k", "2", "--params", "const:1", "--digits", over],
+            ["surd", "--k", "2", "--params", "const:1", "--gaps", over],
         ):
             for flags in ([], ["--json"]):
                 code, out, err = run([*argv, *flags], capsys)

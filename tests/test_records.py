@@ -69,16 +69,8 @@ FROZEN = [
     (QuadraticSurd, {"a": 1, "b": 3, "c": 1}, "QuadraticSurd(a=1, b=3, c=1)"),
     (
         SurdProbeReport,
-        {
-            "k": 2,
-            "digits": (2, 1),
-            "scaled_digits": (1, 2),
-            "multiset_agree": True,
-            "alignment": "adjacent-swap",
-            "verdict": "consistent to depth 2",
-        },
-        "SurdProbeReport(k=2, digits=(2, 1), scaled_digits=(1, 2), multiset_agree=True,"
-        " alignment='adjacent-swap', verdict='consistent to depth 2')",
+        {"k": 2, "digits": (2, 1), "scaled_digits": (1, 2), "fails_at": None},
+        "SurdProbeReport(k=2, digits=(2, 1), scaled_digits=(1, 2), fails_at=None)",
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in FROZEN]

@@ -1,7 +1,7 @@
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -24,7 +24,7 @@ from permutiple import (
     verify_surd_permutiple,
 )
 from permutiple import surd
-from permutiple.surd import MAX_DEPTH, _floor_quad
+from permutiple.surd import MAX_DEPTH, SurdProbeReport, _floor_quad, _swap_failure
 
 getcontext().prec = 90
 
@@ -187,30 +187,130 @@ class TestPeriodicExpansion:
                 expansion_digits(s, depth)
 
 
+def swap_oracle(s: QuadraticSurd) -> int | None:
+    """The first j where digit j of s/k differs from digit j xor 1 of s, read
+    off the digit walk over twice the probe's horizon; None when none does."""
+    scaled = QuadraticSurd(s.a, s.b, s.c * surd_multiplier(s))
+    (pre_u, per_u), (pre_v, per_v) = periodic_expansion(s), periodic_expansion(scaled)
+    n = 2 * (max(len(pre_u) + 2, len(pre_v)) + 2 * len(per_u) + len(per_v))
+    u, v = expansion_digits(s, n + 1), expansion_digits(scaled, n)
+    return next((j for j in range(n) if v[j] != u[j ^ 1]), None)
+
+
+def grid_verdicts(a_range, b_range, c_range, reduced_only):
+    """Each surd of the grid with a multiplier, mapped to whether the swap
+    holds, after checking its verdict against ``swap_oracle``."""
+    verdicts = {}
+    for a in a_range:
+        for b in b_range:
+            if isqrt(b) ** 2 == b:
+                continue
+            for c in c_range:
+                s = QuadraticSurd(a, b, c)
+                if (reduced_only and not is_reduced(s)) or surd_multiplier(s) is None:
+                    continue
+                fails_at = verify_surd_permutiple(s, depth=12).fails_at
+                assert fails_at == swap_oracle(s), s
+                verdicts[(a, b, c)] = fails_at is None
+    return verdicts
+
+
+def form_digit(form, i):
+    preperiod, period = form
+    return preperiod[i] if i < len(preperiod) else period[(i - len(preperiod)) % len(period)]
+
+
+def lcm_window_failure(u_form, v_form):
+    """The first j where v_j != u_(j xor 1), read over one joint period: past
+    max(len(pre_u) + 1, len(pre_v)) both sides repeat every lcm(2 len(per_u),
+    len(per_v)) digits, so that window holds every difference there is."""
+    start = max(len(u_form[0]) + 1, len(v_form[0]))
+    n = start + lcm(2 * len(u_form[1]), len(v_form[1]))
+    return next((j for j in range(n) if form_digit(v_form, j) != form_digit(u_form, j ^ 1)), None)
+
+
+class TestSwapDecision:
+    def test_matches_one_joint_period_on_near_misses(self):
+        # v is the swapped u written with a longer preperiod and its period
+        # repeated, then one digit changed: the first difference can sit
+        # anywhere up to the horizon
+        rng = random.Random(23)
+        deepest = 0
+        for _ in range(3000):
+            pre_u = tuple(rng.choices((1, 2), k=rng.randint(0, 4)))
+            per_u = tuple(rng.choices((1, 2, 3), k=rng.randint(1, 5)))
+            start = len(pre_u) + rng.randint(1, 12)
+            swapped = [form_digit((pre_u, per_u), j ^ 1) for j in range(start + 6 * len(per_u))]
+            v = swapped[: start + 2 * len(per_u) * rng.randint(1, 3)]
+            if rng.random() < 0.9:
+                v[rng.randrange(len(v))] = 4
+            u_form, v_form = (pre_u, per_u), (tuple(v[:start]), tuple(v[start:]))
+            expected = lcm_window_failure(u_form, v_form)
+            assert _swap_failure(u_form, v_form) == expected, (u_form, v_form)
+            deepest = max(deepest, -1 if expected is None else expected)
+        assert deepest >= 30
+
+    def test_matches_one_joint_period_on_random_forms(self):
+        rng = random.Random(29)
+        for _ in range(3000):
+            forms = [
+                (tuple(rng.choices((1, 2), k=rng.randint(0, 3))), tuple(rng.choices((1, 2), k=p)))
+                for p in (rng.randint(1, 6), rng.randint(1, 6))
+            ]
+            assert _swap_failure(*forms) == lcm_window_failure(*forms), forms
+
+
 class TestVerifyProbe:
     def test_consistent_example(self):
         report = verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=20)
-        assert report.k == 2
-        assert report.digits[:6] == (2, 1, 2, 1, 2, 1)
-        assert report.scaled_digits[:6] == (1, 2, 1, 2, 1, 2)
-        assert report.alignment == "adjacent-swap"
-        assert report.multiset_agree
-        assert report.verdict == "consistent to depth 20"
+        assert report == SurdProbeReport(2, (2, 1) * 10, (1, 2) * 10, None)
 
     def test_golden_ratio_is_inconsistent(self):
+        # (1+sqrt(5))/4 = [0; 1, 4, 4, ...] leads with 0, where digit 1 of s is 1
         report = verify_surd_permutiple(QuadraticSurd(1, 5, 2), depth=20)
-        assert report.digits == (1,) * 20
-        assert report.scaled_digits[:4] == (0, 1, 4, 4)
-        assert report.alignment is None
-        assert not report.multiset_agree
-        assert report.verdict == "inconsistent at depth 20"
+        assert report == SurdProbeReport(2, (1,) * 20, (0, 1) + (4,) * 18, 0)
 
-    def test_long_period_surd_is_probed(self):
-        s = QuadraticSurd(0, 1000000007, 1)
-        report = verify_surd_permutiple(s, depth=20)
-        assert report.k == 1000000007
-        assert report.digits == decimal_expansion(s, 20)
-        assert len(report.scaled_digits) == 20
+    @pytest.mark.parametrize(
+        "fields, fails_at",
+        [
+            ((1, 3, 1), None),
+            ((0, 2, 1), 0),  # sqrt(2)/2 = [0; 1, 2, 2, ...]; a shift by -1 lined them up
+            ((11, 139, 6), 4),  # the depth-4 window called these two consistent
+            ((12, 162, 9), 4),
+            ((1, 5, 2), 0),
+        ],
+    )
+    def test_the_verdict_does_not_depend_on_the_depth(self, fields, fails_at):
+        s = QuadraticSurd(*fields)
+        scaled = QuadraticSurd(s.a, s.b, s.c * surd_multiplier(s))
+        assert swap_oracle(s) == fails_at
+        for depth in (1, 4, 20, MAX_DEPTH):
+            report = verify_surd_permutiple(s, depth)
+            assert report.fails_at == fails_at, depth
+            assert report.digits == expansion_digits(s, depth)
+            assert report.scaled_digits == expansion_digits(scaled, depth)
+
+    @pytest.mark.parametrize(
+        "k, param", [(2, 1), (2, 2), (2, 7), (3, 2), (4, 1), (4, 3), (5, 4), (6, 1)]
+    )
+    def test_perfect_streams_with_periodic_parameters_hold(self, k, param):
+        # [k s; s, k s, s, ...] is the root x of x^2 - k s x - k = 0; for k s
+        # even it is (k s/2 + sqrt((k s/2)^2 + k))/1, whose multiplier is k
+        a = k * param // 2
+        s = QuadraticSurd(a, a * a + k, 1)
+        stream = infinite_perfect_stream(k, lambda i: param)
+        assert surd_multiplier(s) == k
+        assert expansion_digits(s, 40) == stream.prefix(40)
+        for depth in (1, 4, 20, MAX_DEPTH):
+            report = verify_surd_permutiple(s, depth)
+            assert report.fails_at is None and report.digits[:40] == stream.prefix(40)[:depth]
+
+    def test_long_period_surd_is_refused(self):
+        # both expansions are needed whole, and this period does not close
+        # within MAX_STATES states
+        message = r"^no cycle within 10000 states for \(0\+sqrt\(1000000007\)\)/1$"
+        with pytest.raises(ValueError, match=message):
+            verify_surd_permutiple(QuadraticSurd(0, 1000000007, 1), depth=20)
 
     def test_requires_integer_multiplier(self):
         with pytest.raises(ValueError):
@@ -234,21 +334,17 @@ class TestVerifyProbe:
         assert len(verify_surd_permutiple(QuadraticSurd(1, 3, 1), MAX_DEPTH).digits) == MAX_DEPTH
 
     def test_grid_scan_records_verdicts(self):
-        verdicts = {}
-        for a in range(-10, 11):
-            for b in range(2, 121):
-                if isqrt(b) ** 2 == b:
-                    continue
-                for c in range(1, 11):
-                    s = QuadraticSurd(a, b, c)
-                    if not is_reduced(s):
-                        continue
-                    if surd_multiplier(s) is None:
-                        continue
-                    verdicts[(a, b, c)] = verify_surd_permutiple(s, depth=12).alignment is not None
+        verdicts = grid_verdicts(range(-10, 11), range(2, 121), range(1, 11), reduced_only=True)
         assert verdicts[(1, 3, 1)] is True
         assert verdicts[(1, 5, 2)] is False
-        assert any(verdicts.values()) and not all(verdicts.values())
+        assert (len(verdicts), sum(verdicts.values())) == (791, 34)
+
+    @pytest.mark.slow
+    def test_wide_grid_verdicts(self):
+        # every surd, reduced or not, with a -12..12, b 2..199, c 1..12
+        verdicts = grid_verdicts(range(-12, 13), range(2, 200), range(1, 13), reduced_only=False)
+        assert (len(verdicts), sum(verdicts.values())) == (10184, 44)
+        assert verdicts[(0, 2, 1)] is False
 
 
 class TestPerfectStream:
@@ -304,8 +400,12 @@ class TestPerfectStream:
         for n in (MAX_DEPTH + 1, 10**9):
             with pytest.raises(ValueError, match=f"^prefix length {n} is over {MAX_DEPTH} digits$"):
                 stream.prefix(n)
+            # digit(2 * 10**6) drew and kept a million parameters
+            with pytest.raises(ValueError, match=f"^digit index {n} is over {MAX_DEPTH} digits$"):
+                stream.digit(n)
         assert calls == []  # refused before any digit is computed
         assert stream.prefix(MAX_DEPTH) == (2, 1) * (MAX_DEPTH // 2)
+        assert stream.digit(MAX_DEPTH) == 2
 
     def test_callable_parameters_are_drawn_once_in_order(self):
         calls = []
@@ -364,8 +464,22 @@ class TestAsymptoticGap:
             message = f"^truncation length {length} is over {MAX_DEPTH} digits$"
             with pytest.raises(ValueError, match=message):
                 truncation(stream, length)
+            message = f"^gap limit {length} is over {MAX_DEPTH} digits$"
+            with pytest.raises(ValueError, match=message):
+                continuant_gaps(stream, length)  # at the call, not at the first next()
+            with pytest.raises(ValueError, match=message):
+                asymptotic_continuant_gap(stream, length)
         assert calls == []  # refused before any digit is computed
         assert len(truncation(stream, MAX_DEPTH)) == MAX_DEPTH
+
+    def test_gaps_at_the_limit_read_no_digit_past_it(self, monkeypatch):
+        # the permuted truncation of odd length n + 1 ends on digit n ^ 1 = n + 1;
+        # the gaps take it from digit n, so a limit at the bound is not refused
+        monkeypatch.setattr("permutiple.cf.MAX_DEPTH", 6)
+        stream = infinite_perfect_stream(2, lambda i: 1)
+        with pytest.raises(ValueError, match="^digit index 7 is over 6 digits$"):
+            stream.digit(7)
+        assert asymptotic_continuant_gap(stream, 6) == (0, 4, 0, 15, 0, 56)
 
     def test_constant_stream_gaps(self):
         stream = infinite_perfect_stream(2, lambda i: 1)
