@@ -121,12 +121,9 @@ MAX_DEPTH = 10**5
 DEFAULT_DEPTH = 20
 
 
-def _check_depth(value: object, name: str, low: int | None = None) -> None:
-    """The one rule for a digit count: refuse one outside 1 (or ``low``)..``MAX_DEPTH``."""
-    if low is not None:
-        _check_int(value, name, low)
-    elif not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _check_depth(value: object, name: str, low: int = 1) -> None:
+    """The one rule for a digit count: ``_check_int``, then at most ``MAX_DEPTH``."""
+    _check_int(value, name, low)
     if value > MAX_DEPTH:
         raise ValueError(f"{name} {value} is over {MAX_DEPTH} digits")
 

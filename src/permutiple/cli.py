@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain "no" (not a permutiple, empty witness list,
-conjecture counterexample found), 2 usage or parameter errors.
+conjecture counterexample found, surd probe that fails or has no multiplier),
+2 usage or parameter errors.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def _cmd_surd(args) -> int:
         _refuse(args, "stream mode", ("depth",))
         n = _count(args, "digits")
         if args.gaps is not None:
-            _check_depth(args.gaps, "--gaps", 1)
+            _check_depth(args.gaps, "--gaps")
         stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
         refusal = f"--digits {n}: the digit at j = {{}} has too many digits to print"
         # The permuted prefix reads digit j ^ 1, which for odd n reaches digit
@@ -325,6 +326,7 @@ def _cmd_surd(args) -> int:
     surd = QuadraticSurd(args.a, args.b, args.c)
     k = surd_multiplier(surd)
     report = verify_surd_permutiple(surd, depth) if k is not None else None
+    code = 0 if report is not None and report.fails_at is None else 1
     preperiod, period = periodic_expansion(surd)
     if args.json:
         record = {
@@ -338,7 +340,7 @@ def _cmd_surd(args) -> int:
             digits, scaled = list(report.digits), list(report.scaled_digits)
             record.update(digits=digits, scaled_digits=scaled, fails_at=report.fails_at)
         print(_compact_json(record))
-        return 0 if k is not None else 1
+        return code
     print(f"surd {surd}")
     print(f"reduced {str(is_reduced(surd)).lower()}")
     print("preperiod " + (",".join(map(str, preperiod)) or "-"))
@@ -351,7 +353,7 @@ def _cmd_surd(args) -> int:
     print("scaled " + ",".join(map(str, report.scaled_digits)))
     j = report.fails_at
     print("probe adjacent swap " + ("holds at every digit" if j is None else f"fails at digit {j}"))
-    return 0
+    return code
 
 
 def _json_last(parser: argparse.ArgumentParser, func) -> None:

@@ -371,26 +371,21 @@ CONJECTURE_IDS = tuple(_CONJECTURES)
 class ConjectureReport(_Record):
     """Outcome of scanning one conjecture over a witness stream.
 
-    An empty counterexample list means the conjecture held within the
-    searched bounds; it is never a proof.  Unlike the other records it is
-    filled in as the scan runs, so it takes assignment and has no hash.
+    An empty counterexample tuple means the conjecture held within the
+    searched bounds; it is never a proof.
     """
 
-    _fields = ("conjecture", "bounds", "examined", "counterexamples", "wall_time")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    __slots__ = _fields = ("conjecture", "bounds", "examined", "counterexamples", "wall_time")
 
     def __init__(
         self,
         conjecture: str,
         bounds: str,
         examined: int = 0,
-        counterexamples: list[Witness] | None = None,
+        counterexamples: tuple[Witness, ...] = (),
         wall_time: float = 0.0,
     ) -> None:
-        fresh = [] if counterexamples is None else counterexamples
-        self._set(conjecture, bounds, examined, fresh, wall_time)
+        self._set(conjecture, bounds, examined, counterexamples, wall_time)
 
     @property
     def holds_within_bounds(self) -> bool:
@@ -420,17 +415,15 @@ def check_conjectures(
     for conjecture in ids:
         if conjecture not in _CONJECTURES:
             raise ValueError(f"unknown conjecture id {conjecture!r}")
-    reports = {c: ConjectureReport(conjecture=c, bounds=bounds) for c in ids}
+    failed: dict[str, list[Witness]] = {c: [] for c in ids}
+    examined = 0
     start = time.perf_counter()
-    for w in stream:
+    for examined, w in enumerate(stream, 1):
         for c in ids:
-            reports[c].examined += 1
             if not _CONJECTURES[c][1](w):
-                reports[c].counterexamples.append(w)
+                failed[c].append(w)
     elapsed = time.perf_counter() - start
-    for c in ids:
-        reports[c].wall_time = elapsed
-    return reports
+    return {c: ConjectureReport(c, bounds, examined, tuple(failed[c]), elapsed) for c in ids}
 
 
 def witness_record(w: Witness) -> dict:

@@ -245,5 +245,5 @@ def asymptotic_continuant_gap(stream: DigitStream, limit: int) -> tuple[int, ...
 
 def truncation(stream: DigitStream, length: int) -> ContinuedFraction:
     """Finite digit string holding the first ``length`` stream digits, 1 to ``MAX_DEPTH``."""
-    _check_depth(length, "truncation length", 1)
+    _check_depth(length, "truncation length")
     return ContinuedFraction(stream.prefix(length))

@@ -400,10 +400,10 @@ class TestSurd:
         argv = ["surd", "--a", "11", "--b", "139", "--c", "6"]
         for depth in ("1", "4", "20", str(MAX_DEPTH)):
             code, out, _ = run([*argv, "--depth", depth], capsys)
-            assert code == 0 and out.splitlines()[-1] == "probe adjacent swap fails at digit 4"
+            assert code == 1 and out.splitlines()[-1] == "probe adjacent swap fails at digit 4"
             code, out, _ = run([*argv, "--depth", depth, "--json"], capsys)
             record = json.loads(out)
-            assert record["fails_at"] == 4 and len(record["digits"]) == int(depth)
+            assert code == 1 and record["fails_at"] == 4 and len(record["digits"]) == int(depth)
 
     def test_probe_without_multiplier(self, capsys):
         code, out, _ = run(["surd", "--a", "1", "--b", "2", "--c", "1"], capsys)
@@ -412,7 +412,7 @@ class TestSurd:
 
     def test_golden_ratio_probe(self, capsys):
         code, out, _ = run(["surd", "--a", "1", "--b", "5", "--c", "2", "--json"], capsys)
-        assert code == 0
+        assert code == 1
         # (1+sqrt(5))/4 = [0; 1, 4, 4, ...]: the swap fails at digit 0
         assert json.loads(out) == {
             "surd": "(1+sqrt(5))/2",
@@ -660,7 +660,7 @@ class TestUsageErrors:
                     argv = ["surd", "--a", surd[0], "--b", surd[1], "--c", "1"]
                     code, out, err = run([*argv, "--depth", depth, *flags], capsys)
                     assert code == 2, (surd, depth, flags)
-                    assert err == f"error: --depth must be a positive integer, got {depth}\n"
+                    assert err == f"error: --depth must be >= 1, not {depth}\n"
                     assert out == ""
 
     def test_surd_stream_digits_must_be_positive(self, capsys):
@@ -668,7 +668,7 @@ class TestUsageErrors:
             argv = ["surd", "--k", "2", "--params", "const:1", "--digits", digits]
             code, out, err = run(argv, capsys)
             assert code == 2
-            assert err == f"error: --digits must be a positive integer, got {digits}\n"
+            assert err == f"error: --digits must be >= 1, not {digits}\n"
             assert out == ""
 
     def test_surd_stream_gaps_must_be_positive(self, capsys):

@@ -436,6 +436,9 @@ class TestConjectures:
             assert report.examined == len(stream)
             assert report.bounds == "tiny"
             assert "0 counterexamples" in report.summary()
+        # one walk, timed once, fills in every report; each hashes like any record
+        assert len({(r.examined, r.wall_time) for r in reports.values()}) == 1
+        assert len(set(reports.values())) == len(reports) == 4
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):

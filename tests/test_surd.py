@@ -319,7 +319,8 @@ class TestVerifyProbe:
     def test_depth_must_be_positive(self):
         # an int: 2.5 reached islice's own message, and True probed to depth 1
         for depth in (0, -3, 2.5, True, 20.0):
-            message = f"^probe depth must be a positive integer, got {depth!r}$"
+            rule = ">= 1" if type(depth) is int else "an integer"
+            message = f"^probe depth must be {rule}, not {depth!r}$"
             with pytest.raises(ValueError, match=message):
                 verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=depth)
 
