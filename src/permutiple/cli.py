@@ -74,16 +74,7 @@ def _emit(witnesses, as_json: bool) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.rational is not None:
-        _refuse(args, "--rational", ("json", "convergents", "tails", "canonical"))
-        cf = from_rational(parse_rational(args.rational))
-        print(format_cf(cf))
-        return 0
     cf = ContinuedFraction.parse(args.cf)
-    if args.canonical:
-        _refuse(args, "--canonical", ("json", "convergents", "tails"))
-        print(format_cf(canonicalize(cf)))
-        return 0
     value = evaluate(cf)
     if not _printable(value.numerator):  # then no convergent or tail term is too long
         raise ValueError(_UNPRINTABLE_VALUE.format(len(cf)))
@@ -103,6 +94,15 @@ def _cmd_eval(args) -> int:
         print(" ".join(_ratio(p, q) for p, q in convergents(cf)))
     if args.tails:
         print(" ".join(format_rational(g) for g in tails(cf)))
+    return 0
+
+
+def _cmd_canonical(args) -> int:
+    if args.rational is None:  # the parser gives exactly one of --cf and --rational
+        cf = canonicalize(ContinuedFraction.parse(args.cf))
+    else:
+        cf = from_rational(parse_rational(args.rational))
+    print(format_cf(cf))
     return 0
 
 
@@ -210,46 +210,20 @@ def _cmd_enumerate(args) -> int:
     return _emit([witness], args.json)
 
 
-def _refuse(args, mode: str, flags: tuple[str, ...]) -> None:
-    """A usage error for any of ``flags`` given where ``mode`` would ignore it.
-    A flag is given unless it is None or False (its unset defaults), so a
-    given 0 is refused too."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value is not False:
-            raise ValueError(f"{mode} does not take --{flag}")
-
-
-def _count(args, flag: str) -> int:
-    """The value of ``--depth`` or ``--digits``: DEFAULT_DEPTH when not
-    given, else an integer in 1..MAX_DEPTH."""
-    n = getattr(args, flag)
-    if n is None:
-        return DEFAULT_DEPTH
-    _check_depth(n, f"--{flag}")
-    return n
-
-
 def _cmd_concat(args) -> int:
-    if args.palindrome:
-        _refuse(args, "--palindrome", ("cf1", "sigma1", "cf2", "sigma2"))
-        if args.k is None or not args.cf:
-            raise ValueError("palindromic mode needs --k and one or more --cf")
-        pieces = [
-            classify(cf, Permutation.reversal(len(cf)), args.k, allow_noncanonical=True)
-            for cf in map(ContinuedFraction.parse, args.cf)
-        ]
-        witness = palindromic_concat(pieces, args.k)
-    else:
-        _refuse(args, "concat without --palindrome", ("k", "cf"))
-        if not (args.cf1 and args.sigma1 and args.cf2 and args.sigma2):
-            raise ValueError("give --cf1/--sigma1 and --cf2/--sigma2, or use --palindrome")
-        w1, w2 = [
-            classify(ContinuedFraction.parse(cf), Permutation.parse(sigma), allow_noncanonical=True)
-            for cf, sigma in ((args.cf1, args.sigma1), (args.cf2, args.sigma2))
-        ]
-        witness = concat_witness(w1, w2)
-    return _emit([witness], args.json)
+    w1, w2 = [
+        classify(ContinuedFraction.parse(cf), Permutation.parse(sigma), allow_noncanonical=True)
+        for cf, sigma in ((args.cf1, args.sigma1), (args.cf2, args.sigma2))
+    ]
+    return _emit([concat_witness(w1, w2)], args.json)
+
+
+def _cmd_palindrome(args) -> int:
+    pieces = [
+        classify(cf, Permutation.reversal(len(cf)), args.k, allow_noncanonical=True)
+        for cf in map(ContinuedFraction.parse, args.cf)
+    ]
+    return _emit([palindromic_concat(pieces, args.k)], args.json)
 
 
 def _parse_stream_params(expr: str):
@@ -275,57 +249,50 @@ def _decimal_strings(values, first: int, refusal: str) -> list[str]:
     return [str(value) for value in held]
 
 
+def _cmd_stream(args) -> int:
+    from .surd import continuant_gaps, infinite_perfect_stream
+
+    n = args.digits
+    _check_depth(n, "--digits")
+    if args.gaps is not None:
+        _check_depth(args.gaps, "--gaps")
+    stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
+    refusal = f"--digits {n}: the digit at j = {{}} has too many digits to print"
+    # The permuted prefix reads digit j ^ 1, which for odd n reaches digit
+    # n = digit n - 1 divided by k: never the first too long to print.
+    strings = _decimal_strings(map(stream.digit, range(n + n % 2)), 0, refusal)
+    digits = _layout(strings[:n])
+    permuted = _layout([strings[j ^ 1] for j in range(n)])
+    gaps = None
+    if args.gaps is not None:
+        refusal = f"--gaps {args.gaps}: the gap at n = {{}} has too many digits to print"
+        gaps = _decimal_strings(continuant_gaps(stream, args.gaps), 1, refusal)
+    if args.json:
+        record = {"k": args.k, "digits": digits, "permuted": permuted}
+        if gaps is not None:
+            record["gaps"] = gaps
+        print(_compact_json(record))
+    else:
+        print(f"digits {digits}")
+        print(f"permuted {permuted}")
+        if gaps is not None:
+            print("gaps " + ",".join(gaps))
+    return 0
+
+
 def _cmd_surd(args) -> int:
     from .surd import (
         QuadraticSurd,
-        continuant_gaps,
-        infinite_perfect_stream,
         is_reduced,
         periodic_expansion,
         surd_multiplier,
         verify_surd_permutiple,
     )
 
-    stream_mode = args.k is not None or args.params is not None
-    probe_mode = args.a is not None or args.b is not None or args.c is not None
-    if stream_mode and probe_mode:
-        raise ValueError("give either --a/--b/--c or --k/--params, not both")
-    if stream_mode:
-        if args.k is None or args.params is None:
-            raise ValueError("stream mode needs both --k and --params")
-        _refuse(args, "stream mode", ("depth",))
-        n = _count(args, "digits")
-        if args.gaps is not None:
-            _check_depth(args.gaps, "--gaps")
-        stream = infinite_perfect_stream(args.k, _parse_stream_params(args.params))
-        refusal = f"--digits {n}: the digit at j = {{}} has too many digits to print"
-        # The permuted prefix reads digit j ^ 1, which for odd n reaches digit
-        # n = digit n - 1 divided by k: never the first too long to print.
-        strings = _decimal_strings(map(stream.digit, range(n + n % 2)), 0, refusal)
-        digits = _layout(strings[:n])
-        permuted = _layout([strings[j ^ 1] for j in range(n)])
-        gaps = None
-        if args.gaps is not None:
-            refusal = f"--gaps {args.gaps}: the gap at n = {{}} has too many digits to print"
-            gaps = _decimal_strings(continuant_gaps(stream, args.gaps), 1, refusal)
-        if args.json:
-            record = {"k": args.k, "digits": digits, "permuted": permuted}
-            if gaps is not None:
-                record["gaps"] = gaps
-            print(_compact_json(record))
-        else:
-            print(f"digits {digits}")
-            print(f"permuted {permuted}")
-            if gaps is not None:
-                print("gaps " + ",".join(gaps))
-        return 0
-    if args.a is None or args.b is None or args.c is None:
-        raise ValueError("probe mode needs --a, --b and --c")
-    _refuse(args, "probe mode", ("digits", "gaps"))
-    depth = _count(args, "depth")  # checked also for a surd with no multiplier, which never probes
+    _check_depth(args.depth, "--depth")  # also for a surd with no multiplier, which never probes
     surd = QuadraticSurd(args.a, args.b, args.c)
     k = surd_multiplier(surd)
-    report = verify_surd_permutiple(surd, depth) if k is not None else None
+    report = verify_surd_permutiple(surd, args.depth) if k is not None else None
     code = 0 if report is not None and report.fails_at is None else 1
     preperiod, period = periodic_expansion(surd)
     if args.json:
@@ -378,13 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("eval", help="evaluate a digit string exactly")
+    p.add_argument("--cf", required=True, help="digit string a0;a1,...,an")
+    p.add_argument("--convergents", action="store_true")
+    p.add_argument("--tails", action="store_true")
+    _json_last(p, _cmd_eval)
+
+    p = sub.add_parser("canonical", help="canonical digits of a digit string or a rational")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--cf", help="digit string a0;a1,...,an")
     source.add_argument("--rational", help="value p/q to expand into digits")
-    p.add_argument("--convergents", action="store_true")
-    p.add_argument("--tails", action="store_true")
-    p.add_argument("--canonical", action="store_true", help="print the canonical form")
-    _json_last(p, _cmd_eval)
+    p.set_defaults(func=_cmd_canonical)
 
     p = sub.add_parser("classify", help="verify and classify a (cf, sigma[, k]) triple")
     p.add_argument("--cf", required=True)
@@ -447,30 +417,32 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--params", required=True, help="one positive integer per rotation orbit")
     _json_last(f, _cmd_enumerate)
 
-    p = sub.add_parser("concat", help="concatenate witnesses")
-    p.add_argument("--cf1")
-    p.add_argument("--sigma1")
-    p.add_argument("--cf2")
-    p.add_argument("--sigma2")
-    p.add_argument("--palindrome", action="store_true")
-    p.add_argument("--k", type=int)
-    p.add_argument("--cf", action="append", help="repeatable in palindromic mode")
+    p = sub.add_parser("concat", help="concatenate two witnesses")
+    p.add_argument("--cf1", required=True)
+    p.add_argument("--sigma1", required=True)
+    p.add_argument("--cf2", required=True)
+    p.add_argument("--sigma2", required=True)
     _json_last(p, _cmd_concat)
 
-    p = sub.add_parser("surd", help="quadratic surd probe or perfect stream")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument(
-        "--depth", type=int, help=f"probe mode: digits printed (default {DEFAULT_DEPTH})"
-    )
-    p.add_argument("--k", type=int, help="stream mode: multiplier")
-    p.add_argument("--params", help="stream mode: const:<v>, pow:<base>, or a comma list")
-    p.add_argument(
-        "--digits", type=int, help=f"stream mode: digits printed (default {DEFAULT_DEPTH})"
-    )
-    p.add_argument("--gaps", type=int)
+    p = sub.add_parser("palindrome", help="palindromic concatenation of reverse multiples")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--cf", action="append", required=True, help="repeatable")
+    _json_last(p, _cmd_palindrome)
+
+    printed = dict(type=int, default=DEFAULT_DEPTH, help="digits printed (default %(default)s)")
+    p = sub.add_parser("surd", help="quadratic surd probe")
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--depth", **printed)
     _json_last(p, _cmd_surd)
+
+    p = sub.add_parser("stream", help="infinite perfect digit stream")
+    p.add_argument("--k", type=int, required=True, help="multiplier")
+    p.add_argument("--params", required=True, help="const:<v>, pow:<base>, or a comma list")
+    p.add_argument("--digits", **printed)
+    p.add_argument("--gaps", type=int)
+    _json_last(p, _cmd_stream)
 
     return parser
 

@@ -408,10 +408,12 @@ def check_conjectures(
     stream: Iterable[Witness], which: Iterable[str], bounds: str = ""
 ) -> dict[str, ConjectureReport]:
     """Evaluate the requested conjecture predicates over one witness stream;
-    an id asked for twice is evaluated once, and a bare string is refused."""
+    an id asked for twice is evaluated once, and a bare string or no id is refused."""
     if isinstance(which, str):
         raise ValueError(f"conjecture ids must be a collection of ids, not the string {which!r}")
     ids = list(dict.fromkeys(which))
+    if not ids:
+        raise ValueError("conjecture ids must name at least one conjecture")
     for conjecture in ids:
         if conjecture not in _CONJECTURES:
             raise ValueError(f"unknown conjecture id {conjecture!r}")

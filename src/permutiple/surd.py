@@ -48,7 +48,9 @@ class QuadraticSurd(_Record):
 
 
 def surd_multiplier(s: QuadraticSurd) -> int | None:
-    """(b - a*a)/c when that quotient is an integer >= 2, else None."""
+    """(b - a*a)/c when that quotient is an integer >= 2, else None.  It is
+    read off the written triple: (t*a, t*t*b, t*c) is the same number with t
+    times the multiplier, so (1+sqrt(3))/1 gets k 2 and (2+sqrt(12))/2 gets 4."""
     num = s.b - s.a * s.a
     if num % s.c:
         return None

@@ -25,6 +25,15 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def usage_error(argv, capsys):
+    """The stderr of an argv the parser refuses: exit 2, nothing on stdout."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == "", argv
+    return captured.err
+
+
 class TestEval:
     def test_value(self, capsys):
         code, out, _ = run(["eval", "--cf", "7;1,3"], capsys)
@@ -60,14 +69,6 @@ class TestEval:
         assert err == "error: the 2000-digit string's value has too many digits to print\n"
         assert printed[0] == 0 and printed[1] and printed[2] == ""
 
-    def test_canonical(self, capsys):
-        code, out, _ = run(["eval", "--cf", "5;3,1", "--canonical"], capsys)
-        assert code == 0 and out.strip() == "5;4"
-
-    def test_from_rational(self, capsys):
-        code, out, _ = run(["eval", "--rational", "31/4"], capsys)
-        assert code == 0 and out.strip() == "7;1,3"
-
     def test_json(self, capsys):
         code, out, _ = run(["eval", "--cf", "7;1,3", "--json"], capsys)
         record = json.loads(out)
@@ -83,6 +84,16 @@ class TestEval:
         for cf in ("1;", "3;2,"):
             code, out, err = run(["eval", "--cf", cf], capsys)
             assert code == 2 and out == "" and "error" in err
+
+
+class TestCanonical:
+    def test_canonical(self, capsys):
+        code, out, _ = run(["canonical", "--cf", "5;3,1"], capsys)
+        assert code == 0 and out.strip() == "5;4"
+
+    def test_from_rational(self, capsys):
+        code, out, _ = run(["canonical", "--rational", "31/4"], capsys)
+        assert code == 0 and out.strip() == "7;1,3"
 
 
 class TestClassify:
@@ -327,20 +338,25 @@ class TestConcat:
         assert code == 0
         assert out.startswith("2;1,5,1,2,7,1,3 = 2 * 1;2,2,1,5,3,1,7")
 
+    def test_incomplete_arguments(self, capsys):
+        err = usage_error(["concat", "--cf1", "7;1,3"], capsys)
+        assert "the following arguments are required: --sigma1, --cf2, --sigma2" in err
+
+
+class TestPalindrome:
     def test_palindrome(self, capsys):
         code, out, _ = run(
-            ["concat", "--palindrome", "--k", "2", "--cf", "7;1,3", "--cf", "7;2,1,3",
-             "--cf", "7;1,3"],
+            ["palindrome", "--k", "2", "--cf", "7;1,3", "--cf", "7;2,1,3", "--cf", "7;1,3"],
             capsys,
         )
         assert code == 0
         assert out.startswith("7;1,3,7,2,1,3,7,1,3 = 2 * ")
 
     def test_incomplete_arguments(self, capsys):
-        code, _, err = run(["concat", "--cf1", "7;1,3"], capsys)
-        assert code == 2 and "error" in err
-        code, _, err = run(["concat", "--palindrome", "--cf", "7;1,3"], capsys)  # no --k
-        assert code == 2 and "error" in err
+        err = usage_error(["palindrome", "--cf", "7;1,3"], capsys)
+        assert "the following arguments are required: --k" in err
+        err = usage_error(["palindrome", "--k", "2"], capsys)
+        assert "the following arguments are required: --cf" in err
 
 
 class TestConjecture:
@@ -425,9 +441,14 @@ class TestSurd:
             "fails_at": 0,
         }
 
+    def test_mixed_modes_rejected(self, capsys):
+        usage_error(["surd", "--a", "1", "--b", "3", "--c", "1", "--k", "2"], capsys)
+
+
+class TestStream:
     def test_stream(self, capsys):
         code, out, _ = run(
-            ["surd", "--k", "2", "--params", "pow:4", "--digits", "6", "--gaps", "5"], capsys
+            ["stream", "--k", "2", "--params", "pow:4", "--digits", "6", "--gaps", "5"], capsys
         )
         assert code == 0
         lines = out.splitlines()
@@ -435,10 +456,10 @@ class TestSurd:
         assert lines[1] == "permuted 1;2,4,8,16,32"
         assert lines[2].startswith("gaps 0,")
         # an odd count: the permuted prefix ends on digit n, the one past the prefix
-        code, out, _ = run(["surd", "--k", "2", "--params", "pow:4", "--digits", "5"], capsys)
+        code, out, _ = run(["stream", "--k", "2", "--params", "pow:4", "--digits", "5"], capsys)
         assert code == 0
         assert out.splitlines() == ["digits 2;1,8,4,32", "permuted 1;2,4,8,16"]
-        argv = ["surd", "--k", "2", "--params", "pow:4", "--digits", "4", "--json"]
+        argv = ["stream", "--k", "2", "--params", "pow:4", "--digits", "4", "--json"]
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert json.loads(out) == {"k": 2, "digits": "2;1,8,4", "permuted": "1;2,4,8"}
@@ -446,14 +467,14 @@ class TestSurd:
         assert code == 0 and json.loads(out)["gaps"] == ["0", "13", "0"]
 
     def test_stream_const_and_list_params(self, capsys):
-        code, out, _ = run(["surd", "--k", "2", "--params", "const:1", "--digits", "4"], capsys)
+        code, out, _ = run(["stream", "--k", "2", "--params", "const:1", "--digits", "4"], capsys)
         assert code == 0 and out.splitlines()[0] == "digits 2;1,2,1"
-        code, out, _ = run(["surd", "--k", "7", "--params", "1,2", "--digits", "4"], capsys)
+        code, out, _ = run(["stream", "--k", "7", "--params", "1,2", "--digits", "4"], capsys)
         assert code == 0 and out.splitlines()[0] == "digits 7;1,14,2"
 
     @pytest.mark.parametrize("mode", [[], ["--json"]])
     def test_unprintable_gaps_are_refused_before_any_output(self, capsys, mode):
-        argv = ["surd", "--k", "2", "--params", "pow:4", "--digits", "2", "--gaps", "800"]
+        argv = ["stream", "--k", "2", "--params", "pow:4", "--digits", "2", "--gaps", "800"]
         code, out, err = run(argv + mode, capsys)
         assert code == 2
         assert out == ""
@@ -462,14 +483,9 @@ class TestSurd:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
-    def test_mixed_modes_rejected(self, capsys):
-        code, _, err = run(["surd", "--a", "1", "--b", "3", "--c", "1", "--k", "2"], capsys)
-        assert code == 2
-
-    def test_stream_mode_needs_params(self, capsys):
-        code, out, err = run(["surd", "--k", "2"], capsys)
-        assert code == 2 and out == ""
-        assert err == "error: stream mode needs both --k and --params\n"
+    def test_stream_needs_params(self, capsys):
+        err = usage_error(["stream", "--k", "2"], capsys)
+        assert err.endswith("error: the following arguments are required: --params\n")
 
 
 class TestDecimalStrings:
@@ -518,17 +534,20 @@ class TestParser:
                 return
         yield path, parser
 
-    def test_json_is_the_last_flag_of_every_subcommand_but_search(self):
+    def test_json_is_the_last_flag_of_every_subcommand_but_search_and_canonical(self):
         leaves = dict(self._leaves(build_parser()))
         assert sorted(leaves) == sorted(_FLAGS)
         named = {
             ("eval",): cli._cmd_eval,
+            ("canonical",): cli._cmd_canonical,
             ("classify",): cli._cmd_classify,
             ("witnesses",): cli._cmd_witnesses,
             ("search",): cli._cmd_search,
             ("conjecture",): cli._cmd_conjecture,
             ("concat",): cli._cmd_concat,
+            ("palindrome",): cli._cmd_palindrome,
             ("surd",): cli._cmd_surd,
+            ("stream",): cli._cmd_stream,
         }
         for path, parser in leaves.items():
             func = parser.get_default("func")
@@ -536,7 +555,7 @@ class TestParser:
             assert func is named.get(path, cli._cmd_enumerate), path
             assert path in named or path[0] == "enumerate", path
             flags = [a.option_strings for a in parser._actions if a.option_strings]
-            assert (flags[-1] == ["--json"]) == (path != ("search",)), path
+            assert (flags[-1] == ["--json"]) == (path not in _NO_JSON), path
             assert ["--json"] not in flags[:-1], path
 
     @pytest.mark.parametrize(
@@ -550,7 +569,9 @@ class TestParser:
             ["enumerate", "perfect-reverse", "--k", "3", "--params", "1,2"],
             ["enumerate", "perfect-cyclic", "--k", "2", "--length", "6", "--ell", "3",
              "--params", "1,1,2"],
-            ["concat", "--palindrome", "--k", "2", "--cf", "7;1,3", "--cf", "7;1,3"],
+            ["concat", "--cf1", "2;1,5,1,2", "--sigma1", "1,0,4,3,2", "--cf2", "7;1,3",
+             "--sigma2", "2,1,0"],
+            ["palindrome", "--k", "2", "--cf", "7;1,3", "--cf", "7;1,3"],
         ],
     )
     def test_each_witness_printer_writes_one_record_per_line_with_json(self, capsys, argv):
@@ -589,67 +610,47 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err == "error: out of memory\n"
 
-    def test_eval_needs_exactly_one_source(self, capsys):
-        for argv in (["eval"], ["eval", "--cf", "7;1,3", "--rational", "3/2"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main(argv)
-            assert excinfo.value.code == 2
-        capsys.readouterr()
+    def test_canonical_needs_exactly_one_source(self, capsys):
+        for argv in (["canonical"], ["canonical", "--cf", "7;1,3", "--rational", "3/2"], ["eval"]):
+            usage_error(argv, capsys)
         for text in ("1/0", "0/0"):
-            code, out, err = run(["eval", "--rational", text], capsys)
+            code, out, err = run(["canonical", "--rational", text], capsys)
             assert code == 2
             assert err.startswith("error: ") and out == ""
 
-    def test_rational_rejects_the_flags_it_would_ignore(self, capsys):
-        for flags in (["--json"], ["--convergents"], ["--tails"], ["--canonical"],
-                      ["--json", "--convergents"]):
-            code, out, err = run(["eval", "--rational", "31/4", *flags], capsys)
-            assert code == 2
-            assert err.startswith("error: ") and out == ""
-        # --canonical prints only the folded digits, so it refuses the same flags
-        for flags in (["--json"], ["--convergents"], ["--tails"], ["--json", "--tails"]):
-            code, out, err = run(["eval", "--cf", "7;1,3,1", "--canonical", *flags], capsys)
-            assert code == 2
-            assert err.startswith("error: ") and out == ""
+    def test_an_old_spelling_is_a_usage_error(self, capsys):
+        # each mode a flag chose is now a command of its own
+        for argv in (
+            ["surd", "--k", "2", "--params", "const:1"],
+            ["concat", "--palindrome", "--k", "2", "--cf", "7;1,3"],
+            ["eval", "--rational", "31/4"],
+            ["eval", "--cf", "5;3,1", "--canonical"],
+        ):
+            assert usage_error(argv, capsys).startswith("usage: permutiple ")
 
-    def test_modes_reject_the_flags_they_would_ignore(self, capsys):
+    def test_a_command_refuses_the_flags_of_another(self, capsys):
         pair = ["--cf1", "7;1,3", "--sigma1", "2,1,0", "--cf2", "7;1,3", "--sigma2", "2,1,0"]
         probe = ["surd", "--a", "1", "--b", "3", "--c", "1"]
-        stream = ["surd", "--k", "2", "--params", "const:1"]
+        stream = ["stream", "--k", "2", "--params", "const:1"]
         for argv in (
             ["concat", *pair, "--k", "2"],
-            ["concat", *pair, "--cf", "7;1,3"],
-            ["concat", "--palindrome", "--k", "2", "--cf", "7;1,3", "--cf1", "7;1,3"],
-            ["concat", "--palindrome", "--k", "2", "--cf", "7;1,3", "--sigma2", "2,1,0"],
+            ["concat", *pair, "--palindrome"],
+            ["palindrome", "--k", "2", "--cf", "7;1,3", "--cf1", "7;1,3"],
+            ["palindrome", "--k", "2", "--cf", "7;1,3", "--sigma2", "2,1,0"],
             [*probe, "--gaps", "5"],
             [*probe, "--digits", "8"],
             [*probe, "--gaps", "0", "--json"],
             [*stream, "--depth", "20"],
+            [*stream, "--a", "1"],
+            ["eval", "--cf", "7;1,3", "--rational", "31/4"],
+            ["canonical", "--cf", "7;1,3", "--json"],
+            ["canonical", "--rational", "31/4", "--convergents"],
+            ["canonical", "--cf", "7;1,3,1", "--tails"],
         ):
-            code, out, err = run(argv, capsys)
-            assert code == 2, argv
-            assert err.startswith("error: ") and "does not take" in err and out == ""
-        # each mode still reads its own flag, and its default is 20
+            assert "error: " in usage_error(argv, capsys)
+        # each command still reads its own flag, and its default is 20
         assert run([*probe, "--depth", "20"], capsys)[1] == run(probe, capsys)[1]
         assert run([*stream, "--digits", "20"], capsys)[1] == run(stream, capsys)[1]
-
-    def test_a_given_zero_or_false_default_is_told_apart(self, capsys):
-        # only None and False count as not given: --k 0 is refused, and an
-        # unset store_true flag is not
-        pair = ["--cf1", "7;1,3", "--sigma1", "2,1,0", "--cf2", "7;1,3", "--sigma2", "2,1,0"]
-        code, out, err = run(["concat", *pair, "--k", "0"], capsys)
-        assert code == 2 and out == ""
-        assert err == "error: concat without --palindrome does not take --k\n"
-        for mode, argv, flags in (
-            ("--rational", ["--rational", "31/4"], ("json", "convergents", "tails", "canonical")),
-            ("--canonical", ["--cf", "7;1,3,1", "--canonical"], ("json", "convergents", "tails")),
-        ):
-            for flag in flags:
-                code, out, err = run(["eval", *argv, f"--{flag}"], capsys)
-                assert code == 2 and out == ""
-                assert err == f"error: {mode} does not take --{flag}\n"
-            code, out, err = run(["eval", *argv], capsys)
-            assert code == 0 and out and err == ""
 
     def test_surd_depth_must_be_positive(self, capsys):
         # also for a surd with no multiplier (1 + sqrt 2: (2 - 1)/1 = 1),
@@ -665,7 +666,7 @@ class TestUsageErrors:
 
     def test_surd_stream_digits_must_be_positive(self, capsys):
         for digits in ("0", "-2"):
-            argv = ["surd", "--k", "2", "--params", "const:1", "--digits", digits]
+            argv = ["stream", "--k", "2", "--params", "const:1", "--digits", digits]
             code, out, err = run(argv, capsys)
             assert code == 2
             assert err == f"error: --digits must be >= 1, not {digits}\n"
@@ -675,7 +676,7 @@ class TestUsageErrors:
         # --gaps 0 printed what no --gaps prints, and -1 reached the library
         for gaps in ("0", "-1"):
             for flags in ([], ["--json"]):
-                argv = ["surd", "--k", "2", "--params", "1,2", "--digits", "4", "--gaps", gaps]
+                argv = ["stream", "--k", "2", "--params", "1,2", "--digits", "4", "--gaps", gaps]
                 code, out, err = run([*argv, *flags], capsys)
                 assert code == 2, (gaps, flags)
                 assert err == f"error: --gaps must be >= 1, not {gaps}\n"
@@ -688,7 +689,7 @@ class TestUsageErrors:
                 ["enumerate", "perfect", "--sigma", "1,0", "--k", "2", "--params", "0"],
                 "cycle parameter 0 must be >= 1, not 0",
             ),
-            (["surd", "--k", "2", "--params", "0", "--digits", "2"], "parameter s_0 must be >= 1, not 0"),
+            (["stream", "--k", "2", "--params", "0", "--digits", "2"], "parameter s_0 must be >= 1, not 0"),
         ):
             assert run(argv, capsys) == (2, "", f"error: {message}\n")
 
@@ -709,15 +710,15 @@ class TestUsageErrors:
         for argv in (
             ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", over],
             ["surd", "--a", "1", "--b", "2", "--c", "1", "--depth", over],  # no multiplier
-            ["surd", "--k", "2", "--params", "const:1", "--digits", over],
-            ["surd", "--k", "2", "--params", "const:1", "--gaps", over],
+            ["stream", "--k", "2", "--params", "const:1", "--digits", over],
+            ["stream", "--k", "2", "--params", "const:1", "--gaps", over],
         ):
             for flags in ([], ["--json"]):
                 code, out, err = run([*argv, *flags], capsys)
                 assert code == 2, (argv, flags)
                 assert err == f"error: {argv[-2]} {over} is over {MAX_DEPTH} digits\n"
                 assert out == ""
-        argv = ["surd", "--k", "2", "--params", "const:1", "--digits", str(MAX_DEPTH)]
+        argv = ["stream", "--k", "2", "--params", "const:1", "--digits", str(MAX_DEPTH)]
         code, out, _ = run(argv, capsys)
         assert code == 0 and out.splitlines()[0] == "digits 2;1" + ",2,1" * (MAX_DEPTH // 2 - 1)
         argv = ["surd", "--a", "1", "--b", "3", "--c", "1", "--depth", str(MAX_DEPTH), "--json"]
@@ -729,7 +730,7 @@ class TestUsageErrors:
         # s_i = 10**(100 i): the digit 2 * 10**4300 at j = 86 is the first
         # past Python's 4300-digit cap, and the walk stops there
         base = "1" + "0" * 100
-        argv = ["surd", "--k", "2", "--params", f"pow:{base}", "--digits", "200", *mode]
+        argv = ["stream", "--k", "2", "--params", f"pow:{base}", "--digits", "200", *mode]
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == "error: --digits 200: the digit at j = 86 has too many digits to print\n"
@@ -784,7 +785,8 @@ class TestUsageErrors:
 # `--jobs` and `--out` are drawn apart from the tokens below (see _JOBS and
 # _OUTS), so a drawn token can never become a worker count.
 _FLAGS = {
-    ("eval",): ["--cf", "--rational", "--convergents", "--tails", "--canonical", "--json"],
+    ("eval",): ["--cf", "--convergents", "--tails", "--json"],
+    ("canonical",): ["--cf", "--rational"],
     ("classify",): ["--cf", "--sigma", "--k", "--allow-noncanonical", "--json"],
     ("witnesses",): ["--cf", "--all-sigmas", "--allow-noncanonical", "--json"],
     ("search",): ["--len", "--len-min", "--len-max", "--k-min", "--k-max", "--format",
@@ -796,11 +798,15 @@ _FLAGS = {
     ("enumerate", "perfect"): ["--sigma", "--k", "--params", "--json"],
     ("enumerate", "perfect-reverse"): ["--k", "--params", "--json"],
     ("enumerate", "perfect-cyclic"): ["--k", "--length", "--ell", "--params", "--json"],
-    ("concat",): ["--cf1", "--sigma1", "--cf2", "--sigma2", "--palindrome", "--k", "--cf",
-                  "--json"],
-    ("surd",): ["--a", "--b", "--c", "--depth", "--k", "--params", "--digits", "--gaps",
-                "--json"],
+    ("concat",): ["--cf1", "--sigma1", "--cf2", "--sigma2", "--json"],
+    ("palindrome",): ["--k", "--cf", "--json"],
+    ("surd",): ["--a", "--b", "--c", "--depth", "--json"],
+    ("stream",): ["--k", "--params", "--digits", "--gaps", "--json"],
 }
+
+# The commands without --json: `search` writes the format --format names,
+# and `canonical` prints one digit string.
+_NO_JSON = {("search",), ("canonical",)}
 
 # Integers stay at 3 or below, so a drawn length or digit bound keeps every
 # scan tiny.

@@ -444,6 +444,14 @@ class TestConjectures:
         with pytest.raises(ValueError):
             check_conjectures([], ["c9"])
 
+        # no id at all is refused before the scan starts, not after it
+        def unread():
+            raise AssertionError("the stream was read")
+            yield
+
+        with pytest.raises(ValueError, match="^conjecture ids must name at least one conjecture$"):
+            check_conjectures(unread(), [])
+
     def test_a_bare_string_is_refused_not_read_as_characters(self):
         # "c2" was walked as "c", "2" and refused as "unknown conjecture id 'c'"
         with pytest.raises(ValueError, match="not the string 'c2'"):

@@ -305,6 +305,16 @@ class TestVerifyProbe:
             report = verify_surd_permutiple(s, depth)
             assert report.fails_at is None and report.digits[:40] == stream.prefix(40)[:depth]
 
+    def test_the_verdict_depends_on_how_the_surd_is_written(self):
+        # k = (b - a^2)/c is read off the triple: (2+sqrt(12))/2 is the number
+        # (1+sqrt(3))/1 written with t = 2, so it has the same digits but k 4,
+        # and the swap that holds for k 2 fails at digit 0 for k 4
+        plain, scaled = QuadraticSurd(1, 3, 1), QuadraticSurd(2, 12, 2)
+        assert periodic_expansion(plain) == periodic_expansion(scaled) == ((), (2, 1))
+        assert (surd_multiplier(plain), surd_multiplier(scaled)) == (2, 4)
+        assert verify_surd_permutiple(plain).fails_at is None
+        assert verify_surd_permutiple(scaled).fails_at == 0
+
     def test_long_period_surd_is_refused(self):
         # both expansions are needed whole, and this period does not close
         # within MAX_STATES states
