@@ -8,7 +8,6 @@ from .cf import (
     continuant,
     convergents,
     evaluate,
-    format_cf,
     format_rational,
     from_rational,
     parse_rational,
@@ -23,7 +22,6 @@ from .classify import (
     canonical_sigma,
     classify,
     find_witnesses,
-    format_permutation,
     permute_digits,
 )
 from .concat import (

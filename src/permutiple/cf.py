@@ -91,10 +91,11 @@ class ContinuedFraction(_Record):
 
     @classmethod
     def parse(cls, text: str) -> ContinuedFraction:
-        """Parse ``a0;a1,a2,...,an`` (spaces tolerated); a bare ``a0`` is allowed,
-        but a ``;`` needs a digit after it."""
-        head, semicolon, tail = "".join(text.split()).partition(";")
-        return cls((int(head),) + (_ints(tail) if semicolon else ()))
+        """Parse ``a0;a1,a2,...,an``, spaces allowed around each digit; a bare
+        ``a0`` is allowed, but a ``;`` needs a digit after it."""
+        head, semicolon, tail = text.partition(";")
+        parts = [head, *tail.split(",")] if semicolon else [head]
+        return cls(_ints(text, "digit string", "a0;a1,...,an", parts))
 
     @property
     def is_canonical(self) -> bool:
@@ -110,7 +111,7 @@ class ContinuedFraction(_Record):
         return len(self.digits)
 
     def __str__(self) -> str:
-        return format_cf(self)
+        return _layout([str(a) for a in self.digits])
 
 
 # Most digits a surd probe, a printed stream prefix or a perfect cyclic
@@ -154,13 +155,14 @@ def _power_of_ten(exponent: int) -> int:
 _UNPRINTABLE_VALUE = "the {}-digit string's value has too many digits to print"
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    """The integers of a comma list, spaces tolerated."""
-    return tuple(int(part) for part in "".join(text.split()).split(","))
-
-
-def format_cf(cf: ContinuedFraction) -> str:
-    return _layout([str(a) for a in cf.digits])
+def _ints(text: str, name: str, layout: str, parts: Iterable[str] | None = None) -> tuple[int, ...]:
+    """The one reader of integers from text: int() reads each of ``parts``
+    (``text`` split on commas when not given), which allows spaces around a
+    part, and a part it refuses is the one refusal of the whole ``text``."""
+    try:
+        return tuple([int(part) for part in (text.split(",") if parts is None else parts)])
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not of the form {layout}") from None
 
 
 def _layout(strings: list[str]) -> str:
@@ -172,11 +174,11 @@ def _layout(strings: list[str]) -> str:
 def parse_rational(text: str) -> Fraction:
     from fractions import Fraction
 
-    compact = "".join(text.split())
-    num, slash, den = compact.partition("/")
-    if slash and int(den) == 0:
+    num, slash, den = text.partition("/")
+    p, q = _ints(text, "rational", "p/q", [num, den if slash else "1"])
+    if q == 0:
         raise ValueError(f"rational {text!r} has a zero denominator")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:

@@ -28,7 +28,6 @@ from .cf import (
     _Record,
     _tip,
     _UNPRINTABLE_VALUE,
-    format_cf,
 )
 
 
@@ -49,7 +48,7 @@ class Permutation(_Record):
 
     @classmethod
     def parse(cls, text: str) -> Permutation:
-        return cls(_ints(text))
+        return cls(_ints(text, "image list", "s0,s1,...,sn"))
 
     @classmethod
     @lru_cache(typed=True)
@@ -65,7 +64,7 @@ class Permutation(_Record):
         return len(self.images)
 
     def __str__(self) -> str:
-        return format_permutation(self)
+        return ",".join([str(i) for i in self.images])
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -111,10 +110,6 @@ class Permutation(_Record):
                 low = min(powers)
                 layout.append(tuple([e - low for e in powers]))
         return tuple(layout)
-
-
-def format_permutation(sigma: Permutation) -> str:
-    return ",".join([str(i) for i in sigma.images])
 
 
 class ClassificationFlags(_Record):
@@ -195,7 +190,7 @@ class Witness(_Record):
         p, q = self._tips[0][0]
         if not _printable(p):
             raise ValueError(_UNPRINTABLE_VALUE.format(len(self.cf)))
-        return format_cf(self.cf), format_permutation(self.sigma), str(p), str(q)
+        return str(self.cf), str(self.sigma), str(p), str(q)
 
     @cached_property
     def flags(self) -> ClassificationFlags:

@@ -23,7 +23,6 @@ from .cf import (
     canonicalize,
     convergents,
     evaluate,
-    format_cf,
     format_rational,
     from_rational,
     parse_rational,
@@ -53,7 +52,7 @@ from .search import (
 def _witness_line(w: Witness) -> str:
     digits, sigma, p, q = w.text
     parts = [
-        f"{digits} = {w.k} * {format_cf(w.permuted)}",
+        f"{digits} = {w.k} * {w.permuted}",
         f"sigma {sigma}",
         f"value {_ratio(p, q)}",
         f"flags {','.join(w.flags.true_names()) or '-'}",
@@ -80,7 +79,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(_UNPRINTABLE_VALUE.format(len(cf)))
     if args.json:
         record = {
-            "digits": format_cf(cf),
+            "digits": str(cf),
             "value": _ratio_record(value.numerator, value.denominator),
         }
         if args.convergents:
@@ -102,7 +101,7 @@ def _cmd_canonical(args) -> int:
         cf = canonicalize(ContinuedFraction.parse(args.cf))
     else:
         cf = from_rational(parse_rational(args.rational))
-    print(format_cf(cf))
+    print(cf)
     return 0
 
 
@@ -162,13 +161,11 @@ def _cmd_conjecture(args) -> int:
     config = _scan_config(args, *_CONJECTURES[args.id][2])
     report = check_conjectures(exhaustive_search(config), [args.id], config.bounds_text())[args.id]
     if args.json:
-        record = {
-            "conjecture": report.conjecture,
-            "bounds": report.bounds,
-            "examined": report.examined,
-            "counterexamples": [witness_record(w) for w in report.counterexamples],
-            "wall_time": round(report.wall_time, 3),
-        }
+        record = dict(zip(report._fields, report._values()))
+        record.update(
+            counterexamples=[witness_record(w) for w in report.counterexamples],
+            wall_time=round(report.wall_time, 3),
+        )
         print(_compact_json(record))
     else:
         print(report.summary())
@@ -199,14 +196,15 @@ def _cmd_enumerate(args) -> int:
             return 1
         return _emit(found, args.json)
     if args.family == "two-digit":
-        witness = two_digit(args.k, args.s)
-    elif args.family == "perfect":
+        return _emit([two_digit(args.k, args.s)], args.json)
+    params = _ints(args.params, "--params", "s0,s1,...")
+    if args.family == "perfect":
         sigma = Permutation.parse(args.sigma)
-        witness = perfect_from_parameters(PerfectParameters(sigma, args.k, _ints(args.params)))
+        witness = perfect_from_parameters(PerfectParameters(sigma, args.k, params))
     elif args.family == "perfect-reverse":
-        witness = perfect_reverse(args.k, _ints(args.params))
+        witness = perfect_reverse(args.k, params)
     else:
-        witness = perfect_cyclic(args.k, args.length, args.ell, _ints(args.params))
+        witness = perfect_cyclic(args.k, args.length, args.ell, params)
     return _emit([witness], args.json)
 
 
@@ -227,13 +225,12 @@ def _cmd_palindrome(args) -> int:
 
 
 def _parse_stream_params(expr: str):
-    if expr.startswith("const:"):
-        value = int(expr.split(":", 1)[1])
-        return lambda i: value
-    if expr.startswith("pow:"):
-        base = int(expr.split(":", 1)[1])
-        return lambda i: base**i
-    return _ints(expr)
+    kind, _, rest = expr.partition(":")
+    layout = "const:<v>, pow:<base> or s0,s1,..."
+    if kind not in ("const", "pow"):
+        return _ints(expr, "--params", layout)
+    (value,) = _ints(expr, "--params", layout, [rest])
+    return (lambda i: value) if kind == "const" else (lambda i: value**i)
 
 
 def _decimal_strings(values, first: int, refusal: str) -> list[str]:

@@ -20,7 +20,6 @@ from permutiple import (
     continuant,
     convergents,
     evaluate,
-    format_cf,
     format_rational,
     from_rational,
     parse_rational,
@@ -94,30 +93,42 @@ class TestContinuedFractionType:
         assert CF.parse("7;1,3") == CF((7, 1, 3))
         assert CF.parse(" 7 ; 1 , 3 ") == CF((7, 1, 3))
         assert CF.parse("2") == CF((2,))
-        assert format_cf(CF((7, 1, 3))) == "7;1,3"
-        assert format_cf(CF((2,))) == "2"
+        assert str(CF((7, 1, 3))) == "7;1,3"
+        assert str(CF((2,))) == "2"
         assert str(CF((11, 1, 10, 2, 3))) == "11;1,10,2,3"
 
-    def test_parse_refuses_an_empty_digit(self):
-        # a ";" or "," must be followed by a digit, at the end as anywhere
-        for text in ("1;", "1 ; ", "3;2,", ";", "3;,2", ""):
-            with pytest.raises(ValueError):
-                CF.parse(text)
+    # a ";" or "," must be followed by a digit, at the end as anywhere; a
+    # space may stand around a digit but not inside one
+    @pytest.mark.parametrize(
+        "text", ["1;", "1 ; ", "3;2,", ";", "3;,2", "", "3;;1", "5,3", "7;1;3", "1 2;3", "7;1,3 0", "x"]
+    )
+    def test_parse_refuses_malformed_text_in_one_wording(self, text):
+        with pytest.raises(ValueError) as raised:
+            CF.parse(text)
+        assert str(raised.value) == f"digit string {text!r} is not of the form a0;a1,...,an"
 
     def test_parse_format_round_trip(self):
         rng = random.Random(7)
         for _ in range(200):
             ds = random_digits(rng)
-            assert CF.parse(format_cf(CF(ds))).digits == ds
+            assert CF.parse(str(CF(ds))).digits == ds
 
     def test_rational_text(self):
         assert parse_rational("31/4") == Fraction(31, 4)
+        assert parse_rational(" 31 / 4 ") == Fraction(31, 4)
         assert parse_rational("2") == Fraction(2)
-        for text in ("1/0", "0/0"):
-            with pytest.raises(ValueError):
+        for text in ("1/0", "0/0", " 1 / 0 "):
+            with pytest.raises(ValueError) as raised:
                 parse_rational(text)
+            assert str(raised.value) == f"rational {text!r} has a zero denominator"
         assert format_rational(Fraction(31, 4)) == "31/4"
         assert format_rational(Fraction(2)) == "2/1"
+
+    @pytest.mark.parametrize("text", ["1/x", "1/2/3", "3 1/4", "", "/4", "31/", "3.5", "x"])
+    def test_rational_refuses_malformed_text_in_one_wording(self, text):
+        with pytest.raises(ValueError) as raised:
+            parse_rational(text)
+        assert str(raised.value) == f"rational {text!r} is not of the form p/q"
 
 
 class TestCheckInt:

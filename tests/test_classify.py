@@ -56,7 +56,14 @@ class TestPermutation:
 
     def test_parse_format(self):
         assert P.parse("2,1,0") == REVERSAL_3
+        assert P.parse("2, 1 ,0") == REVERSAL_3
         assert str(REVERSAL_3) == "2,1,0"
+
+    @pytest.mark.parametrize("text", ["2,,0", "", "2,1,", ",2,1,0", "1 0", "2;1,0", "x"])
+    def test_parse_refuses_malformed_text_in_one_wording(self, text):
+        with pytest.raises(ValueError) as raised:
+            P.parse(text)
+        assert str(raised.value) == f"image list {text!r} is not of the form s0,s1,...,sn"
 
     def test_derived_attributes(self):
         assert P((3, 0, 4, 5, 1, 2)).cycles == ((0, 3, 5, 2, 4, 1),)

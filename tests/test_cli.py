@@ -150,7 +150,7 @@ class TestWitnesses:
         # distinct digits: one realizing image list, walked without recursion
         sigma = permutiple.Permutation(tuple(j ^ 1 for j in range(1000)))
         params = permutiple.PerfectParameters(sigma, 2, tuple(range(1, 1000, 2)))
-        cf = permutiple.format_cf(permutiple.perfect_from_parameters(params).cf)
+        cf = str(permutiple.perfect_from_parameters(params).cf)
         code, out, _ = run(["witnesses", "--cf", cf, "--all-sigmas"], capsys)
         assert code == 0
         assert out.count("\n") == 1 and " | sigma 1,0,3,2," in out
@@ -681,6 +681,42 @@ class TestUsageErrors:
                 assert code == 2, (gaps, flags)
                 assert err == f"error: --gaps must be >= 1, not {gaps}\n"
                 assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--cf", "3;;1"], "digit string '3;;1' is not of the form a0;a1,...,an"),
+            (["eval", "--cf", "5,3"], "digit string '5,3' is not of the form a0;a1,...,an"),
+            (["canonical", "--cf", "5;"], "digit string '5;' is not of the form a0;a1,...,an"),
+            (
+                ["classify", "--cf", "7;1,3", "--sigma", "2,,0"],
+                "image list '2,,0' is not of the form s0,s1,...,sn",
+            ),
+            (["canonical", "--rational", "1/x"], "rational '1/x' is not of the form p/q"),
+            (["canonical", "--rational", "1/2/3"], "rational '1/2/3' is not of the form p/q"),
+            (
+                ["enumerate", "perfect", "--sigma", "1,0", "--k", "2", "--params", "x"],
+                "--params 'x' is not of the form s0,s1,...",
+            ),
+            (
+                ["enumerate", "perfect-reverse", "--k", "2", "--params", "1,,2"],
+                "--params '1,,2' is not of the form s0,s1,...",
+            ),
+            (
+                ["stream", "--k", "2", "--params", "const:x"],
+                "--params 'const:x' is not of the form const:<v>, pow:<base> or s0,s1,...",
+            ),
+            (
+                ["stream", "--k", "2", "--params", "pow:"],
+                "--params 'pow:' is not of the form const:<v>, pow:<base> or s0,s1,...",
+            ),
+            # a space inside a number is refused, not dropped
+            (["eval", "--cf", "1 2;3"], "digit string '1 2;3' is not of the form a0;a1,...,an"),
+            (["canonical", "--rational", "3 1/4"], "rational '3 1/4' is not of the form p/q"),
+        ],
+    )
+    def test_malformed_text_is_refused_in_one_wording(self, capsys, argv, message):
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
 
     def test_a_parameter_below_1_is_refused_in_one_wording(self, capsys):
         # the perfect family and the perfect stream state one rule and name the value

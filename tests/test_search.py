@@ -577,17 +577,16 @@ class TestExport:
             assert (int(row[3]), int(row[4])) == (value.numerator, value.denominator)
 
     def test_each_witness_is_formatted_once_across_formats(self, monkeypatch):
-        classify_module = sys.modules["permutiple.classify"]
         calls = collections.Counter()
-        for name in ("format_cf", "format_permutation"):
+        for cls in (ContinuedFraction, Permutation):
 
-            def counting(x, name=name, original=getattr(classify_module, name)):
+            def counting(x, name=cls.__name__, original=cls.__str__):
                 calls[name] += 1
                 return original(x)
 
-            monkeypatch.setattr(classify_module, name, counting)
+            monkeypatch.setattr(cls, "__str__", counting)
         ws = self.exported_list()
-        once = {"format_cf": len(ws), "format_permutation": len(ws)}
+        once = {"ContinuedFraction": len(ws), "Permutation": len(ws)}
         export(ws, "jsonl", io.StringIO())
         assert calls == once
         export(ws, "csv", io.StringIO())
