@@ -35,14 +35,21 @@ class _Record:
     Records are equal when their classes and field values are, hash like
     the tuple of their field values, print as ``Name(field=value, ...)``
     and refuse assignment and deletion with AttributeError.  A subclass
-    names its fields in ``_fields``, and its ``__init__`` makes its checks
-    and then sets every field in one call to ``_set``, the one writer of a
-    record's fields.  A record pickles as its class and field values, so
-    unpickling runs ``__init__`` and its checks again.
+    names its fields in ``_fields``; if it takes them as given, that is all,
+    and if it normalizes, derives or checks them, its own ``__init__`` ends
+    in one call to ``_set``, the one writer of fields.  A record pickles as
+    its class and field values, so unpickling runs ``__init__`` again.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        """Bind the fields by position, then by name, with one ``_set``."""
+        rest = self._fields[len(values) :]
+        if len(values) > len(self._fields) or named.keys() != set(rest):
+            raise TypeError(f"{self.__class__.__qualname__} takes the fields {self._fields}")
+        self._set(*values, *[named[name] for name in rest])
 
     def _set(self, *values: object) -> None:
         """Set the fields to ``values`` in ``_fields`` order; a wrong count is a ValueError."""
@@ -139,8 +146,13 @@ def _printable(value: int) -> bool:
     the power, which is kept while the limit stands."""
     if value.bit_length() <= 1920:
         return True
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # not in early 3.10s
+    limit = _digit_limit()
     return not limit or value.bit_length() <= 3 * limit or value < _power_of_ten(limit)
+
+
+def _digit_limit() -> int:
+    """The most decimal digits Python's int() reads and str() writes, 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # not in early 3.10s
 
 
 @lru_cache(maxsize=1)
@@ -155,14 +167,33 @@ def _power_of_ten(exponent: int) -> int:
 _UNPRINTABLE_VALUE = "the {}-digit string's value has too many digits to print"
 
 
-def _ints(text: str, name: str, layout: str, parts: Iterable[str] | None = None) -> tuple[int, ...]:
+def _ints(text: str, name: str, layout: str, parts: list[str] | None = None) -> tuple[int, ...]:
     """The one reader of integers from text: int() reads each of ``parts``
     (``text`` split on commas when not given), which allows spaces around a
-    part, and a part it refuses is the one refusal of the whole ``text``."""
+    part, and a part it refuses is the one refusal of the whole ``text``.
+    When every part is a number, int() refused one for its length, and the
+    refusal says so without echoing the text."""
+    parts = text.split(",") if parts is None else parts
     try:
-        return tuple([int(part) for part in (text.split(",") if parts is None else parts)])
+        return tuple([int(part) for part in parts])
     except ValueError:
+        counts = [_digit_count(part) for part in parts]
+        if all(counts):
+            raise ValueError(
+                f"{name} has a {max(counts)}-digit number,"
+                f" over Python's limit of {_digit_limit()} digits for int()"
+            ) from None
         raise ValueError(f"{name} {text!r} is not of the form {layout}") from None
+
+
+def _digit_count(part: str) -> int:
+    """The digits of a part shaped as int() reads a decimal integer (spaces
+    around, a sign, digits with single underscores between), else 0."""
+    number = part.strip()
+    if number[:1] in ("+", "-"):
+        number = number[1:]
+    groups = number.split("_")
+    return sum(map(len, groups)) if all(map(str.isdecimal, groups)) else 0
 
 
 def _layout(strings: list[str]) -> str:

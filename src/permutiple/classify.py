@@ -113,6 +113,15 @@ class Permutation(_Record):
 
 
 class ClassificationFlags(_Record):
+    """The five flags of a witness, each a bool, in ``FLAG_ORDER``.
+
+    ``continuant_preserving`` says the base p/q and the permuted p'/q',
+    both in lowest terms, share the top continuant: p == p'.  A witness has
+    p/q == k * p'/q', so p' divides p and t = p/p' divides k, and
+    preservation is exactly t == 1.  Proof: p*q' == k*p'*q with p' prime to
+    q', so p' | p; then t*q' == k*q with t | p prime to q, so t | k.
+    """
+
     __slots__ = _fields = (
         "continuant_preserving",
         "perfect",

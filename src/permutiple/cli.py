@@ -291,7 +291,7 @@ def _cmd_surd(args) -> int:
     k = surd_multiplier(surd)
     report = verify_surd_permutiple(surd, args.depth) if k is not None else None
     code = 0 if report is not None and report.fails_at is None else 1
-    preperiod, period = periodic_expansion(surd)
+    preperiod, period = periodic_expansion(surd) if report is None else report.expansion
     if args.json:
         record = {
             "surd": str(surd),

@@ -18,12 +18,10 @@ from .classify import Permutation, Witness, classify
 
 
 class BracketViews(_Record):
-    """Continuants of a digit string and of its one-sided truncations."""
+    """The int continuants ``full`` of a digit string, and ``drop_first``,
+    ``drop_last`` and ``drop_both`` of its one-sided truncations."""
 
     __slots__ = _fields = ("full", "drop_first", "drop_last", "drop_both")
-
-    def __init__(self, full: int, drop_first: int, drop_last: int, drop_both: int) -> None:
-        self._set(full, drop_first, drop_last, drop_both)
 
 
 def bracket_views(cf: ContinuedFraction) -> BracketViews:

@@ -369,23 +369,13 @@ CONJECTURE_IDS = tuple(_CONJECTURES)
 
 
 class ConjectureReport(_Record):
-    """Outcome of scanning one conjecture over a witness stream.
-
+    """Outcome of scanning one conjecture over a witness stream: its id and
+    bounds (``conjecture``, ``bounds``: str), the ``examined`` count (int),
+    the ``counterexamples`` (tuple of Witness) and ``wall_time`` (float, s).
     An empty counterexample tuple means the conjecture held within the
-    searched bounds; it is never a proof.
-    """
+    searched bounds; it is never a proof."""
 
     __slots__ = _fields = ("conjecture", "bounds", "examined", "counterexamples", "wall_time")
-
-    def __init__(
-        self,
-        conjecture: str,
-        bounds: str,
-        examined: int = 0,
-        counterexamples: tuple[Witness, ...] = (),
-        wall_time: float = 0.0,
-    ) -> None:
-        self._set(conjecture, bounds, examined, counterexamples, wall_time)
 
     @property
     def holds_within_bounds(self) -> bool:

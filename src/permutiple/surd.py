@@ -143,18 +143,14 @@ def _swap_failure(u_form: tuple, v_form: tuple) -> int | None:
 class SurdProbeReport(_Record):
     """The exact verdict on s = k * (s with its adjacent digits swapped).
 
-    ``fails_at`` is the first index j where digit j of s/k differs from
-    digit j xor 1 of s, or None when the swap holds at every digit.
-    ``digits`` and ``scaled_digits`` are the first digits of s and s/k,
-    shown beside the verdict; their count never changes it.
+    ``k`` is the int multiplier.  ``fails_at`` is the first index j where
+    digit j of s/k differs from digit j xor 1 of s, an int, or None when the
+    swap holds at every digit.  ``digits`` and ``scaled_digits``, tuples of
+    ints, are the first digits of s and s/k, shown beside the verdict; their
+    count never changes it.  ``expansion`` is s's (preperiod, period) pair.
     """
 
-    __slots__ = _fields = ("k", "digits", "scaled_digits", "fails_at")
-
-    def __init__(
-        self, k: int, digits: tuple[int, ...], scaled_digits: tuple[int, ...], fails_at: int | None
-    ) -> None:
-        self._set(k, digits, scaled_digits, fails_at)
+    __slots__ = _fields = ("k", "digits", "scaled_digits", "fails_at", "expansion")
 
 
 def verify_surd_permutiple(s: QuadraticSurd, depth: int = DEFAULT_DEPTH) -> SurdProbeReport:
@@ -176,7 +172,7 @@ def verify_surd_permutiple(s: QuadraticSurd, depth: int = DEFAULT_DEPTH) -> Surd
     u_form = periodic_expansion(s)
     v_form = periodic_expansion(QuadraticSurd(s.a, s.b, s.c * k))
     fails_at = _swap_failure(u_form, v_form)
-    return SurdProbeReport(k, _unroll(*u_form, depth), _unroll(*v_form, depth), fails_at)
+    return SurdProbeReport(k, _unroll(*u_form, depth), _unroll(*v_form, depth), fails_at, u_form)
 
 
 class DigitStream:

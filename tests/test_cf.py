@@ -107,6 +107,33 @@ class TestContinuedFractionType:
             CF.parse(text)
         assert str(raised.value) == f"digit string {text!r} is not of the form a0;a1,...,an"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_parse_refuses_a_number_too_long_to_read_by_its_digit_count(self):
+        # a well-formed number int() refuses for its length is named by its
+        # digit count, without the text; malformed text keeps its wording
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for text, digits in [
+                ("1" * 641, 641),
+                (" +" + "1_" * 640 + "1 ;2", 641),  # a sign, spaces and underscores, as int() reads
+                ("7;" + "2" * 700 + ",3", 700),
+            ]:
+                with pytest.raises(ValueError) as raised:
+                    CF.parse(text)
+                assert str(raised.value) == (
+                    f"digit string has a {digits}-digit number,"
+                    " over Python's limit of 640 digits for int()"
+                )
+            for text in ["1" * 641 + ";;2", "1" * 641 + ";2_", "1" * 641 + ";²"]:
+                with pytest.raises(ValueError) as raised:
+                    CF.parse(text)
+                assert str(raised.value) == f"digit string {text!r} is not of the form a0;a1,...,an"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_parse_format_round_trip(self):
         rng = random.Random(7)
         for _ in range(200):

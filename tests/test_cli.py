@@ -441,6 +441,27 @@ class TestSurd:
             "fails_at": 0,
         }
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_the_period_of_each_surd_is_walked_once(self, capsys, monkeypatch, json_flag):
+        from permutiple import surd
+        from permutiple.surd import QuadraticSurd
+
+        walked = []
+        expand = surd.periodic_expansion
+
+        def counted(s):
+            walked.append(s)
+            return expand(s)
+
+        monkeypatch.setattr(surd, "periodic_expansion", counted)
+        code, out, _ = run(["surd", "--a", "1", "--b", "5", "--c", "2", *json_flag], capsys)
+        assert code == 1 and out
+        assert walked == [QuadraticSurd(1, 5, 2), QuadraticSurd(1, 5, 4)]  # s and s/k
+        walked.clear()
+        code, out, _ = run(["surd", "--a", "1", "--b", "2", "--c", "1", *json_flag], capsys)
+        assert code == 1 and out
+        assert walked == [QuadraticSurd(1, 2, 1)]  # no multiplier, so no probe
+
     def test_mixed_modes_rejected(self, capsys):
         usage_error(["surd", "--a", "1", "--b", "3", "--c", "1", "--k", "2"], capsys)
 
@@ -717,6 +738,31 @@ class TestUsageErrors:
     )
     def test_malformed_text_is_refused_in_one_wording(self, capsys, argv, message):
         assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["eval", "--cf", "1" * 5000 + ";2"], "digit string"),
+            (["canonical", "--rational", "3" * 5000 + "/7"], "rational"),
+            (["classify", "--cf", "7;1,3", "--sigma", "2,1," + "0" * 5000], "image list"),
+        ],
+        ids=["eval", "canonical", "classify"],
+    )
+    def test_a_number_too_long_to_read_is_refused_without_the_text(self, capsys, argv, name):
+        # the text is well formed, but int() refuses a 5000-digit number: the
+        # refusal says so in one short line, not that the text is malformed
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(argv, capsys)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        refusal = f"{name} has a 5000-digit number, over Python's limit of 4300 digits for int()"
+        assert err == f"error: {refusal}\n" and len(err) < 200
 
     def test_a_parameter_below_1_is_refused_in_one_wording(self, capsys):
         # the perfect family and the perfect stream state one rule and name the value

@@ -7,6 +7,7 @@ import pytest
 
 from permutiple import (
     BracketViews,
+    ClassificationFlags,
     ContinuedFraction,
     PerfectParameters,
     Permutation,
@@ -138,6 +139,17 @@ class TestConcatWitness:
         assert not not_landess.flags.landess
         with pytest.raises(ValueError, match="landess"):
             concat_witness(not_landess, not_landess)
+
+    def test_right_factor_must_be_continuant_preserving(self):
+        # no witness found so far fails continuant preservation (conjecture
+        # c2), so the right factor's cached flags are replaced by a set that
+        # keeps the flag rules but does not preserve the continuant
+        landess = witness((2, 1, 5, 1, 2), (1, 2, 2, 1, 5))
+        right = witness((7, 1, 3), (3, 1, 7))
+        assert landess.flags.landess and landess.k == right.k
+        right.__dict__["flags"] = ClassificationFlags(False, False, False, False, True)
+        with pytest.raises(ValueError, match="^right factor must be continuant-preserving$"):
+            concat_witness(landess, right)
 
     def test_every_perfect_witness_is_accepted_as_left_factor(self):
         perfects = [

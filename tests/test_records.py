@@ -2,6 +2,7 @@
 their fields, refuse assignment, and pickle by being built again."""
 
 import pickle
+import re
 
 import pytest
 
@@ -81,8 +82,15 @@ FROZEN = [
     (QuadraticSurd, {"a": 1, "b": 3, "c": 1}, "QuadraticSurd(a=1, b=3, c=1)"),
     (
         SurdProbeReport,
-        {"k": 2, "digits": (2, 1), "scaled_digits": (1, 2), "fails_at": None},
-        "SurdProbeReport(k=2, digits=(2, 1), scaled_digits=(1, 2), fails_at=None)",
+        {
+            "k": 2,
+            "digits": (2, 1),
+            "scaled_digits": (1, 2),
+            "fails_at": None,
+            "expansion": ((), (2, 1)),
+        },
+        "SurdProbeReport(k=2, digits=(2, 1), scaled_digits=(1, 2), fails_at=None,"
+        " expansion=((), (2, 1)))",
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in FROZEN]
@@ -109,6 +117,29 @@ def test_a_record_refuses_assignment_and_deletion(cls, fields, text):
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(record, name)
     assert record == cls(**fields)
+
+
+# the records that take their fields as given: _Record.__init__ binds them
+BOUND = [row for row in FROZEN if row[0] in (BracketViews, ConjectureReport, SurdProbeReport)]
+
+
+@pytest.mark.parametrize("cls, fields, text", BOUND, ids=[row[0].__name__ for row in BOUND])
+def test_a_record_without_checks_is_bound_by_its_base(cls, fields, text):
+    assert "__init__" not in vars(cls)
+    values = tuple(fields.values())
+    first, *_, last = fields
+    assert cls(*values[:-1], **{last: values[-1]}) == cls(*values)
+    refusal = f"^{cls.__name__} takes the fields {re.escape(str(cls._fields))}$"
+    for args, named in [
+        (values[:-1], {}),  # a missing field
+        (values[1:], {}),
+        ((*values, 0), {}),  # an extra value
+        (values, {"unknown": 0}),  # an unknown name
+        (values[:-1], {last: 0, "unknown": 0}),
+        (values, {first: 0}),  # a field given twice
+    ]:
+        with pytest.raises(TypeError, match=refusal):
+            cls(*args, **named)
 
 
 @pytest.mark.parametrize(

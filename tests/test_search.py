@@ -440,6 +440,27 @@ class TestConjectures:
         assert len({(r.examined, r.wall_time) for r in reports.values()}) == 1
         assert len(set(reports.values())) == len(reports) == 4
 
+    def test_the_four_digit_conjectures_pass_a_witness_of_another_length(self):
+        # 2;1,5,1,2 = 2 * 1;2,2,1,5 is neither symmetric, nor perfect, nor a
+        # reverse multiple (one of 114 such witnesses at 2..5/<=12), so only
+        # the length guard of c1 and c4 lets it pass
+        w = Witness(CF((2, 1, 5, 1, 2)), Permutation((1, 0, 4, 3, 2)), 2)
+        flags = w.flags
+        assert not (flags.symmetric or flags.perfect or flags.reverse_multiple)
+        reports = check_conjectures([w], ["c1", "c4"])
+        assert [r.counterexamples for r in reports.values()] == [(), ()]
+        assert [r.examined for r in reports.values()] == [1, 1]
+
+    def test_a_hit_divides_the_top_continuant_by_a_divisor_of_k(self):
+        # p/q == k * p'/q' in lowest terms: p' | p and t = p/p' divides k, so
+        # continuant preservation is t == 1; non-canonical bases included
+        witnesses = run(SearchConfig(length=(2, 5), max_digit=12, canonical_only=False))
+        assert len(witnesses) == 680
+        for w in witnesses:
+            t, rest = divmod(continuant(w.cf.digits), continuant(w.permuted.digits))
+            assert rest == 0 and w.k % t == 0, w
+            assert w.flags.continuant_preserving == (t == 1), w
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             check_conjectures([], ["c9"])

@@ -263,12 +263,12 @@ class TestSwapDecision:
 class TestVerifyProbe:
     def test_consistent_example(self):
         report = verify_surd_permutiple(QuadraticSurd(1, 3, 1), depth=20)
-        assert report == SurdProbeReport(2, (2, 1) * 10, (1, 2) * 10, None)
+        assert report == SurdProbeReport(2, (2, 1) * 10, (1, 2) * 10, None, ((), (2, 1)))
 
     def test_golden_ratio_is_inconsistent(self):
         # (1+sqrt(5))/4 = [0; 1, 4, 4, ...] leads with 0, where digit 1 of s is 1
         report = verify_surd_permutiple(QuadraticSurd(1, 5, 2), depth=20)
-        assert report == SurdProbeReport(2, (1,) * 20, (0, 1) + (4,) * 18, 0)
+        assert report == SurdProbeReport(2, (1,) * 20, (0, 1) + (4,) * 18, 0, ((), (1,)))
 
     @pytest.mark.parametrize(
         "fields, fails_at",
@@ -289,6 +289,7 @@ class TestVerifyProbe:
             assert report.fails_at == fails_at, depth
             assert report.digits == expansion_digits(s, depth)
             assert report.scaled_digits == expansion_digits(scaled, depth)
+            assert report.expansion == periodic_expansion(s)
 
     @pytest.mark.parametrize(
         "k, param", [(2, 1), (2, 2), (2, 7), (3, 2), (4, 1), (4, 3), (5, 4), (6, 1)]
